@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,12 +43,12 @@ __all__ = [
 TRANSFORM_KINDS = ("inverse", "dual", "perverse_rows", "perverse_cols")
 
 
-def _validated_counts(counts) -> np.ndarray:
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _validated_cells(counts) -> np.ndarray:
+    """Counts as int64: finite, whole, non-negative, and a total that fits."""
     arr = np.asarray(counts)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DataError(f"counts must form a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DataError("a contingency table needs at least 2 labels")
     if not np.issubdtype(arr.dtype, np.integer):
         as_float = np.asarray(arr, dtype=float)
         if not np.all(np.isfinite(as_float)):
@@ -56,10 +57,24 @@ def _validated_counts(counts) -> np.ndarray:
         if not np.array_equal(as_float, rounded):
             raise DataError("counts must be whole numbers")
         arr = rounded
-    out = arr.astype(np.int64)
-    if (out < 0).any():
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.min() < 0:
         raise DataError("counts must be non-negative")
-    return out
+    # An int64 sum wraps silently.  The largest cell times the cell count
+    # bounds the total, so the exact sum is only taken when that bound fails.
+    if int(arr.max()) * arr.size > _INT64_MAX and sum(int(v) for v in arr.flat) > _INT64_MAX:
+        raise DataError("counts total exceeds the 64-bit integer range")
+    return arr.astype(np.int64)
+
+
+def _validated_counts(counts) -> np.ndarray:
+    arr = np.asarray(counts)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DataError(f"counts must form a square matrix, got shape {arr.shape}")
+    if arr.shape[0] < 2:
+        raise DataError("a contingency table needs at least 2 labels")
+    return _validated_cells(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,15 +211,23 @@ def from_pairs(
     pass `labels` to force a specific order (it may include extra labels
     that never occur, which then produce zero margins).
     """
-    pair_list = [(str(p), str(a)) for p, a in pairs]
-    if not pair_list:
+    return _table_from_tally(Counter((str(p), str(a)) for p, a in pairs), labels)
+
+
+def _table_from_tally(
+    tally: Counter[tuple[str, str]],
+    labels: Sequence[str] | None,
+) -> ContingencyTable:
+    """Table from positive (predicted, actual) counts, labels as in from_pairs."""
+    if not tally:
         raise DataError("no pairs to tally")
-    seen = sorted({tok for pair in pair_list for tok in pair})
+    seen = sorted({tok for pair in tally for tok in pair})
     if labels is None:
         ordered = seen
     else:
         ordered = [str(l) for l in labels]
-        missing = [tok for tok in seen if tok not in set(ordered)]
+        known = set(ordered)
+        missing = [tok for tok in seen if tok not in known]
         if missing:
             raise DataError(f"labels {missing} occur in the data but not in the label override")
     if len(ordered) < 2:
@@ -212,8 +235,8 @@ def from_pairs(
     index = {lbl: i for i, lbl in enumerate(ordered)}
     k = len(ordered)
     counts = np.zeros((k, k), dtype=np.int64)
-    for predicted, actual in pair_list:
-        counts[index[predicted], index[actual]] += 1
+    for (predicted, actual), count in tally.items():
+        counts[index[predicted], index[actual]] += count
     return ContingencyTable(counts, tuple(ordered))
 
 
@@ -398,14 +421,31 @@ def _sniff_delimiter(text: str) -> str:
         return "\t" if "\t" in lines[0] else ","
 
 
+def _malformed(exc: csv.Error) -> DataError:
+    return DataError(f"malformed delimited text: {exc}")
+
+
 def _read_rows(text: str) -> list[list[str]]:
+    """Stripped non-blank rows in file order."""
     delim = _sniff_delimiter(text)
     rows = []
-    for raw in csv.reader(io.StringIO(text), delimiter=delim):
-        cells = [c.strip() for c in raw]
-        if any(cells):
-            rows.append(cells)
+    try:
+        for raw in csv.reader(io.StringIO(text), delimiter=delim):
+            cells = [c.strip() for c in raw]
+            if any(cells):
+                rows.append(cells)
+    except csv.Error as exc:
+        raise _malformed(exc) from None
     return rows
+
+
+def _count_value(token: str) -> int | float:
+    """A numeric cell as an exact int when it is whole, else as a float."""
+    try:
+        return int(token)
+    except ValueError:
+        value = float(token)
+        return int(value) if value.is_integer() else value
 
 
 def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> ContingencyTable:
@@ -420,16 +460,13 @@ def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> Contingen
         raise DataError("empty table file")
 
     def to_matrix(data: list[list[str]], where: str) -> np.ndarray:
-        k = len(data)
-        out = np.zeros((k, len(data[0])), dtype=np.int64)
         for i, row in enumerate(data):
             if len(row) != len(data[0]):
                 raise DataError(f"ragged table row at {where} line {i + 1}")
-            for j, cell in enumerate(row):
+            for cell in row:
                 if not _is_count(cell):
                     raise DataError(f"non-numeric count '{cell}' at {where} line {i + 1}")
-                out[i, j] = round(float(cell))
-        return out
+        return _validated_cells([[_count_value(cell) for cell in row] for row in data])
 
     if _is_count(rows[0][0]):
         matrix = to_matrix(rows, "data")
@@ -474,26 +511,63 @@ def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> Contingen
 def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTable:
     """Parse a two-column (predicted, actual) file into a table.
 
-    Comma or tab delimited; a first row like "predicted,actual" is treated
-    as a header, anything else as data.
+    Comma or tab delimited.  Cells are stripped of surrounding whitespace
+    and blank rows are skipped; a first non-blank row like
+    "predicted,actual" is treated as a header, anything else as data.
+
+    Identical raw rows are counted first and validated once each, so the
+    work after the CSV pass grows with the number of distinct rows (at most
+    K^2 for clean data), not with the number of rows.
     """
-    rows = _read_rows(text)
+    delim = _sniff_delimiter(text)
+    try:
+        raw_tally = Counter(map(tuple, csv.reader(io.StringIO(text), delimiter=delim)))
+    except csv.Error as exc:
+        raise _malformed(exc) from None
+    # Counter keys keep first-occurrence order, so the first non-blank key is
+    # the file's first non-blank row.
+    rows = {}
+    for raw in raw_tally:
+        cells = tuple(c.strip() for c in raw)
+        if any(cells):
+            rows[raw] = cells
     if not rows:
         raise DataError("empty pairs file")
-    start = 0
-    first = rows[0]
-    if (
-        len(first) >= 2
-        and first[0].lower() in _PRED_HEADER_WORDS
-        and first[1].lower() in _REAL_HEADER_WORDS
-    ):
-        start = 1
-    pairs = []
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != 2:
-            raise DataError(f"expected 2 columns at pairs line {i}, got {len(row)}")
-        pairs.append((row[0], row[1]))
-    return from_pairs(pairs, labels)
+    first_raw = next(iter(rows))
+    if _is_pairs_header(rows[first_raw]):
+        raw_tally[first_raw] -= 1
+    tally: Counter[tuple[str, str]] = Counter()
+    for raw, cells in rows.items():
+        count = raw_tally[raw]
+        if not count:
+            continue
+        if len(cells) != 2:
+            raise _first_width_error(text)
+        tally[cells] += count
+    return _table_from_tally(tally, labels)
+
+
+def _is_pairs_header(cells: Sequence[str]) -> bool:
+    return (
+        len(cells) >= 2
+        and cells[0].lower() in _PRED_HEADER_WORDS
+        and cells[1].lower() in _REAL_HEADER_WORDS
+    )
+
+
+def _first_width_error(text: str) -> DataError:
+    """Error for the first data row, in file order, that is not 2 cells wide.
+
+    Line numbers count non-blank rows, the header included.
+    """
+    rows = _read_rows(text)
+    start = 1 if _is_pairs_header(rows[0]) else 0
+    i, width = next(
+        (i, len(row))
+        for i, row in enumerate(rows[start:], start=start + 1)
+        if len(row) != 2
+    )
+    return DataError(f"expected 2 columns at pairs line {i}, got {width}")
 
 
 def load_table_csv(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:

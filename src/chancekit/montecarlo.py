@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import binom
 
 from .confidence import ConfidenceInterval, confidence_interval, evenness_factor
 from .contingency import ContingencyTable, from_counts, repair_zero_margins
@@ -201,6 +200,10 @@ def gen_chance(
     if cell_distribution == "uniform":
         cells = rng.uniform(0.0, 2.0 * expected)
     elif cell_distribution == "binomial_copula":
+        # Imported here: scipy.stats would more than double the package's
+        # import time, and this branch is its only user.
+        from scipy.stats import binom
+
         u = rng.uniform(0.0, 1.0, size=(k, k))
         cells = binom.ppf(u, n, np.clip(expected / n, 0.0, 1.0))
     else:

@@ -17,9 +17,8 @@ n * B * M.
 
 Exact inference is available through the 2x2 hypergeometric test and a
 fixed-margin permutation sampler for K x K tables.  Tail probabilities of the
-chi-squared family come from the regularized incomplete gamma function, which
-is evaluated by series expansion for small arguments and by continued
-fraction for large ones.
+chi-squared family come from the regularized upper incomplete gamma function,
+computed by scipy.special.gammaincc.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""End-to-end command-line tests over a subprocess boundary.
+"""End-to-end command-line tests, over a subprocess boundary except for the
+in-process fuzz test of `main`.
 
 Exit code contract: 0 success, 1 usage, 2 data, 3 internal failure.
 """
@@ -9,9 +10,14 @@ import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chancekit.cli import main
 
 DATA = Path(__file__).parent / "data"
 TABLE_A = str(DATA / "table2a.csv")
@@ -107,6 +113,33 @@ def test_data_errors_exit_2(tmp_path):
     garbage = tmp_path / "garbage.csv"
     garbage.write_text("pears,apples\nnot,numbers\n")
     assert run_cli("evaluate", "--table", str(garbage)).returncode == 2
+    for cell in ("3.5", "nan", "inf", "1e30"):
+        bad_cell = tmp_path / f"cell-{cell}.csv"
+        bad_cell.write_text(f"1,2\n3,{cell}\n")
+        assert run_cli("evaluate", "--table", str(bad_cell)).returncode == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(alphabet="0123456789,;\t\n\r .-+eEnaifx\"", max_size=60),
+    st.sampled_from([["evaluate"], ["confidence"], ["significance", "--family", "kb"]]),
+    st.sampled_from([[], ["--repair-margins"]]),
+)
+def test_malformed_table_csv_never_internal_error(tmp_path_factory, text, command, repair):
+    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+    path.write_text(text)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main([*command, "--table", str(path), "--format", "json", *repair])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is used only by the binomial_copula generator; importing it
+    # eagerly more than doubles the start-up time of every CLI call.
+    probe = "import sys, chancekit, chancekit.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_zero_margin_exit_2_unless_repaired(tmp_path):

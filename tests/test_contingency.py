@@ -1,5 +1,8 @@
 """Table construction, parsing, margins, transforms, and repair."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from chancekit.contingency import (
 )
 from chancekit.errors import DataError, UsageError
 from helpers import random_valid_table
+import reference_pairs
 
 
 def test_from_counts_basic():
@@ -41,6 +45,15 @@ def test_from_counts_rejects_bad_shapes():
         from_counts([[1, -2], [3, 4]])
     with pytest.raises(DataError):
         from_counts([[5]])
+
+
+def test_from_counts_rejects_int64_overflow():
+    with pytest.raises(DataError, match="64-bit"):
+        from_counts([[2**62] * 2] * 2)
+    with pytest.raises(DataError, match="64-bit"):
+        from_counts([[1e19, 0], [0, 0]])
+    largest = 2**63 - 1
+    assert from_counts([[largest - 2, 1], [1, 0]]).n == largest
 
 
 def test_counts_are_immutable():
@@ -97,6 +110,16 @@ def test_parse_table_csv_garbage_is_data_error():
         parse_table_csv("not,a\ntable,at all\n")
     with pytest.raises(DataError):
         parse_table_csv("")
+    with pytest.raises(DataError, match="square"):
+        parse_table_csv("x,a\nb\n")  # label column and no counts
+
+
+def test_parse_csv_reader_failure_is_data_error():
+    # a bare carriage return inside a line makes the csv module raise
+    with pytest.raises(DataError, match="malformed"):
+        parse_pairs("a\rb,c\nd,e\n")
+    with pytest.raises(DataError, match="malformed"):
+        parse_table_csv("1\r2,3\n4,5\n")
 
 
 def test_parse_pairs_tab_separated_keeps_zero_margins():
@@ -220,3 +243,73 @@ def test_from_pairs_totals_match(pairs):
         assert t.row_totals[i] == sum(1 for p, _ in pairs if p == pred)
     for j, real in enumerate(t.labels):
         assert t.col_totals[j] == sum(1 for _, r in pairs if r == real)
+
+
+# --- tally-first pair parsing against the row-by-row reference -------------
+
+_PAIR_CELLS = st.sampled_from([
+    "a", "b", "c", " a", "b ", " c ", "", "  ", "x,y", "x\ty", 'q"q',
+    "predicted", "Pred", "actual", "GOLD", " label ",
+])
+_PAIR_ROWS = st.lists(_PAIR_CELLS, min_size=2, max_size=2)
+_ODD_ROWS = st.one_of(
+    st.sampled_from([[], ["  "], ["", " "]]),  # blank or whitespace-only
+    st.lists(_PAIR_CELLS, max_size=4),  # may be ragged
+)
+_PAIR_HEADERS = st.sampled_from([
+    None, ["predicted", "actual"], ["Pred", " gold "], ["system", "label", "extra"],
+    ["output"], ["actual", "predicted"],
+])
+
+
+@st.composite
+def _pair_texts(draw):
+    """Pair-file text plus an optional label override."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    rows = draw(st.lists(_PAIR_ROWS, max_size=12))
+    for odd in draw(st.lists(_ODD_ROWS, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    header = draw(_PAIR_HEADERS)
+    if header is not None:
+        rows.insert(draw(st.integers(0, min(2, len(rows)))), header)
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delim, lineterminator=newline, quoting=quoting).writerows(rows)
+    labels = draw(st.none() | st.lists(st.sampled_from(["a", "b", "c", "d", "x,y", "predicted"]), max_size=5))
+    return buf.getvalue(), labels
+
+
+def _outcome(parse, *args):
+    try:
+        t = parse(*args)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("table", t.labels, t.counts.dtype, t.counts.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_texts())
+def test_parse_pairs_matches_row_by_row_reference(case):
+    text, labels = case
+    assert _outcome(parse_pairs, text, labels) == _outcome(reference_pairs.parse_pairs, text, labels)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pair_texts())
+def test_load_pairs_matches_row_by_row_reference(tmp_path_factory, case):
+    text, labels = case
+    path = tmp_path_factory.mktemp("pairs") / "p.csv"
+    path.write_text(text)
+    expected = _outcome(reference_pairs.parse_pairs, path.read_text(), labels)
+    assert _outcome(load_pairs, path, labels) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["a", "b", 1, "1", 2.0, None]),
+                       st.sampled_from(["a", "b", 1, "1", 2.0, None])), max_size=30),
+    st.none() | st.lists(st.sampled_from(["a", "b", "1", "2.0", "None", "z"]), max_size=6),
+)
+def test_from_pairs_matches_row_by_row_reference(pairs, labels):
+    assert _outcome(from_pairs, pairs, labels) == _outcome(reference_pairs.from_pairs, pairs, labels)
