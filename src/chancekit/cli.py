@@ -30,8 +30,10 @@ from .contingency import (
 from .dichotomous import binary_stats
 from .errors import ChanceKitError, DataError, UsageError
 from .montecarlo import SimConfig, coverage_report, run_grid, write_runs_csv, write_summary_csv
+from .montecarlo import _fmt
 from .multiclass import multiclass_stats
 from .significance import (
+    FAMILY_KINDS,
     chi2_bookmaker_family,
     chi2_positive,
     cramers_v,
@@ -44,7 +46,16 @@ from .significance import (
 
 __all__ = ["main", "console_entry", "build_parser"]
 
-_FAMILY_CHOICES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
+# --family values that run evenness-scaled statistics, and which kinds
+_FAMILY_KIND_SETS = {
+    "all": FAMILY_KINDS,
+    "kb": ("kb",),
+    "km": ("km",),
+    "kbm": ("kbm",),
+    "x": ("xb", "xm", "xbm"),
+    "conv": ("conv_b", "conv_m", "conv_bm"),
+}
+_FAMILY_CHOICES = (*_FAMILY_KIND_SETS, "full", "fisher")
 
 # metric fields that are not probability-like; never shown as percents
 _NO_PERCENT = {
@@ -138,16 +149,6 @@ def _interval_dict(ci) -> dict:
 
 # ---------------------------------------------------------------- renderers
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = dataclasses.asdict(obj)
@@ -158,7 +159,7 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
         for index, value in enumerate(obj):
             _flatten(f"{prefix}[{index}]", value, rows)
     else:
-        rows.append((prefix, _fmt_cell(obj)))
+        rows.append((prefix, _fmt(obj)))
 
 
 def _emit_csv(doc: dict) -> None:
@@ -276,20 +277,6 @@ def _cmd_evaluate(args) -> None:
     _emit(doc, args, text)
 
 
-def _family_kinds(family: str) -> list[str]:
-    if family == "kb":
-        return ["kb"]
-    if family == "km":
-        return ["km"]
-    if family == "kbm":
-        return ["kbm"]
-    if family == "x":
-        return ["xb", "xm", "xbm"]
-    if family == "conv":
-        return ["conv_b", "conv_m", "conv_bm"]
-    return []
-
-
 def _cmd_significance(args) -> None:
     t, descriptor = _load_input(args, allow_pairs=False)
     doc = _document("significance", descriptor)
@@ -297,7 +284,6 @@ def _cmd_significance(args) -> None:
     reports = []
     family = args.family
     want_positive = family == "all" and t.k == 2
-    want_family = family in ("all", "kb", "km", "kbm", "x", "conv")
     want_full = family in ("all", "full")
     want_fisher = family in ("all", "fisher")
 
@@ -310,13 +296,7 @@ def _cmd_significance(args) -> None:
             g2_p = williams_correction(g2_p, t, "goodness_of_fit")
             g2_r = williams_correction(g2_r, t, "goodness_of_fit")
         reports.extend([g2_p, g2_r])
-    if want_family:
-        kinds = (
-            ["kb", "km", "kbm", "xb", "xm", "xbm", "conv_b", "conv_m", "conv_bm"]
-            if family == "all"
-            else _family_kinds(family)
-        )
-        reports.extend(chi2_bookmaker_family(t, kind) for kind in kinds)
+    reports.extend(chi2_bookmaker_family(t, kind) for kind in _FAMILY_KIND_SETS.get(family, ()))
     if want_full:
         full_chi2, full_g2 = full_table_tests(t)
         if args.williams:
@@ -374,9 +354,8 @@ def _cmd_confidence(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    labels = None
-    t_a = load_table_csv(args.table_a, labels=labels)
-    t_b = load_table_csv(args.table_b, labels=labels)
+    t_a = load_table_csv(args.table_a)
+    t_b = load_table_csv(args.table_b)
     if args.repair_margins:
         t_a = repair_zero_margins(t_a)
         t_b = repair_zero_margins(t_b)

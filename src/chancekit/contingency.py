@@ -12,6 +12,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -127,6 +128,53 @@ class ContingencyTable:
     def __repr__(self) -> str:
         return f"ContingencyTable(labels={self.labels}, counts={self.counts.tolist()})"
 
+    @cached_property
+    def _summary(self) -> "_TableSummary":
+        """Built on first use and kept; raises DataError on a zero margin."""
+        require_positive_margins(self)
+        rows, cols, n = self.row_totals, self.col_totals, self.n
+        d = np.diagonal(self.counts)
+        # One-vs-rest cells as fractions of n; the true negatives stay an
+        # exact integer count until the division, as in dichotomize.
+        tp, fp, fn, tn = d / n, (rows - d) / n, (cols - d) / n, (n - rows - cols + d) / n
+        rp, rn, pp, pn = tp + fn, fp + tn, tp + fp, fn + tn
+        recall, precision = tp / rp, tp / pp
+        prevalence, bias = cols / n, rows / n
+        arrays = dict(
+            prevalence=prevalence, bias=bias, probs=self.counts / n, recall=recall,
+            informedness=recall + tn / rn - 1.0,
+            markedness=precision + tn / pn - 1.0,
+            f1=2.0 * tp / (rp + pp),
+            g_measure=np.sqrt(recall * precision),
+            evenness_r=prevalence * (1.0 - prevalence),
+            evenness_p=bias * (1.0 - bias),
+        )
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        return _TableSummary(n=n, det=expectation_delta(normalize(self))[2], **arrays)
+
+
+@dataclass(frozen=True, eq=False)
+class _TableSummary:
+    """What every chance-corrected measure reads from a table with positive
+    margins: prevalence and bias as fractions of n, the joint probabilities
+    and their determinant, and at index i of each rate vector what
+    binary_stats reports for dichotomize(t, i), computed the same way so
+    the two agree bit for bit.  evenness_r/_p are the products m(1 - m)."""
+
+    n: int
+    prevalence: np.ndarray
+    bias: np.ndarray
+    probs: np.ndarray
+    det: float
+    recall: np.ndarray
+    informedness: np.ndarray
+    markedness: np.ndarray
+    f1: np.ndarray
+    g_measure: np.ndarray
+    evenness_r: np.ndarray
+    evenness_p: np.ndarray
+
 
 @dataclass(frozen=True, eq=False)
 class NormalizedTable:
@@ -195,10 +243,10 @@ class CostModel:
 
 def from_counts(counts, labels: Sequence[str] | None = None) -> ContingencyTable:
     """Build a table from a square count matrix, inventing labels if needed."""
-    arr = _validated_counts(counts)
+    arr = np.asarray(counts)
     if labels is None:
-        labels = tuple(str(i) for i in range(arr.shape[0]))
-    return ContingencyTable(arr, tuple(labels))
+        labels = tuple(str(i) for i in range(arr.shape[0])) if arr.ndim == 2 else ()
+    return ContingencyTable(arr, labels)
 
 
 def from_pairs(
@@ -570,9 +618,19 @@ def _first_width_error(text: str) -> DataError:
     return DataError(f"expected 2 columns at pairs line {i}, got {width}")
 
 
+def _read_text(path: str | Path) -> str:
+    """File text in the locale encoding; undecodable bytes are a DataError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not valid {exc.encoding} text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def load_table_csv(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    return parse_table_csv(Path(path).read_text(), labels)
+    return parse_table_csv(_read_text(path), labels)
 
 
 def load_pairs(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    return parse_pairs(Path(path).read_text(), labels)
+    return parse_pairs(_read_text(path), labels)

@@ -6,6 +6,11 @@ prediction is informed relative to chance; markedness is its bias-weighted
 twin over the predictions.  Further generalizations work through the
 determinant of the joint probability matrix and through evenness summaries of
 the margins, plus information-theoretic measures in nats.
+
+The per-label one-vs-rest values, the margins and the joint probabilities
+all come from the table's shared summary (ContingencyTable._summary), which
+is computed once per table and equals binary_stats(dichotomize(t, i)) bit
+for bit; every measure here is a weighted sum or a short reduction of it.
 """
 
 from __future__ import annotations
@@ -15,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import (
-    ContingencyTable,
-    dichotomize,
-    margins,
-    normalize,
-    expectation_delta,
-    require_positive_margins,
-)
-from .dichotomous import binary_stats
+from .contingency import ContingencyTable
 from .errors import UsageError
 
 __all__ = [
@@ -87,8 +84,11 @@ class MulticlassStats:
     fav: float
 
 
-def _per_label_stats(t: ContingencyTable):
-    return [binary_stats(dichotomize(t, i)) for i in range(t.k)]
+def _weights(t: ContingencyTable, weights: str) -> np.ndarray:
+    if weights not in ("prevalence", "bias"):
+        raise UsageError(f"unknown weighting '{weights}'")
+    s = t._summary
+    return s.prevalence if weights == "prevalence" else s.bias
 
 
 def bookmaker_informedness(t: ContingencyTable, *, weights: str = "prevalence") -> float:
@@ -97,24 +97,12 @@ def bookmaker_informedness(t: ContingencyTable, *, weights: str = "prevalence") 
     weights="bias" switches to bias weighting, kept as an explicit variant
     because the two weightings coincide only when margins match.
     """
-    if weights not in ("prevalence", "bias"):
-        raise UsageError(f"unknown weighting '{weights}'")
-    require_positive_margins(t)
-    m = margins(t)
-    w = m.prevalence if weights == "prevalence" else m.bias
-    per_label = _per_label_stats(t)
-    return float(sum(w[i] * per_label[i].informedness for i in range(t.k)))
+    return float(np.dot(_weights(t, weights), t._summary.informedness))
 
 
 def multiclass_markedness(t: ContingencyTable, *, weights: str = "bias") -> float:
     """Bias-weighted mean of the one-vs-rest markedness values."""
-    if weights not in ("prevalence", "bias"):
-        raise UsageError(f"unknown weighting '{weights}'")
-    require_positive_margins(t)
-    m = margins(t)
-    w = m.bias if weights == "bias" else m.prevalence
-    per_label = _per_label_stats(t)
-    return float(sum(w[i] * per_label[i].markedness for i in range(t.k)))
+    return float(np.dot(_weights(t, weights), t._summary.markedness))
 
 
 def correlation_bmg(t: ContingencyTable) -> float:
@@ -132,8 +120,7 @@ def correlation_bmg(t: ContingencyTable) -> float:
 
 def mutual_information(t: ContingencyTable) -> float:
     """Mutual information between prediction and real class, in nats."""
-    require_positive_margins(t)
-    probs = normalize(t).probs
+    probs = t._summary.probs
     bias = probs.sum(axis=1)
     prevalence = probs.sum(axis=0)
     total = 0.0
@@ -147,8 +134,7 @@ def mutual_information(t: ContingencyTable) -> float:
 
 def conditional_entropy(t: ContingencyTable) -> float:
     """Entropy of the real class left once the prediction is known, in nats."""
-    require_positive_margins(t)
-    probs = normalize(t).probs
+    probs = t._summary.probs
     bias = probs.sum(axis=1)
     total = 0.0
     for i in range(t.k):
@@ -175,20 +161,17 @@ def det_estimates(
     """
     if exponent_rule not in EXPONENT_RULES:
         raise UsageError(f"unknown exponent rule '{exponent_rule}'")
-    require_positive_margins(t)
-    nt = normalize(t)
-    _, _, det = expectation_delta(nt)
+    s = t._summary
     k = t.k
     e = 2.0 / k if exponent_rule == "two_over_k" else 4.0 / (3.0 * k - 2.0)
-    m = margins(t)
-    prod_prev = float(np.prod(m.prevalence))
-    prod_bias = float(np.prod(m.bias))
-    mag = abs(det)
+    prod_prev = float(np.prod(s.prevalence))
+    prod_bias = float(np.prod(s.bias))
+    mag = abs(s.det)
 
     def scaled(denominator: float) -> float:
         if mag == 0.0:
             return 0.0
-        return math.copysign((mag / denominator) ** e, det)
+        return math.copysign((mag / denominator) ** e, s.det)
 
     m_est = scaled(prod_bias)
     b_est = scaled(prod_prev)
@@ -196,26 +179,16 @@ def det_estimates(
     return m_est, b_est, bmg_est
 
 
-def _dichotomous_products(values: np.ndarray) -> np.ndarray:
-    return values * (1.0 - values)
-
-
 def evenness_variants(t: ContingencyTable) -> EvennessVariants:
     """All nine evenness summaries of the margins (see EvennessVariants)."""
-    require_positive_margins(t)
-    m = margins(t)
+    s = t._summary
     k = t.k
-    prev = np.asarray(m.prevalence, dtype=float)
-    bias = np.asarray(m.bias, dtype=float)
-
-    r_plus = float(np.prod(prev)) ** (2.0 / k)
-    p_plus = float(np.prod(bias)) ** (2.0 / k)
-    e_r = _dichotomous_products(prev)
-    e_p = _dichotomous_products(bias)
-    r_minus = float(np.mean(e_r))
-    p_minus = float(np.mean(e_p))
-    r_hash = k / float(np.sum(1.0 / e_r))
-    p_hash = k / float(np.sum(1.0 / e_p))
+    r_plus = float(np.prod(s.prevalence)) ** (2.0 / k)
+    p_plus = float(np.prod(s.bias)) ** (2.0 / k)
+    r_minus = float(np.mean(s.evenness_r))
+    p_minus = float(np.mean(s.evenness_p))
+    r_hash = k / float(np.sum(1.0 / s.evenness_r))
+    p_hash = k / float(np.sum(1.0 / s.evenness_p))
     return EvennessVariants(
         r_plus=r_plus,
         p_plus=p_plus,
@@ -231,8 +204,7 @@ def evenness_variants(t: ContingencyTable) -> EvennessVariants:
 
 def multiclass_kappa(t: ContingencyTable) -> float:
     """Chance-corrected agreement (observed vs margin-expected diagonal)."""
-    require_positive_margins(t)
-    probs = normalize(t).probs
+    probs = t._summary.probs
     bias = probs.sum(axis=1)
     prevalence = probs.sum(axis=0)
     po = float(np.trace(probs))
@@ -246,42 +218,28 @@ def macro_averages(t: ContingencyTable) -> tuple[float, float, float]:
     The weighted recall always collapses to the diagonal accuracy; it is kept
     as an explicit average so the trio stays comparable.
     """
-    require_positive_margins(t)
-    m = margins(t)
-    per_label = _per_label_stats(t)
-    w = m.prevalence
-    wav = float(sum(w[i] * per_label[i].recall for i in range(t.k)))
-    gav = float(sum(w[i] * per_label[i].g_measure for i in range(t.k)))
-    fav = float(sum(w[i] * per_label[i].f1 for i in range(t.k)))
-    return wav, gav, fav
+    s = t._summary
+    w = s.prevalence
+    # Python's left-to-right sum, not np.sum's pairwise one, so the last bit
+    # matches a sum over the one-vs-rest records.
+    return tuple(float(sum(w * v)) for v in (s.recall, s.g_measure, s.f1))
 
 
 def multiclass_stats(t: ContingencyTable) -> MulticlassStats:
     """Bundle every multiclass measure of one table."""
-    require_positive_margins(t)
-    m = margins(t)
-    per_label = _per_label_stats(t)
-    label_b = tuple(s.informedness for s in per_label)
-    class_m = tuple(s.markedness for s in per_label)
-    b = float(np.dot(m.prevalence, label_b))
-    mk = float(np.dot(m.bias, class_m))
-    if (b > 0.0 > mk) or (b < 0.0 < mk):
-        corr = math.nan
-    else:
-        corr = math.copysign(math.sqrt(max(b * mk, 0.0)), b)
-    _, _, det = expectation_delta(normalize(t))
+    s = t._summary
     wav, gav, fav = macro_averages(t)
     return MulticlassStats(
-        informedness=b,
-        markedness=mk,
-        correlation=corr,
+        informedness=bookmaker_informedness(t),
+        markedness=multiclass_markedness(t),
+        correlation=correlation_bmg(t),
         kappa=multiclass_kappa(t),
         mutual_information=mutual_information(t),
         conditional_entropy=conditional_entropy(t),
-        det=det,
+        det=s.det,
         evenness=evenness_variants(t),
-        label_informedness=label_b,
-        class_markedness=class_m,
+        label_informedness=tuple(s.informedness.tolist()),
+        class_markedness=tuple(s.markedness.tolist()),
         wav=wav,
         gav=gav,
         fav=fav,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .contingency import ContingencyTable, margins, normalize, require_positive_margins
+from .contingency import ContingencyTable
 from .errors import DataError, UsageError
 from .multiclass import (
     bookmaker_informedness,
@@ -128,11 +128,10 @@ def _positive_cells(t: ContingencyTable, target: str):
         raise UsageError("single-margin statistics are defined for 2x2 tables")
     if target not in _POSITIVE_TARGETS:
         raise UsageError(f"unknown target '{target}'")
-    require_positive_margins(t)
+    s = t._summary
     c = t.counts.astype(float)
-    n = t.n
-    m = margins(t)
-    expected = n * np.outer(m.bias, m.prevalence)
+    n = s.n
+    expected = n * np.outer(s.bias, s.prevalence)
     if target == "predicted_positive":
         observed = c[0, :]
         exp = expected[0, :]
@@ -192,9 +191,8 @@ def chi2_bookmaker_family(t: ContingencyTable, kind: str) -> SignificanceReport:
     kind = kind.lower()
     if kind not in FAMILY_KINDS:
         raise UsageError(f"unknown family kind '{kind}'")
-    require_positive_margins(t)
     k = t.k
-    n = t.n
+    n = t._summary.n
     b = bookmaker_informedness(t)
     m = multiclass_markedness(t)
     ev = evenness_variants(t)
@@ -227,11 +225,10 @@ def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, Significa
     over all cells; the log-likelihood statistic equals 2n times the mutual
     information in nats.
     """
-    require_positive_margins(t)
+    s = t._summary
     c = t.counts.astype(float)
-    n = t.n
-    m = margins(t)
-    expected = n * np.outer(m.bias, m.prevalence)
+    n = s.n
+    expected = n * np.outer(s.bias, s.prevalence)
     chi2_value = float(((c - expected) ** 2 / expected).sum())
     g2_value = 2.0 * n * mutual_information(t)
     df = (t.k - 1) ** 2
@@ -359,16 +356,15 @@ def williams_correction(
     """
     if mode not in _WILLIAMS_MODES:
         raise UsageError(f"unknown correction mode '{mode}'")
-    require_positive_margins(t)
+    s = t._summary
     k = t.k
-    n = t.n
+    n = s.n
     if mode == "goodness_of_fit":
         a2_minus_1 = k * k - 1.0
         r = k - 1
     else:
-        m = margins(t)
-        prev_h = k / float(np.sum(1.0 / m.prevalence))
-        bias_h = k / float(np.sum(1.0 / m.bias))
+        prev_h = k / float(np.sum(1.0 / s.prevalence))
+        bias_h = k / float(np.sum(1.0 / s.bias))
         a2_minus_1 = (k / prev_h - 1.0) * (k / bias_h - 1.0)
         r = (k - 1) ** 2
     q = 1.0 + a2_minus_1 / (6.0 * n * r)

@@ -117,6 +117,10 @@ def test_data_errors_exit_2(tmp_path):
         bad_cell = tmp_path / f"cell-{cell}.csv"
         bad_cell.write_text(f"1,2\n3,{cell}\n")
         assert run_cli("evaluate", "--table", str(bad_cell)).returncode == 2
+    undecodable = tmp_path / "utf16.csv"
+    undecodable.write_bytes(b"\xff\xfe1\x002\x00\n\x00")
+    for option in ("--table", "--pairs"):
+        assert run_cli("evaluate", option, str(undecodable)).returncode == 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -193,7 +193,7 @@ def test_multiclass_stats_record():
     assert st.mutual_information == pytest.approx(mutual_information(t), abs=1e-14)
     assert len(st.label_informedness) == 3
     assert len(st.class_markedness) == 3
-    assert st.wav, st.gav == macro_averages(t)[:2]
+    assert (st.wav, st.gav, st.fav) == macro_averages(t)
 
 
 def test_per_label_reconstruction():

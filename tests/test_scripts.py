@@ -1,0 +1,28 @@
+"""Smoke tests of the scripts under scripts/: each must run to exit 0 and
+print something."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    return proc
+
+
+def test_fixture_report_runs():
+    run_script("fixture_report.py")
+
+
+def test_run_simulation_grid_runs(tmp_path):
+    run_script("run_simulation_grid.py", "--k", "2", "--n", "16", "--steps", "2",
+               "--runs", "1", "--out", str(tmp_path))
+    assert (tmp_path / "k2_n16" / "runs.csv").is_file()

@@ -1,0 +1,48 @@
+"""Differential test of the per-table summary behind every chance-corrected
+measure: its per-label vectors must equal the one-vs-rest records built by
+dichotomize and binary_stats, and every reader of it must see the same
+informedness and markedness, bit for bit."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chancekit.contingency import dichotomize, from_counts, margins
+from chancekit.dichotomous import binary_stats
+from chancekit.multiclass import bookmaker_informedness, multiclass_markedness, multiclass_stats
+from chancekit.significance import chi2_bookmaker_family
+
+
+@st.composite
+def positive_margin_tables(draw):
+    """K x K tables, K in 2..12; one extra count per row, in distinct
+    columns, makes every margin positive."""
+    k = draw(st.integers(2, 12))
+    cells = draw(st.lists(st.integers(0, 10**6), min_size=k * k, max_size=k * k))
+    columns = draw(st.permutations(range(k)))
+    counts = np.array(cells, dtype=np.int64).reshape(k, k)
+    counts[np.arange(k), columns] += 1
+    return from_counts(counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_margin_tables())
+def test_summary_matches_one_vs_rest_records(t):
+    stats = multiclass_stats(t)
+    per_label = [binary_stats(dichotomize(t, i)) for i in range(t.k)]
+    assert stats.label_informedness == tuple(s.informedness for s in per_label)
+    assert stats.class_markedness == tuple(s.markedness for s in per_label)
+    m = margins(t)
+    assert stats.informedness == float(np.dot(m.prevalence, [s.informedness for s in per_label]))
+    assert stats.markedness == float(np.dot(m.bias, [s.markedness for s in per_label]))
+    assert (stats.wav, stats.gav, stats.fav) == tuple(
+        float(sum(m.prevalence[i] * getattr(s, field) for i, s in enumerate(per_label)))
+        for field in ("recall", "g_measure", "f1")
+    )
+
+    assert bookmaker_informedness(t) == stats.informedness
+    assert multiclass_markedness(t) == stats.markedness
+
+    # b * b, not b**2: libm's pow can be one unit in the last place off.
+    b = stats.informedness
+    assert chi2_bookmaker_family(t, "conv_b").value == (t.k - 1) * t.n * (b * b)
