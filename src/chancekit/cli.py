@@ -29,9 +29,17 @@ from .contingency import (
 )
 from .dichotomous import binary_stats
 from .errors import ChanceKitError, DataError, UsageError
-from .montecarlo import SimConfig, coverage_report, run_grid, write_runs_csv, write_summary_csv
-from .montecarlo import _fmt
-from .multiclass import multiclass_stats
+from .montecarlo import (
+    CELL_DISTRIBUTIONS,
+    MARGIN_DISTRIBUTIONS,
+    SimConfig,
+    _fmt,
+    coverage_report,
+    run_grid,
+    write_runs_csv,
+    write_summary_csv,
+)
+from .multiclass import bookmaker_informedness, multiclass_stats
 from .significance import (
     FAMILY_KINDS,
     chi2_bookmaker_family,
@@ -121,13 +129,7 @@ def _document(command: str, input_descriptor: dict | None = None) -> dict:
 
 def _report_dict(report, alpha: float) -> dict:
     return {
-        "kind": report.kind,
-        "value": report.value,
-        "df": report.df,
-        "p_value": report.p_value,
-        "n": report.n,
-        "df_alpha": report.df_alpha,
-        "df_beta": report.df_beta,
+        **dataclasses.asdict(report),
         "corrections": sorted(report.corrections),
         "significant": report.p_value < alpha,
     }
@@ -167,7 +169,7 @@ def _emit_csv(doc: dict) -> None:
     _flatten("", doc, rows)
     print("field,value")
     for field, value in rows:
-        if "," in value or '"' in value:
+        if any(c in value for c in ',"\n\r'):
             value = '"' + value.replace('"', '""') + '"'
         print(f"{field},{value}")
 
@@ -278,6 +280,8 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_significance(args) -> None:
+    if not (0.0 < args.alpha < 1.0):
+        raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
     t, descriptor = _load_input(args, allow_pairs=False)
     doc = _document("significance", descriptor)
     doc["alpha"] = args.alpha
@@ -330,8 +334,7 @@ def _cmd_confidence(args) -> None:
         x = normal_multiplier(0.05, two_tailed=False)
     else:
         x = 1.96
-    stats = multiclass_stats(t)
-    b = stats.informedness
+    b = bookmaker_informedness(t)
     evenness = evenness_factor(t)
     intervals = [
         confidence_interval(0.0, t.n, evenness, x, "null"),
@@ -359,8 +362,8 @@ def _cmd_compare(args) -> None:
     if args.repair_margins:
         t_a = repair_zero_margins(t_a)
         t_b = repair_zero_margins(t_b)
-    sys_a = (multiclass_stats(t_a).informedness, t_a.n, evenness_factor(t_a))
-    sys_b = (multiclass_stats(t_b).informedness, t_b.n, evenness_factor(t_b))
+    sys_a = (bookmaker_informedness(t_a), t_a.n, evenness_factor(t_a))
+    sys_b = (bookmaker_informedness(t_b), t_b.n, evenness_factor(t_b))
     result = compare_systems(sys_a, sys_b, x=args.x)
     doc = _document("compare")
     doc["x"] = args.x
@@ -412,13 +415,7 @@ def _cmd_simulate(args) -> None:
     doc = _document("simulate")
     doc["seed"] = seed
     doc["config"] = {
-        "k": config.k, "n": config.n, "steps": config.steps,
-        "runs_per_step": config.runs_per_step,
-        "margin_distribution": config.margin_distribution,
-        "cell_distribution": config.cell_distribution,
-        "enforce_integer": config.enforce_integer,
-        "x": config.x, "alpha": config.alpha,
-        "fisher_samples": config.fisher_samples,
+        name: value for name, value in dataclasses.asdict(config).items() if name != "seed"
     }
     doc["coverage"] = report.overall.coverage
     doc["errors"] = report.overall.errors
@@ -485,9 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--steps", type=int, default=11)
     simulate.add_argument("--runs", type=int, default=10)
     simulate.add_argument("--seed", type=int)
-    simulate.add_argument("--dist", choices=("uniform", "binomial_copula", "absolute_shifted_normal"),
-                          default="absolute_shifted_normal")
-    simulate.add_argument("--margin-dist", choices=("uniform", "binomial"), default="binomial")
+    simulate.add_argument("--dist", choices=CELL_DISTRIBUTIONS, default="absolute_shifted_normal")
+    simulate.add_argument("--margin-dist", choices=MARGIN_DISTRIBUTIONS, default="binomial")
     simulate.add_argument("--x", type=float, default=1.96)
     simulate.add_argument("--alpha", type=float, default=0.05)
     simulate.add_argument("--fisher-samples", type=int, default=10_000)

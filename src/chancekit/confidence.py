@@ -138,8 +138,8 @@ def confidence_interval(
         raise DataError(f"need at least 2 observations, got {n}")
     if evenness <= 0.0:
         raise UsageError(f"evenness factor must be positive, got {evenness}")
-    if x <= 0.0:
-        raise UsageError(f"multiplier must be positive, got {x}")
+    if not (float(x) > 0.0) or not np.isfinite(x):
+        raise UsageError(f"multiplier must be a positive finite number, got {x}")
     if rule is None:
         rule = _DEFAULT_RULES[variant]
     sse = sse_profile(center, rule)

@@ -151,7 +151,7 @@ class ContingencyTable:
         )
         for arr in arrays.values():
             arr.setflags(write=False)
-        return _TableSummary(n=n, det=expectation_delta(normalize(self))[2], **arrays)
+        return _TableSummary(n=n, det=_joint_det(arrays["probs"]), **arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,12 +400,14 @@ def expectation_delta(nt: NormalizedTable) -> tuple[np.ndarray, np.ndarray, floa
     bias = probs.sum(axis=1)
     prevalence = probs.sum(axis=0)
     expected = np.outer(bias, prevalence)
-    delta = probs - expected
-    if nt.k == 2:
-        det = float(probs[0, 0] * probs[1, 1] - probs[0, 1] * probs[1, 0])
-    else:
-        det = float(np.linalg.det(probs))
-    return expected, delta, det
+    return expected, probs - expected, _joint_det(probs)
+
+
+def _joint_det(probs: np.ndarray) -> float:
+    """Determinant of a square joint-probability matrix, written out at 2x2."""
+    if probs.shape[0] == 2:
+        return float(probs[0, 0] * probs[1, 1] - probs[0, 1] * probs[1, 0])
+    return float(np.linalg.det(probs))
 
 
 def repair_zero_margins(t: ContingencyTable) -> ContingencyTable:

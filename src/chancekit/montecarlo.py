@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +99,8 @@ class SimConfig:
             raise UsageError(f"unknown cell distribution '{self.cell_distribution}'")
         if not (0.0 < self.alpha < 1.0):
             raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.x <= 0.0:
-            raise UsageError(f"multiplier must be positive, got {self.x}")
+        if not (float(self.x) > 0.0) or not np.isfinite(self.x):
+            raise UsageError(f"multiplier must be a positive finite number, got {self.x}")
         if self.fisher_samples < 1_000:
             raise UsageError(f"need at least 1000 sampler draws, got {self.fisher_samples}")
 
@@ -295,7 +295,6 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
     """
     rng, stream_id = substream(config.seed, step, run)
     level = config.level(step)
-    base = SimRun(step=step, run=run, level=level, seed_stream=stream_id)
     try:
         perfect = gen_perfect(config.k, config.n, rng)
         chance = gen_chance(
@@ -330,10 +329,7 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
             within_band=within,
         )
     except (DataError, RuntimeError) as exc:
-        return SimRun(
-            step=base.step, run=base.run, level=base.level,
-            seed_stream=base.seed_stream, error=str(exc),
-        )
+        return SimRun(step=step, run=run, level=level, seed_stream=stream_id, error=str(exc))
 
 
 def run_grid(config: SimConfig) -> tuple[SimRun, ...]:
@@ -377,20 +373,23 @@ class CoverageReport:
     overall: StepSummary
 
 
-def _nanmean(values: list[float]) -> float:
+# SimRun reports summarized as reject_<name>, and MulticlassStats fields
+# summarized as mean_<name> and std_<name>
+_TESTED_REPORTS = ("full_chi2", "full_g2", "fisher", "kb", "km", "kbm")
+_MOMENT_STATS = ("informedness", "markedness", "correlation", "kappa")
+
+
+def _moments(values: list[float]) -> tuple[float, float]:
+    """Mean and population std of the finite values; NaN for none."""
     arr = np.asarray(values, dtype=float)
     finite = arr[np.isfinite(arr)]
-    return float(finite.mean()) if finite.size else math.nan
+    if not finite.size:
+        return math.nan, math.nan
+    return float(finite.mean()), float(finite.std())
 
 
-def _nanstd(values: list[float]) -> float:
-    arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    return float(finite.std()) if finite.size else math.nan
-
-
-def _rejection(runs: list[SimRun], pick, alpha: float) -> float:
-    ps = [pick(r).p_value for r in runs if r.error is None and pick(r) is not None]
+def _rejection(good: list[SimRun], name: str, alpha: float) -> float:
+    ps = [rep.p_value for rep in (getattr(r, name) for r in good) if rep is not None]
     if not ps:
         return math.nan
     return sum(1 for p in ps if p < alpha) / len(ps)
@@ -407,29 +406,15 @@ def _summarize(step: int | None, level: float | None, runs: list[SimRun], alpha:
         sum(1 for r in banded if r.within_band) / len(banded) if banded else math.nan
     )
     small_n = bool(good) and (good[0].table.n / good[0].table.k ** 2) < 5.0
+    rates = {f"reject_{name}": _rejection(good, name, alpha) for name in _TESTED_REPORTS}
+    samples = {name: [getattr(r.stats, name) for r in good] for name in _MOMENT_STATS}
+    samples["cramers_v"] = [_run_cramers_v(r) for r in good]
+    moments = {}
+    for name, values in samples.items():
+        moments[f"mean_{name}"], moments[f"std_{name}"] = _moments(values)
     return StepSummary(
-        step=step,
-        level=level,
-        runs=len(runs),
-        errors=len(runs) - len(good),
-        coverage=coverage,
-        reject_full_chi2=_rejection(runs, lambda r: r.full_chi2, alpha),
-        reject_full_g2=_rejection(runs, lambda r: r.full_g2, alpha),
-        reject_fisher=_rejection(runs, lambda r: r.fisher, alpha),
-        reject_kb=_rejection(runs, lambda r: r.kb, alpha),
-        reject_km=_rejection(runs, lambda r: r.km, alpha),
-        reject_kbm=_rejection(runs, lambda r: r.kbm, alpha),
-        mean_informedness=_nanmean([r.stats.informedness for r in good]),
-        std_informedness=_nanstd([r.stats.informedness for r in good]),
-        mean_markedness=_nanmean([r.stats.markedness for r in good]),
-        std_markedness=_nanstd([r.stats.markedness for r in good]),
-        mean_correlation=_nanmean([r.stats.correlation for r in good]),
-        std_correlation=_nanstd([r.stats.correlation for r in good]),
-        mean_kappa=_nanmean([r.stats.kappa for r in good]),
-        std_kappa=_nanstd([r.stats.kappa for r in good]),
-        mean_cramers_v=_nanmean([_run_cramers_v(r) for r in good]),
-        std_cramers_v=_nanstd([_run_cramers_v(r) for r in good]),
-        small_n_warning=small_n,
+        step=step, level=level, runs=len(runs), errors=len(runs) - len(good),
+        coverage=coverage, small_n_warning=small_n, **rates, **moments,
     )
 
 
@@ -478,39 +463,22 @@ def write_runs_csv(runs: tuple[SimRun, ...] | list[SimRun], path: str | Path) ->
                     _fmt(r.within_band), r.seed_stream,
                 ]
             else:
-                row = [r.step, r.run, _fmt(r.level), "", "", "", "", "",
-                       "", "", "", "", "", "", "", "", r.seed_stream]
+                row = [r.step, r.run, _fmt(r.level),
+                       *[""] * (len(RUNS_CSV_COLUMNS) - 4), r.seed_stream]
             writer.writerow(row)
 
 
-_SUMMARY_COLUMNS = (
-    "step", "level", "runs", "errors", "coverage",
-    "reject_full_chi2", "reject_full_g2", "reject_fisher",
-    "reject_kb", "reject_km", "reject_kbm",
-    "mean_informedness", "std_informedness",
-    "mean_markedness", "std_markedness",
-    "mean_correlation", "std_correlation",
-    "mean_kappa", "std_kappa",
-    "mean_cramers_v", "std_cramers_v",
-    "small_n_warning",
-)
+_SUMMARY_COLUMNS = tuple(f.name for f in fields(StepSummary))
 
 
 def write_summary_csv(report: CoverageReport, path: str | Path) -> None:
-    """Per-step rows then an overall row."""
+    """One column per StepSummary field; per-step rows then an overall row
+    with "overall" in the step column."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_SUMMARY_COLUMNS)
         for s in (*report.steps, report.overall):
-            writer.writerow([
-                "overall" if s.step is None else s.step,
-                _fmt(s.level), s.runs, s.errors, _fmt(s.coverage),
-                _fmt(s.reject_full_chi2), _fmt(s.reject_full_g2), _fmt(s.reject_fisher),
-                _fmt(s.reject_kb), _fmt(s.reject_km), _fmt(s.reject_kbm),
-                _fmt(s.mean_informedness), _fmt(s.std_informedness),
-                _fmt(s.mean_markedness), _fmt(s.std_markedness),
-                _fmt(s.mean_correlation), _fmt(s.std_correlation),
-                _fmt(s.mean_kappa), _fmt(s.std_kappa),
-                _fmt(s.mean_cramers_v), _fmt(s.std_cramers_v),
-                _fmt(s.small_n_warning),
-            ])
+            row = [_fmt(getattr(s, name)) for name in _SUMMARY_COLUMNS]
+            if s.step is None:
+                row[0] = "overall"  # step is StepSummary's first field
+            writer.writerow(row)

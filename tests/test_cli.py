@@ -77,6 +77,18 @@ def test_evaluate_csv_format():
     assert float(fields["metrics.multiclass.informedness"]) == pytest.approx(0.1985294117647061)
 
 
+def test_csv_format_quotes_line_breaks(tmp_path):
+    header = tmp_path / "header.csv"
+    header.write_text('"a\nb",c\n1,2\n3,4\n')
+    plain = tmp_path / "plain.csv"
+    plain.write_text("1,2\n3,4\n")
+    for args, label in (([str(header)], "a\nb"), ([str(plain), "--labels", "a\rb,c"], "a\rb")):
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["evaluate", "--format", "csv", "--table", *args]) == 0
+        fields = dict(csv.reader(io.StringIO(out.getvalue(), newline="")))
+        assert fields["input.labels[0]"] == label
+
+
 def test_evaluate_three_class_has_no_dichotomous_section(tmp_path):
     p = tmp_path / "t3.csv"
     p.write_text("5,1,2\n1,7,1\n2,2,9\n")
@@ -103,6 +115,13 @@ def test_usage_errors_exit_1(tmp_path):
     no_command = run_cli()
     for proc in (both, neither, unknown, no_command):
         assert proc.returncode == 1, proc.stderr
+    for x in ("nan", "inf"):
+        assert run_cli("confidence", "--table", str(p), "--x", x).returncode == 1
+    assert run_cli("compare", "--table-a", str(p), "--table-b", str(p), "--x", "nan").returncode == 1
+    simulate = run_cli("simulate", "--k", "2", "--n", "16", "--x", "nan", "--out", str(tmp_path / "o"))
+    assert simulate.returncode == 1, simulate.stderr
+    for alpha in ("7", "-1", "nan"):
+        assert run_cli("significance", "--table", str(p), "--alpha", alpha).returncode == 1
 
 
 def test_data_errors_exit_2(tmp_path):

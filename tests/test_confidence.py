@@ -117,8 +117,9 @@ def test_interval_input_checks():
         confidence_interval(0.2, 100, 1.0, 1.96, "bayesian")
     with pytest.raises(UsageError):
         confidence_interval(0.2, 100, -1.0, 1.96, "empirical")
-    with pytest.raises(UsageError):
-        confidence_interval(0.2, 100, 1.0, -2.0, "empirical")
+    for x in (-2.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            confidence_interval(0.2, 100, 1.0, x, "empirical")
 
 
 def test_contains():

@@ -1,6 +1,8 @@
 """Simulation harness: generators, mixing, substreams, grids, and CSV output."""
 
+import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from chancekit.montecarlo import (
     RUNS_CSV_COLUMNS,
     CoverageReport,
     SimConfig,
+    SimRun,
+    StepSummary,
     coverage_report,
     gen_chance,
     gen_perfect,
@@ -30,7 +34,8 @@ def test_config_validation():
         dict(k=1, n=16), dict(k=2, n=1), dict(k=2, n=16, steps=1),
         dict(k=2, n=16, runs_per_step=0), dict(k=2, n=16, margin_distribution="zipf"),
         dict(k=2, n=16, cell_distribution="cauchy"), dict(k=2, n=16, alpha=0.0),
-        dict(k=2, n=16, x=-1.0), dict(k=2, n=16, fisher_samples=10),
+        dict(k=2, n=16, x=-1.0), dict(k=2, n=16, x=float("nan")),
+        dict(k=2, n=16, x=float("inf")), dict(k=2, n=16, fisher_samples=10),
     ):
         with pytest.raises(UsageError):
             SimConfig(**bad)
@@ -205,3 +210,25 @@ def test_csv_outputs(tmp_path):
     runs_path2 = tmp_path / "runs2.csv"
     write_runs_csv(run_grid(config), runs_path2)
     assert runs_path.read_bytes() == runs_path2.read_bytes()
+
+
+def test_csv_layouts_follow_records(tmp_path):
+    config = SimConfig(k=2, n=32, steps=2, runs_per_step=2, seed=8)
+    failed = SimRun(step=2, run=0, level=1.0, seed_stream="feed", error="no table")
+    runs = (*run_grid(config), failed)
+    runs_path = tmp_path / "runs.csv"
+    write_runs_csv(runs, runs_path)
+    rows = list(csv.reader(runs_path.open(newline="")))
+    assert all(len(row) == len(RUNS_CSV_COLUMNS) for row in rows)
+    assert rows[-1] == ["2", "0", "1.0", *[""] * (len(RUNS_CSV_COLUMNS) - 4), "feed"]
+
+    report = coverage_report(runs)
+    summary_path = tmp_path / "summary.csv"
+    write_summary_csv(report, summary_path)
+    header = next(csv.reader(summary_path.open(newline="")))
+    assert header == [f.name for f in dataclasses.fields(StepSummary)]
+    all_failed = report.steps[-1]
+    assert (all_failed.runs, all_failed.errors) == (1, 1)
+    moments = [getattr(all_failed, name) for name in header if name.startswith(("mean_", "std_"))]
+    assert len(moments) == 10 and all(math.isnan(v) for v in moments)
+    assert all_failed.small_n_warning is False

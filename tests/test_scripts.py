@@ -20,9 +20,3 @@ def run_script(name, *args):
 
 def test_fixture_report_runs():
     run_script("fixture_report.py")
-
-
-def test_run_simulation_grid_runs(tmp_path):
-    run_script("run_simulation_grid.py", "--k", "2", "--n", "16", "--steps", "2",
-               "--runs", "1", "--out", str(tmp_path))
-    assert (tmp_path / "k2_n16" / "runs.csv").is_file()
