@@ -64,7 +64,7 @@ def sse_profile(b: float, rule: str) -> float:
     if rule not in SSE_RULES:
         raise UsageError(f"unknown sse rule '{rule}'")
     a = abs(float(b))
-    if a > 1.0:
+    if not a <= 1.0:  # also rejects nan
         raise UsageError(f"center must lie in [-1, 1], got {b}")
     if rule == "constant_one":
         return 1.0
@@ -81,10 +81,7 @@ def evenness_factor(t: ContingencyTable) -> float:
     """Margin evenness on the 0..1 scale: the geometric means of the
     prevalence and bias vectors, scaled by K^2 so even margins give 1."""
     s = t._summary
-    k = t.k
-    prev_g = float(np.exp(np.mean(np.log(s.prevalence))))
-    bias_g = float(np.exp(np.mean(np.log(s.bias))))
-    return prev_g * bias_g * k * k
+    return float(np.exp(s.mean_log_prevalence)) * float(np.exp(s.mean_log_bias)) * t.k * t.k
 
 
 def normal_multiplier(alpha: float, two_tailed: bool = True) -> float:
@@ -136,8 +133,8 @@ def confidence_interval(
         raise UsageError(f"unknown variant '{variant}'")
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
-    if evenness <= 0.0:
-        raise UsageError(f"evenness factor must be positive, got {evenness}")
+    if not (float(evenness) > 0.0) or not np.isfinite(evenness):
+        raise UsageError(f"evenness factor must be a positive finite number, got {evenness}")
     if not (float(x) > 0.0) or not np.isfinite(x):
         raise UsageError(f"multiplier must be a positive finite number, got {x}")
     if rule is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,7 +142,8 @@ class ContingencyTable:
         recall, precision = tp / rp, tp / pp
         prevalence, bias = cols / n, rows / n
         arrays = dict(
-            prevalence=prevalence, bias=bias, probs=self.counts / n, recall=recall,
+            prevalence=prevalence, bias=bias, probs=self.counts / n,
+            expected=np.outer(bias, prevalence), recall=recall,
             informedness=recall + tn / rn - 1.0,
             markedness=precision + tn / pn - 1.0,
             f1=2.0 * tp / (rp + pp),
@@ -151,22 +153,29 @@ class ContingencyTable:
         )
         for arr in arrays.values():
             arr.setflags(write=False)
-        return _TableSummary(n=n, det=_joint_det(arrays["probs"]), **arrays)
+        return _TableSummary(n=n, det=_joint_det(arrays["probs"]), **arrays,
+                             mean_log_prevalence=float(np.log(prevalence).mean()),
+                             mean_log_bias=float(np.log(bias).mean()))
 
 
 @dataclass(frozen=True, eq=False)
 class _TableSummary:
     """What every chance-corrected measure reads from a table with positive
-    margins: prevalence and bias as fractions of n, the joint probabilities
-    and their determinant, and at index i of each rate vector what
-    binary_stats reports for dichotomize(t, i), computed the same way so
-    the two agree bit for bit.  evenness_r/_p are the products m(1 - m)."""
+    margins, and the only place that reduces them: prevalence and bias as
+    fractions of n, the joint probabilities, their independence expectation
+    and determinant, the mean log-margins (so margin products stay finite at
+    any K), and at index i of each rate vector what binary_stats reports for
+    dichotomize(t, i), computed the same way so the two agree bit for bit.
+    evenness_r/_p are the products m(1 - m)."""
 
     n: int
     prevalence: np.ndarray
     bias: np.ndarray
     probs: np.ndarray
+    expected: np.ndarray
     det: float
+    mean_log_prevalence: float
+    mean_log_bias: float
     recall: np.ndarray
     informedness: np.ndarray
     markedness: np.ndarray
@@ -187,6 +196,8 @@ class NormalizedTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise DataError("probabilities must form a square matrix")
+        if not np.isfinite(probs).all():
+            raise DataError("cell probabilities must be finite")
         if (probs < 0).any() or (probs > 1).any():
             raise DataError("cell probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -408,6 +419,15 @@ def _joint_det(probs: np.ndarray) -> float:
     if probs.shape[0] == 2:
         return float(probs[0, 0] * probs[1, 1] - probs[0, 1] * probs[1, 0])
     return float(np.linalg.det(probs))
+
+
+def _joint_slogdet(probs: np.ndarray) -> tuple[float, float]:
+    """Sign (0 if singular) and log-magnitude of _joint_det(probs), finite
+    where the determinant itself underflows."""
+    if probs.shape[0] > 2:
+        return tuple(map(float, np.linalg.slogdet(probs)))
+    det = _joint_det(probs)
+    return (math.copysign(1.0, det), math.log(abs(det))) if det else (0.0, -math.inf)
 
 
 def repair_zero_margins(t: ContingencyTable) -> ContingencyTable:

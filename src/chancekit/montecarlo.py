@@ -395,8 +395,13 @@ def _rejection(good: list[SimRun], name: str, alpha: float) -> float:
     return sum(1 for p in ps if p < alpha) / len(ps)
 
 
-def _run_cramers_v(run: SimRun) -> float:
-    return cramers_v(run.full_chi2.value, run.table.n, run.table.k)
+def _field(record, name: str):
+    """record.name, or None for a missing record."""
+    return None if record is None else getattr(record, name)
+
+
+def _run_cramers_v(run: SimRun, report: SignificanceReport | None) -> float | None:
+    return None if report is None else cramers_v(report.value, run.table.n, run.table.k)
 
 
 def _summarize(step: int | None, level: float | None, runs: list[SimRun], alpha: float) -> StepSummary:
@@ -407,8 +412,9 @@ def _summarize(step: int | None, level: float | None, runs: list[SimRun], alpha:
     )
     small_n = bool(good) and (good[0].table.n / good[0].table.k ** 2) < 5.0
     rates = {f"reject_{name}": _rejection(good, name, alpha) for name in _TESTED_REPORTS}
-    samples = {name: [getattr(r.stats, name) for r in good] for name in _MOMENT_STATS}
-    samples["cramers_v"] = [_run_cramers_v(r) for r in good]
+    samples = {name: [getattr(r.stats, name) for r in good if r.stats is not None]
+               for name in _MOMENT_STATS}
+    samples["cramers_v"] = [_run_cramers_v(r, r.full_chi2) for r in good if r.full_chi2 is not None]
     moments = {}
     for name, values in samples.items():
         moments[f"mean_{name}"], moments[f"std_{name}"] = _moments(values)
@@ -453,13 +459,12 @@ def write_runs_csv(runs: tuple[SimRun, ...] | list[SimRun], path: str | Path) ->
             if r.error is None:
                 row = [
                     r.step, r.run, _fmt(r.level), r.n_realized,
-                    _fmt(r.stats.informedness), _fmt(r.stats.markedness),
-                    _fmt(r.stats.correlation), _fmt(r.stats.kappa),
-                    _fmt(_run_cramers_v(r)),
-                    _fmt(cramers_v(r.full_g2.value, r.table.n, r.table.k)),
-                    _fmt(r.full_chi2.p_value), _fmt(r.full_g2.p_value),
-                    _fmt(r.fisher.p_value),
-                    _fmt(r.ci_empirical.lo), _fmt(r.ci_empirical.hi),
+                    *(_fmt(_field(r.stats, name))
+                      for name in ("informedness", "markedness", "correlation", "kappa")),
+                    _fmt(_run_cramers_v(r, r.full_chi2)), _fmt(_run_cramers_v(r, r.full_g2)),
+                    *(_fmt(_field(getattr(r, name), "p_value"))
+                      for name in ("full_chi2", "full_g2", "fisher")),
+                    _fmt(_field(r.ci_empirical, "lo")), _fmt(_field(r.ci_empirical, "hi")),
                     _fmt(r.within_band), r.seed_stream,
                 ]
             else:

@@ -7,10 +7,13 @@ twin over the predictions.  Further generalizations work through the
 determinant of the joint probability matrix and through evenness summaries of
 the margins, plus information-theoretic measures in nats.
 
-The per-label one-vs-rest values, the margins and the joint probabilities
-all come from the table's shared summary (ContingencyTable._summary), which
-is computed once per table and equals binary_stats(dichotomize(t, i)) bit
-for bit; every measure here is a weighted sum or a short reduction of it.
+The per-label one-vs-rest values, the margins, their log means and the
+joint and expected probabilities all come from the table's shared summary
+(ContingencyTable._summary), which is computed once per table and equals
+binary_stats(dichotomize(t, i)) bit for bit; every measure here is a
+weighted sum or a numpy reduction of it.  Margin products (the evenness plus
+forms and the determinant estimates) are taken in log space, so they stay
+finite and positive at any K instead of underflowing to 0.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable
+from .contingency import ContingencyTable, _joint_slogdet
 from .errors import UsageError
 
 __all__ = [
@@ -46,12 +49,13 @@ class EvennessVariants:
     """Evenness summaries of the real (r), predicted (p), and geometric-mean
     (g) margins.
 
-    plus: squared geometric mean of the margin vector, (prod m)^(2/K)
+    plus: squared geometric mean of the margin vector, (prod m)^(2/K),
+          computed in log space as exp(2 * mean(log m))
     minus: arithmetic mean of the per-label dichotomous products m(1-m)
     hash: harmonic mean of the same products
     Each g form is the geometric mean of the matching r and p forms.  For
-    K = 2 all three coincide at m(1-m) and plus = minus * hash holds exactly;
-    for K > 2 the three means genuinely differ.
+    K = 2 all three coincide at m(1-m), the plus form up to rounding in its
+    logs; for K > 2 the three means genuinely differ.
     """
 
     r_plus: float
@@ -118,31 +122,23 @@ def correlation_bmg(t: ContingencyTable) -> float:
     return math.copysign(math.sqrt(max(b * m, 0.0)), b)
 
 
+def _sum_p_log_ratio(probs: np.ndarray, denominators: np.ndarray) -> float:
+    """Sum of p * log(p / d) over the positive cells (0 log 0 counts as 0)."""
+    positive = probs > 0.0
+    p = probs[positive]
+    return float(np.sum(p * np.log(p / denominators[positive])))
+
+
 def mutual_information(t: ContingencyTable) -> float:
     """Mutual information between prediction and real class, in nats."""
-    probs = t._summary.probs
-    bias = probs.sum(axis=1)
-    prevalence = probs.sum(axis=0)
-    total = 0.0
-    for i in range(t.k):
-        for j in range(t.k):
-            p = probs[i, j]
-            if p > 0.0:
-                total += p * math.log(p / (bias[i] * prevalence[j]))
-    return total
+    s = t._summary
+    return _sum_p_log_ratio(s.probs, s.expected)
 
 
 def conditional_entropy(t: ContingencyTable) -> float:
     """Entropy of the real class left once the prediction is known, in nats."""
-    probs = t._summary.probs
-    bias = probs.sum(axis=1)
-    total = 0.0
-    for i in range(t.k):
-        for j in range(t.k):
-            p = probs[i, j]
-            if p > 0.0:
-                total -= p * math.log(p / bias[i])
-    return total
+    s = t._summary
+    return -_sum_p_log_ratio(s.probs, np.broadcast_to(s.bias[:, None], s.probs.shape))
 
 
 def det_estimates(
@@ -157,58 +153,44 @@ def det_estimates(
     rule "two_over_k" and 4/(3K-2) under rule "inverse_3k_minus_2", which
     rescales by marginal degrees of freedom instead of dimensions.  Both
     rules give e = 1 at K = 2, where the estimates are exact; both keep a
-    perfect diagonal table at exactly 1.
+    perfect diagonal table at exactly 1.  The ratio is taken in log space
+    (log |det| minus the summed log-margins), so neither the determinant nor
+    the margin product underflows at large K; a singular table gives 0.
     """
     if exponent_rule not in EXPONENT_RULES:
         raise UsageError(f"unknown exponent rule '{exponent_rule}'")
     s = t._summary
     k = t.k
     e = 2.0 / k if exponent_rule == "two_over_k" else 4.0 / (3.0 * k - 2.0)
-    prod_prev = float(np.prod(s.prevalence))
-    prod_bias = float(np.prod(s.bias))
-    mag = abs(s.det)
-
-    def scaled(denominator: float) -> float:
-        if mag == 0.0:
-            return 0.0
-        return math.copysign((mag / denominator) ** e, s.det)
-
-    m_est = scaled(prod_bias)
-    b_est = scaled(prod_prev)
-    bmg_est = scaled(math.sqrt(prod_prev * prod_bias))
-    return m_est, b_est, bmg_est
+    sign, log_det = _joint_slogdet(s.probs)
+    if sign == 0.0:
+        return 0.0, 0.0, 0.0
+    log_bias, log_prev = k * s.mean_log_bias, k * s.mean_log_prevalence
+    return tuple(sign * math.exp(e * (log_det - log_product))
+                 for log_product in (log_bias, log_prev, 0.5 * (log_prev + log_bias)))
 
 
 def evenness_variants(t: ContingencyTable) -> EvennessVariants:
     """All nine evenness summaries of the margins (see EvennessVariants)."""
     s = t._summary
     k = t.k
-    r_plus = float(np.prod(s.prevalence)) ** (2.0 / k)
-    p_plus = float(np.prod(s.bias)) ** (2.0 / k)
-    r_minus = float(np.mean(s.evenness_r))
-    p_minus = float(np.mean(s.evenness_p))
-    r_hash = k / float(np.sum(1.0 / s.evenness_r))
-    p_hash = k / float(np.sum(1.0 / s.evenness_p))
-    return EvennessVariants(
-        r_plus=r_plus,
-        p_plus=p_plus,
-        g_plus=math.sqrt(r_plus * p_plus),
-        r_minus=r_minus,
-        p_minus=p_minus,
-        g_minus=math.sqrt(r_minus * p_minus),
-        r_hash=r_hash,
-        p_hash=p_hash,
-        g_hash=math.sqrt(r_hash * p_hash),
-    )
+    forms = {
+        "plus": (math.exp(2.0 * s.mean_log_prevalence), math.exp(2.0 * s.mean_log_bias)),
+        "minus": (float(np.mean(s.evenness_r)), float(np.mean(s.evenness_p))),
+        "hash": (k / float(np.sum(1.0 / s.evenness_r)), k / float(np.sum(1.0 / s.evenness_p))),
+    }
+    return EvennessVariants(**{
+        f"{side}_{form}": value
+        for form, (r, p) in forms.items()
+        for side, value in (("r", r), ("p", p), ("g", math.sqrt(r * p)))
+    })
 
 
 def multiclass_kappa(t: ContingencyTable) -> float:
     """Chance-corrected agreement (observed vs margin-expected diagonal)."""
-    probs = t._summary.probs
-    bias = probs.sum(axis=1)
-    prevalence = probs.sum(axis=0)
-    po = float(np.trace(probs))
-    pe = float(np.dot(bias, prevalence))
+    s = t._summary
+    po = float(np.trace(s.probs))
+    pe = float(np.dot(s.bias, s.prevalence))
     return (po - pe) / (1.0 - pe)
 
 

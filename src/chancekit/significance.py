@@ -129,16 +129,10 @@ def _positive_cells(t: ContingencyTable, target: str):
     if target not in _POSITIVE_TARGETS:
         raise UsageError(f"unknown target '{target}'")
     s = t._summary
-    c = t.counts.astype(float)
-    n = s.n
-    expected = n * np.outer(s.bias, s.prevalence)
-    if target == "predicted_positive":
-        observed = c[0, :]
-        exp = expected[0, :]
-    else:
-        observed = c[:, 0]
-        exp = expected[:, 0]
-    return observed, exp, n
+    observed, expected = t.counts.astype(float), s.n * s.expected
+    if target == "real_positive":
+        observed, expected = observed.T, expected.T
+    return observed[0], expected[0], s.n
 
 
 def chi2_positive(
@@ -226,10 +220,9 @@ def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, Significa
     information in nats.
     """
     s = t._summary
-    c = t.counts.astype(float)
     n = s.n
-    expected = n * np.outer(s.bias, s.prevalence)
-    chi2_value = float(((c - expected) ** 2 / expected).sum())
+    expected = n * s.expected
+    chi2_value = float(((t.counts - expected) ** 2 / expected).sum())
     g2_value = 2.0 * n * mutual_information(t)
     df = (t.k - 1) ** 2
     return (

@@ -1,0 +1,65 @@
+"""Cell-by-cell information measures and margin products multiplied out,
+kept as the reference for the vectorised, log-space forms in chancekit.
+
+These are the straightforward implementations: the entropies walk every cell
+in Python, and the evenness plus forms and the determinant estimates take
+np.prod of the margins, so they underflow at large K.  Wherever they are
+finite, `mutual_information`, `conditional_entropy`, `evenness_variants` and
+`det_estimates` in chancekit must agree with them.
+"""
+
+import math
+
+import numpy as np
+
+
+def _joint(t):
+    probs = t.counts / t.n
+    return probs, probs.sum(axis=1), probs.sum(axis=0)
+
+
+def mutual_information(t):
+    probs, bias, prevalence = _joint(t)
+    total = 0.0
+    for i in range(t.k):
+        for j in range(t.k):
+            p = probs[i, j]
+            if p > 0.0:
+                total += p * math.log(p / (bias[i] * prevalence[j]))
+    return total
+
+
+def conditional_entropy(t):
+    probs, bias, _ = _joint(t)
+    total = 0.0
+    for i in range(t.k):
+        for j in range(t.k):
+            p = probs[i, j]
+            if p > 0.0:
+                total -= p * math.log(p / bias[i])
+    return total
+
+
+def evenness_plus(t):
+    """(r_plus, p_plus) as (prod m)^(2/K)."""
+    _, bias, prevalence = _joint(t)
+    return tuple(float(np.prod(m)) ** (2.0 / t.k) for m in (prevalence, bias))
+
+
+def det_estimates(t, exponent_rule="two_over_k"):
+    probs, bias, prevalence = _joint(t)
+    k = t.k
+    e = 2.0 / k if exponent_rule == "two_over_k" else 4.0 / (3.0 * k - 2.0)
+    if k == 2:
+        det = probs[0, 0] * probs[1, 1] - probs[0, 1] * probs[1, 0]
+    else:
+        det = float(np.linalg.det(probs))
+    prod_prev = float(np.prod(prevalence))
+    prod_bias = float(np.prod(bias))
+
+    def scaled(denominator):
+        if det == 0.0:
+            return 0.0
+        return math.copysign((abs(det) / denominator) ** e, det)
+
+    return scaled(prod_bias), scaled(prod_prev), scaled(math.sqrt(prod_prev * prod_bias))

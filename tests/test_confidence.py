@@ -120,6 +120,11 @@ def test_interval_input_checks():
     for x in (-2.0, math.nan, math.inf):
         with pytest.raises(UsageError):
             confidence_interval(0.2, 100, 1.0, x, "empirical")
+    for evenness in (math.nan, math.inf):
+        with pytest.raises(UsageError):
+            confidence_interval(0.2, 100, evenness, 1.96, "empirical")
+    with pytest.raises(UsageError):
+        confidence_interval(math.nan, 100, 1.0, 1.96, "empirical")
 
 
 def test_contains():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chancekit.contingency import (
+    NormalizedTable,
     dichotomize,
     expectation_delta,
     from_counts,
@@ -155,6 +156,13 @@ def test_normalize_sums_to_one():
 def test_normalize_empty_table_is_data_error():
     with pytest.raises(DataError):
         normalize(from_counts([[0, 0], [0, 0]]))
+
+
+def test_normalized_table_rejects_non_finite_probabilities():
+    # nan fails every comparison, so it slipped past the range and sum checks
+    for probs in (np.full((2, 2), np.nan), [[np.nan, 0.5], [0.25, 0.25]]):
+        with pytest.raises(DataError, match="finite"):
+            NormalizedTable(probs, ("a", "b"))
 
 
 def test_expectation_delta_two_by_two():

@@ -214,13 +214,22 @@ def test_csv_outputs(tmp_path):
 
 def test_csv_layouts_follow_records(tmp_path):
     config = SimConfig(k=2, n=32, steps=2, runs_per_step=2, seed=8)
+    grid = run_grid(config)
+    # error-free runs with missing reports get blank cells, like error runs
+    no_fisher = dataclasses.replace(grid[0], fisher=None)
+    no_stats = dataclasses.replace(grid[1], stats=None, full_chi2=None, ci_empirical=None)
     failed = SimRun(step=2, run=0, level=1.0, seed_stream="feed", error="no table")
-    runs = (*run_grid(config), failed)
+    runs = (*grid, no_fisher, no_stats, failed)
     runs_path = tmp_path / "runs.csv"
     write_runs_csv(runs, runs_path)
     rows = list(csv.reader(runs_path.open(newline="")))
     assert all(len(row) == len(RUNS_CSV_COLUMNS) for row in rows)
     assert rows[-1] == ["2", "0", "1.0", *[""] * (len(RUNS_CSV_COLUMNS) - 4), "feed"]
+    by_name = [dict(zip(RUNS_CSV_COLUMNS, row)) for row in rows[-3:-1]]
+    assert by_name[0]["p_fisher"] == "" and by_name[0]["p_chi2"] != ""
+    blank = ("B", "M", "BMG", "kappa", "cramers_v_chi2", "p_chi2", "ci_lo", "ci_hi")
+    assert all(by_name[1][name] == "" for name in blank)
+    assert by_name[1]["p_g2"] != "" and by_name[1]["cramers_v_g2"] != ""
 
     report = coverage_report(runs)
     summary_path = tmp_path / "summary.csv"

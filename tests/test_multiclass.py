@@ -144,6 +144,42 @@ def test_det_estimates_independent_table_is_zero():
     assert det_estimates(UNIFORM3) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
 
+def _large_table(k):
+    """K x K: diagonal 200, off-diagonal cells 0-19, so the determinant and
+    the margin products underflow when multiplied out at K >= 100."""
+    counts = np.random.default_rng(k).integers(0, 20, size=(k, k))
+    np.fill_diagonal(counts, 200)
+    return from_counts(counts)
+
+
+def test_det_estimates_finite_at_k100():
+    # np.prod of the margins underflows to 0 here, which used to divide by 0
+    t = _large_table(100)
+    for rule in ("two_over_k", "inverse_3k_minus_2"):
+        estimates = det_estimates(t, rule)
+        assert all(math.isfinite(v) and v > 0.0 for v in estimates)
+
+
+def test_margin_products_in_log_space_at_k1000():
+    t = _large_table(1000)
+    k = t.k
+    m = margins(t)
+    log_prev, log_bias = np.log(m.prevalence).sum(), np.log(m.bias).sum()
+    ev = evenness_variants(t)
+    for got, log_product in ((ev.r_plus, log_prev), (ev.p_plus, log_bias),
+                             (ev.g_plus, 0.5 * (log_prev + log_bias))):
+        assert got > 0.0 and math.isfinite(got)
+        assert got == pytest.approx(math.exp(2.0 * log_product / k), rel=1e-12)
+    sign, log_det = np.linalg.slogdet(t.counts / t.n)
+    assert sign == 1.0
+    for rule, e in (("two_over_k", 2.0 / k), ("inverse_3k_minus_2", 4.0 / (3.0 * k - 2.0))):
+        expect = [math.exp(e * (log_det - log_m))
+                  for log_m in (log_bias, log_prev, 0.5 * (log_prev + log_bias))]
+        got = det_estimates(t, rule)
+        assert all(v > 0.0 and math.isfinite(v) for v in got)
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
 def test_evenness_two_class_fixture():
     ev = evenness_variants(table_a())
     # at K=2 both labels share the same dichotomous margin product, so the

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -319,6 +320,22 @@ def test_chi2_sf_threshold_and_edges():
     values = [chi2_sf(x, 3) for x in np.linspace(0.0, 30.0, 40)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_chi2_sf_absolute_error_against_mpmath():
+    # The docstring's bound, checked at df = 1..2401 ((K-1)^2 at K = 50) and
+    # x = 0..5000: fixed points plus points around the mean, where the tail
+    # falls from near 1 to near 0.
+    dfs = (1, 2, 3, 4, 5, 9, 16, 49, 100, 225, 484, 961, 1600, 2025, 2401)
+    fixed = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 2000.0, 3000.0, 5000.0)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for df in dfs:
+            around = (0.9 * df, float(df), 1.1 * df, df + 3.0 * math.sqrt(2.0 * df))
+            for x in fixed + around:
+                oracle = float(mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True))
+                worst = max(worst, abs(chi2_sf(x, df) - oracle))
+    assert worst < 1e-10
 
 
 def test_report_p_values_recompute():

@@ -1,24 +1,40 @@
-"""Differential test of the per-table summary behind every chance-corrected
+"""Differential tests of the per-table summary behind every chance-corrected
 measure: its per-label vectors must equal the one-vs-rest records built by
 dichotomize and binary_stats, and every reader of it must see the same
-informedness and markedness, bit for bit."""
+informedness and markedness, bit for bit; the vectorised entropies and the
+log-space margin products must match the cell loops and np.prod products of
+reference_stats to a stated relative tolerance."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_stats as ref
 from chancekit.contingency import dichotomize, from_counts, margins
 from chancekit.dichotomous import binary_stats
-from chancekit.multiclass import bookmaker_informedness, multiclass_markedness, multiclass_stats
+from chancekit.multiclass import (
+    EXPONENT_RULES,
+    bookmaker_informedness,
+    conditional_entropy,
+    det_estimates,
+    evenness_variants,
+    multiclass_markedness,
+    multiclass_stats,
+    mutual_information,
+)
 from chancekit.significance import chi2_bookmaker_family
 
 
 @st.composite
-def positive_margin_tables(draw):
+def positive_margin_tables(draw, sparse=False):
     """K x K tables, K in 2..12; one extra count per row, in distinct
-    columns, makes every margin positive."""
+    columns, makes every margin positive.  sparse=True mixes in zero cells
+    and small counts."""
     k = draw(st.integers(2, 12))
-    cells = draw(st.lists(st.integers(0, 10**6), min_size=k * k, max_size=k * k))
+    cell = st.integers(0, 10**6)
+    if sparse:
+        cell = st.just(0) | st.integers(0, draw(st.sampled_from((1, 3, 10**6))))
+    cells = draw(st.lists(cell, min_size=k * k, max_size=k * k))
     columns = draw(st.permutations(range(k)))
     counts = np.array(cells, dtype=np.int64).reshape(k, k)
     counts[np.arange(k), columns] += 1
@@ -46,3 +62,20 @@ def test_summary_matches_one_vs_rest_records(t):
     # b * b, not b**2: libm's pow can be one unit in the last place off.
     b = stats.informedness
     assert chi2_bookmaker_family(t, "conv_b").value == (t.k - 1) * t.n * (b * b)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(abs(want), 1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_margin_tables(sparse=True))
+def test_vectorised_measures_match_references(t):
+    assert _close(mutual_information(t), ref.mutual_information(t))
+    assert _close(conditional_entropy(t), ref.conditional_entropy(t))
+    ev = evenness_variants(t)
+    r_plus, p_plus = ref.evenness_plus(t)
+    assert _close(ev.r_plus, r_plus) and _close(ev.p_plus, p_plus)
+    for rule in EXPONENT_RULES:
+        for got, want in zip(det_estimates(t, rule), ref.det_estimates(t, rule)):
+            assert _close(got, want), (rule, got, want)
