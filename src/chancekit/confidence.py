@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .contingency import ContingencyTable
 from .errors import DataError, UsageError
@@ -90,7 +90,8 @@ def normal_multiplier(alpha: float, two_tailed: bool = True) -> float:
     if not (0.0 < alpha < 1.0):
         raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
     q = 1.0 - alpha / 2.0 if two_tailed else 1.0 - alpha
-    return float(ndtri(q))
+    # Below an alpha of about 1e-16, q rounds to 1, whose quantile is infinite.
+    return NormalDist().inv_cdf(q) if q < 1.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,19 @@ class _TableSummary:
     evenness_r: np.ndarray
     evenness_p: np.ndarray
 
+    @cached_property
+    def mutual_information(self) -> float:
+        """In nats; taken on first use, since both the multiclass record and
+        the full-table log-likelihood statistic read it."""
+        return _sum_p_log_ratio(self.probs, self.expected)
+
+
+def _sum_p_log_ratio(probs: np.ndarray, denominators: np.ndarray) -> float:
+    """Sum of p * log(p / d) over the positive cells (0 log 0 counts as 0)."""
+    positive = probs > 0.0
+    p = probs[positive]
+    return float(np.sum(p * np.log(p / denominators[positive])))
+
 
 @dataclass(frozen=True, eq=False)
 class NormalizedTable:
@@ -480,8 +493,15 @@ def _is_count(token: str) -> bool:
     return True
 
 
-def _sniff_delimiter(text: str) -> str:
-    sample = text[:4096]
+def _sniff_delimiter(text: str, newline: str = "\n") -> str:
+    """Delimiter of the first 4096 characters.  Raw file text (newline="")
+    is sampled with its line endings translated to \n, so a file sniffs the
+    same whatever its line endings; a translated character comes from at
+    most two raw ones."""
+    if newline:
+        sample = text[:4096]
+    else:
+        sample = text[:8192].replace("\r\n", "\n").replace("\r", "\n")[:4096]
     lines = sample.splitlines()
     if not lines:
         raise DataError("empty input")
@@ -495,12 +515,18 @@ def _malformed(exc: csv.Error) -> DataError:
     return DataError(f"malformed delimited text: {exc}")
 
 
-def _read_rows(text: str) -> list[list[str]]:
-    """Stripped non-blank rows in file order."""
-    delim = _sniff_delimiter(text)
+def _read_rows(text: str, newline: str = "\n") -> list[list[str]]:
+    """Stripped non-blank rows in file order.
+
+    With newline="\n" (text from a caller) lines end at \n only, so a bare
+    \r outside quotes is malformed.  With newline="" (raw file text from
+    _read_text) they end at \r, \n or \r\n, as in a file opened with
+    newline="", and line breaks inside quoted cells stay as written.
+    """
+    delim = _sniff_delimiter(text, newline)
     rows = []
     try:
-        for raw in csv.reader(io.StringIO(text), delimiter=delim):
+        for raw in csv.reader(io.StringIO(text, newline=newline), delimiter=delim):
             cells = [c.strip() for c in raw]
             if any(cells):
                 rows.append(cells)
@@ -525,7 +551,10 @@ def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> Contingen
     When both row and column labels are present they must name the same set;
     columns are reordered to match the row order.
     """
-    rows = _read_rows(text)
+    return _table_from_rows(_read_rows(text), labels)
+
+
+def _table_from_rows(rows: list[list[str]], labels: Sequence[str] | None) -> ContingencyTable:
     if not rows:
         raise DataError("empty table file")
 
@@ -589,9 +618,15 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
     work after the CSV pass grows with the number of distinct rows (at most
     K^2 for clean data), not with the number of rows.
     """
-    delim = _sniff_delimiter(text)
+    return _pairs_from_text(text, labels, "\n")
+
+
+def _pairs_from_text(text: str, labels: Sequence[str] | None, newline: str) -> ContingencyTable:
+    """parse_pairs, with lines split as _read_rows splits them for newline."""
+    delim = _sniff_delimiter(text, newline)
     try:
-        raw_tally = Counter(map(tuple, csv.reader(io.StringIO(text), delimiter=delim)))
+        lines = io.StringIO(text, newline=newline)
+        raw_tally = Counter(map(tuple, csv.reader(lines, delimiter=delim)))
     except csv.Error as exc:
         raise _malformed(exc) from None
     # Counter keys keep first-occurrence order, so the first non-blank key is
@@ -612,7 +647,7 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
         if not count:
             continue
         if len(cells) != 2:
-            raise _first_width_error(text)
+            raise _first_width_error(text, newline)
         tally[cells] += count
     return _table_from_tally(tally, labels)
 
@@ -625,12 +660,12 @@ def _is_pairs_header(cells: Sequence[str]) -> bool:
     )
 
 
-def _first_width_error(text: str) -> DataError:
+def _first_width_error(text: str, newline: str) -> DataError:
     """Error for the first data row, in file order, that is not 2 cells wide.
 
     Line numbers count non-blank rows, the header included.
     """
-    rows = _read_rows(text)
+    rows = _read_rows(text, newline)
     start = 1 if _is_pairs_header(rows[0]) else 0
     i, width = next(
         (i, len(row))
@@ -641,9 +676,12 @@ def _first_width_error(text: str) -> DataError:
 
 
 def _read_text(path: str | Path) -> str:
-    """File text in the locale encoding; undecodable bytes are a DataError."""
+    """File text in the locale encoding with its line endings as written
+    (newline=""), so csv sees a \r inside a quoted cell as data; undecodable
+    bytes are a DataError."""
     try:
-        return Path(path).read_text()
+        with open(path, newline="") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path} is not valid {exc.encoding} text ({exc.reason} at byte {exc.start})"
@@ -651,8 +689,8 @@ def _read_text(path: str | Path) -> str:
 
 
 def load_table_csv(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    return parse_table_csv(_read_text(path), labels)
+    return _table_from_rows(_read_rows(_read_text(path), newline=""), labels)
 
 
 def load_pairs(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    return parse_pairs(_read_text(path), labels)
+    return _pairs_from_text(_read_text(path), labels, "")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable, _joint_slogdet
+from .contingency import ContingencyTable, _joint_slogdet, _sum_p_log_ratio
 from .errors import UsageError
 
 __all__ = [
@@ -122,17 +122,9 @@ def correlation_bmg(t: ContingencyTable) -> float:
     return math.copysign(math.sqrt(max(b * m, 0.0)), b)
 
 
-def _sum_p_log_ratio(probs: np.ndarray, denominators: np.ndarray) -> float:
-    """Sum of p * log(p / d) over the positive cells (0 log 0 counts as 0)."""
-    positive = probs > 0.0
-    p = probs[positive]
-    return float(np.sum(p * np.log(p / denominators[positive])))
-
-
 def mutual_information(t: ContingencyTable) -> float:
     """Mutual information between prediction and real class, in nats."""
-    s = t._summary
-    return _sum_p_log_ratio(s.probs, s.expected)
+    return t._summary.mutual_information
 
 
 def conditional_entropy(t: ContingencyTable) -> float:

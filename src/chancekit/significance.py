@@ -17,17 +17,19 @@ n * B * M.
 
 Exact inference is available through the 2x2 hypergeometric test and a
 fixed-margin permutation sampler for K x K tables.  Tail probabilities of the
-chi-squared family come from the regularized upper incomplete gamma function,
-computed by scipy.special.gammaincc.
+chi-squared family come from the regularized upper incomplete gamma function
+Q(r/2, x/2): erfc for one degree of freedom, otherwise its power series below
+x = a + 1 and its Lentz continued fraction above (Press et al., Numerical
+Recipes, section 6.2).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .contingency import ContingencyTable
 from .errors import DataError, UsageError
@@ -105,7 +107,71 @@ def chi2_sf(x: float, r: int) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise UsageError(f"statistic must be finite and non-negative, got {x}")
-    return float(gammaincc(r / 2.0, x / 2.0))
+    if r == 1:
+        return math.erfc(math.sqrt(x / 2.0))
+    return _gamma_q(r / 2.0, x / 2.0)
+
+
+_GAMMA_EPS = sys.float_info.epsilon
+_GAMMA_TINY = 1e-300
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_gamma_prefactor(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)) for x > 0.
+
+    From a = 100 on, a log x, x and lgamma(a) are each far larger than
+    their sum, so Gamma(a) is split into its Stirling form and remainder and
+    the large parts cancel exactly: a log(x/a) + a - x = -a (r - log1p(r))
+    with r = (x - a) / a.
+    """
+    if a < 100.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    r = (x - a) / a
+    inv, inv2 = 1.0 / a, 1.0 / (a * a)
+    stirling = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
+    return -a * (r - math.log1p(r)) + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0.
+
+    Below x = a + 1 the power series for P = 1 - Q converges fast; above it
+    the continued fraction for Q does (modified Lentz).  Both multiply by
+    x^a e^-x / Gamma(a), taken in log space so it neither overflows nor
+    underflows before the product.
+    """
+    if x == 0.0:
+        return 1.0
+    log_prefactor = _log_gamma_prefactor(a, x)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        while term > total * _GAMMA_EPS:
+            ap += 1.0
+            term *= x / ap
+            total += term
+        return 1.0 - total * math.exp(log_prefactor)
+    b = x + 1.0 - a
+    c = 1.0 / _GAMMA_TINY
+    d = 1.0 / b
+    h = d
+    # Convergence takes about sqrt(a) terms at worst (1,600 at a = 5e6).
+    for i in range(1, 1000 + 10 * math.isqrt(int(a))):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _GAMMA_TINY:
+            d = _GAMMA_TINY
+        c = b + an / c
+        if abs(c) < _GAMMA_TINY:
+            c = _GAMMA_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _GAMMA_EPS:
+            return h * math.exp(log_prefactor)
+    raise RuntimeError(f"continued fraction for Q({a}, {x}) did not converge")
 
 
 def _report(kind: str, value: float, df: int, n: int, k: int,
@@ -245,11 +311,18 @@ def _hypergeom_numerators(rp: int, rn: int, pp: int):
 
     The weight of true-positive count a is C(rp, a) * C(rn, pp - a); dividing
     by C(rp + rn, pp) turns it into the exact table probability.  Working in
-    integers keeps tie comparisons exact.
+    integers keeps tie comparisons exact.  Two binomials give the first
+    weight and the ratio w(a + 1) / w(a) = (rp - a)(pp - a) / ((a + 1)(rn - pp
+    + a + 1)) the rest; the division is exact because w(a + 1) is an integer.
     """
     lo = max(0, pp - rn)
     hi = min(rp, pp)
-    return {a: math.comb(rp, a) * math.comb(rn, pp - a) for a in range(lo, hi + 1)}
+    weights = {}
+    w = math.comb(rp, lo) * math.comb(rn, pp - lo)
+    for a in range(lo, hi + 1):
+        weights[a] = w
+        w = w * (rp - a) * (pp - a) // ((a + 1) * (rn - pp + a + 1))
+    return weights
 
 
 def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> SignificanceReport:
@@ -289,6 +362,11 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
     )
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log(i!) for i = 0..n, indexed by i."""
+    return np.fromiter((math.lgamma(i + 1.0) for i in range(n + 1)), dtype=float, count=n + 1)
+
+
 def fisher_montecarlo_kxk(
     t: ContingencyTable, samples: int = 100_000, seed: int = 0
 ) -> SignificanceReport:
@@ -312,7 +390,8 @@ def fisher_montecarlo_kxk(
     cols_vec = np.repeat(np.arange(k), cols)
     # Fixed margins make the factorial terms of the margins constant, so the
     # log-probability ordering reduces to comparing -sum(lgamma(cell + 1)).
-    s_obs = float(gammaln(t.counts + 1.0).sum())
+    log_factorials = _log_factorials(n)
+    s_obs = float(log_factorials[t.counts].sum())
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
     hits = 0
     done = 0
@@ -326,7 +405,7 @@ def fisher_montecarlo_kxk(
         codes = codes_base[None, :] + shuffled
         offsets = (np.arange(m) * (k * k))[:, None]
         tallies = np.bincount((codes + offsets).ravel(), minlength=m * k * k)
-        s = gammaln(tallies.reshape(m, k * k) + 1.0).sum(axis=1)
+        s = log_factorials[tallies.reshape(m, k * k)].sum(axis=1)
         hits += int((s >= s_obs - 1e-9).sum())
         done += m
     p = hits / samples

@@ -63,3 +63,10 @@ def det_estimates(t, exponent_rule="two_over_k"):
         return math.copysign((abs(det) / denominator) ** e, det)
 
     return scaled(prod_bias), scaled(prod_prev), scaled(math.sqrt(prod_prev * prod_bias))
+
+
+def hypergeom_numerators(rp, rn, pp):
+    """C(rp, a) * C(rn, pp - a) for every admissible true-positive count a."""
+    lo = max(0, pp - rn)
+    hi = min(rp, pp)
+    return {a: math.comb(rp, a) * math.comb(rn, pp - a) for a in range(lo, hi + 1)}

@@ -156,13 +156,42 @@ def test_malformed_table_csv_never_internal_error(tmp_path_factory, text, comman
     assert code in (0, 1, 2), err.getvalue()
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is used only by the binomial_copula generator; importing it
-    # eagerly more than doubles the start-up time of every CLI call.
-    probe = "import sys, chancekit, chancekit.cli; print('scipy.stats' in sys.modules)"
+def test_import_loads_no_scipy():
+    # Importing scipy.special alone costs about half of every CLI call.
+    probe = ("import sys, chancekit, chancekit.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    table4 = tmp_path / "t4.csv"
+    table4.write_text("9,1,2,0\n1,8,1,2\n2,1,7,1\n0,2,1,9\n")
+    commands = [
+        ["evaluate", "--table", TABLE_A],
+        ["significance", "--family", "all", "--table", TABLE_A],
+        ["significance", "--family", "all", "--table", str(table4),
+         "--seed", "1", "--fisher-samples", "1000"],
+        ["confidence", "--table", TABLE_A, "--alpha", "0.01"],
+        ["compare", "--table-a", TABLE_A, "--table-b", TABLE_B],
+        # binomial_copula draws its cells through the binomial quantile
+        ["simulate", "--k", "3", "--n", "30", "--steps", "2", "--runs", "1", "--seed", "1",
+         "--dist", "binomial_copula", "--out", str(tmp_path / "sim")],
+    ]
+    probe = f"""
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import io, contextlib
+from chancekit.cli import main
+for args in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_zero_margin_exit_2_unless_repaired(tmp_path):

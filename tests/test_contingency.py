@@ -2,6 +2,7 @@
 
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from chancekit.contingency import (
 from chancekit.errors import DataError, UsageError
 from helpers import random_valid_table
 import reference_pairs
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_from_counts_basic():
@@ -138,6 +141,26 @@ def test_load_roundtrip(tmp_path):
     pairs_path.write_text("a\tb\nb\tb\na\ta\n")
     p = load_pairs(pairs_path)
     assert p.n == 3
+
+
+def test_load_keeps_quoted_carriage_return(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'"a\rb",c\r\n1,2\r\n3,4\r\n')
+    assert load_table_csv(path).labels == ("a\rb", "c")
+    path.write_bytes(b'pred,gold\n"a\rb",c\nc,c\n')
+    assert load_pairs(path).labels == ("a\rb", "c")
+
+
+def test_load_line_endings_give_equal_tables(tmp_path):
+    table = (DATA / "table2a.csv").read_bytes()
+    pairs = b"predicted,actual\na,b\nb,b\n\na,a\n"
+    for data, load in ((table, load_table_csv), (pairs, load_pairs)):
+        loaded = []
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / "t.csv"
+            path.write_bytes(data.replace(b"\n", newline))
+            loaded.append(load(path))
+        assert loaded[0] == loaded[1] == loaded[2]
 
 
 def test_margins():

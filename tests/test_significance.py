@@ -12,6 +12,7 @@ from chancekit.dichotomous import binary_stats
 from chancekit.errors import DataError, UsageError
 from chancekit.multiclass import mutual_information
 from chancekit.significance import (
+    _hypergeom_numerators,
     chi2_bookmaker_family,
     chi2_positive,
     chi2_sf,
@@ -24,6 +25,7 @@ from chancekit.significance import (
     williams_correction,
 )
 from helpers import random_valid_tables, table_a, table_b
+import reference_stats
 
 INDEP = from_counts([[8, 2], [8, 2]])
 
@@ -230,6 +232,15 @@ def test_fisher_matches_exact_fraction_oracle():
             oracle = _fisher_fraction_oracle(counts, side)
             got = fisher_exact_2x2(t, side).p_value
             assert got == oracle.numerator / oracle.denominator
+
+
+def test_hypergeom_weights_match_binomial_products():
+    # The ratio recurrence must reproduce every integer weight, at the 2x2
+    # sizes the exact test meets in practice and with degenerate margins.
+    margins = [(20, 20, 17), (15, 25, 30), (500, 500, 480), (300, 700, 650),
+               (2000, 2000, 1990), (1000, 3000, 2500), (0, 5, 3), (3, 7, 0), (10, 3, 13)]
+    for rp, rn, pp in margins:
+        assert _hypergeom_numerators(rp, rn, pp) == reference_stats.hypergeom_numerators(rp, rn, pp)
 
 
 def test_fisher_degenerate_margins():

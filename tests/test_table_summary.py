@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_stats as ref
+from chancekit import contingency
 from chancekit.contingency import dichotomize, from_counts, margins
 from chancekit.dichotomous import binary_stats
 from chancekit.multiclass import (
@@ -22,7 +23,7 @@ from chancekit.multiclass import (
     multiclass_stats,
     mutual_information,
 )
-from chancekit.significance import chi2_bookmaker_family
+from chancekit.significance import chi2_bookmaker_family, full_table_tests
 
 
 @st.composite
@@ -79,3 +80,16 @@ def test_vectorised_measures_match_references(t):
     for rule in EXPONENT_RULES:
         for got, want in zip(det_estimates(t, rule), ref.det_estimates(t, rule)):
             assert _close(got, want), (rule, got, want)
+
+
+def test_mutual_information_taken_once_per_table(monkeypatch):
+    # multiclass_stats and full_table_tests both read it; the summary keeps it.
+    calls = []
+    reduce = contingency._sum_p_log_ratio
+    monkeypatch.setattr(contingency, "_sum_p_log_ratio",
+                        lambda *args: calls.append(args) or reduce(*args))
+    t = from_counts([[5, 2, 1], [1, 6, 2], [2, 1, 7]])
+    stats = multiclass_stats(t)
+    _, g2 = full_table_tests(t)
+    assert len(calls) == 1
+    assert g2.value == 2.0 * t.n * stats.mutual_information
