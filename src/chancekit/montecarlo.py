@@ -30,7 +30,6 @@ from .errors import DataError, UsageError
 from .multiclass import MulticlassStats, multiclass_stats
 from .significance import (
     SignificanceReport,
-    _log_factorials,
     chi2_bookmaker_family,
     cramers_v,
     fisher_exact_2x2,
@@ -213,31 +212,37 @@ def gen_chance(
 def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     """Cell by cell, the smallest count c with binomial(n, p) cdf(c) >= u.
 
-    The pmf is built from the log-factorial table over a window from 40
-    standard deviations (and 10 counts) below the mean, where the mass left
-    out is below 1e-20, far under the 1.1e-16 spacing of the uniform draws,
-    to 40 above.  Counting the cdf values below u is searchsorted(cdf, u)
-    row by row; cells go in chunks of about a million pmf values.
+    The pmf is taken over a window of h = 10 standard deviations plus 31
+    counts either side of the mean; Bernstein's inequality bounds the mass
+    beyond it on each side by exp(-h^2 / (2 (sd^2 + h / 3))) < exp(-46),
+    about 1e-20, far under the 1.1e-16 spacing of the uniform draws.  Its logs
+    come from the ratio pmf(c + 1) / pmf(c) = (n - c) p / ((c + 1) (1 - p))
+    summed along the window, and the window is normalised to total mass 1,
+    so the cost follows the window width, not n.  Counting the cdf values
+    below u is searchsorted(cdf, u) row by row; cells go in chunks of about
+    a million pmf values.
     """
     quantile = np.where(p >= 1.0, n, 0)
     inner = np.flatnonzero((p > 0.0) & (p < 1.0))
     if not inner.size:
         return quantile
-    log_factorials = _log_factorials(n)
     q = p.flat[inner]
     sd = np.sqrt(n * q * (1.0 - q))
-    lo = np.clip(np.floor(n * q - 40.0 * sd - 10.0), 0, n).astype(np.int64)
-    width = min(n + 1, int(80.0 * sd.max()) + 21)
+    half = 10.0 * sd + 31.0
+    lo = np.clip(np.floor(n * q - half), 0, n).astype(np.int64)
+    width = min(n + 1, int(2.0 * half.max()) + 2)
     chunk = max(1, (1 << 20) // width)
     for start in range(0, inner.size, chunk):
         part = slice(start, start + chunk)
         support = lo[part, None] + np.arange(width)
         inside = support <= n
-        support = np.minimum(support, n)
-        qq = q[part, None]
-        log_pmf = (log_factorials[n] - log_factorials[support] - log_factorials[n - support]
-                   + support * np.log(qq) + (n - support) * np.log1p(-qq))
-        cdf = np.cumsum(np.where(inside, np.exp(log_pmf), 0.0), axis=1)
+        steps = support[:, :-1]
+        log_ratio = (np.log(np.maximum(n - steps, 1) / (steps + 1.0))
+                     + np.log(q[part] / (1.0 - q[part]))[:, None])
+        log_pmf = np.concatenate([np.zeros((steps.shape[0], 1)), np.cumsum(log_ratio, axis=1)], axis=1)
+        log_pmf = np.where(inside, log_pmf, -np.inf)
+        cdf = np.cumsum(np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), axis=1)
+        cdf /= cdf[:, -1:]
         below = (cdf < u.flat[inner[part]][:, None]).sum(axis=1)
         quantile.flat[inner[part]] = np.minimum(lo[part] + below, n)
     return quantile

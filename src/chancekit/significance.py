@@ -123,14 +123,20 @@ def _log_gamma_prefactor(a: float, x: float) -> float:
     From a = 100 on, a log x, x and lgamma(a) are each far larger than
     their sum, so Gamma(a) is split into its Stirling form and remainder and
     the large parts cancel exactly: a log(x/a) + a - x = -a (r - log1p(r))
-    with r = (x - a) / a.
+    with r = (x - a) / a.  That form is needed only near x = a; once
+    |r| >= 0.5 the sum is at least 6% of its largest term, and
+    a (log x - log a) stays finite where r rounds to -1 (x far below a).
     """
     if a < 100.0:
         return a * math.log(x) - x - math.lgamma(a)
     r = (x - a) / a
+    if abs(r) < 0.5:
+        scaled = -a * (r - math.log1p(r))
+    else:
+        scaled = a * (math.log(x) - math.log(a)) + a - x
     inv, inv2 = 1.0 / a, 1.0 / (a * a)
     stirling = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
-    return -a * (r - math.log1p(r)) + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
+    return scaled + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
 
 
 def _gamma_q(a: float, x: float) -> float:

@@ -333,6 +333,17 @@ def test_chi2_sf_threshold_and_edges():
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+def test_chi2_sf_tiny_statistic_at_large_df():
+    # From df = 200 the prefactor takes Stirling's form; a statistic that is
+    # a rounding residue of zero (a K >= 15 table at independence) must give
+    # the tail 1, not fail where (x - a) / a rounds to -1.
+    for df in (200, 225, 2401, 998_001):
+        for x in (5e-324, 1e-300, 1e-25, 1e-20, 1e-8):
+            assert chi2_sf(x, df) == 1.0
+    for df in (225, 2401):
+        assert chi2_sf(1e300, df) == 0.0
+
+
 def test_chi2_sf_absolute_error_against_mpmath():
     # The docstring's bound, checked at df = 1..2401 ((K-1)^2 at K = 50) and
     # x = 0..5000: fixed points plus points around the mean, where the tail
