@@ -15,12 +15,12 @@ their (K-1)-scaled variants, and the margin-free conventional forms
 the full-table statistic; for a 2x2 table the full statistic is exactly
 n * B * M.
 
-Exact inference is available through the 2x2 hypergeometric test and a
-fixed-margin permutation sampler for K x K tables.  Tail probabilities of the
-chi-squared family come from the regularized upper incomplete gamma function
-Q(r/2, x/2): erfc for one degree of freedom, otherwise its power series below
-x = a + 1 and its Lentz continued fraction above (Press et al., Numerical
-Recipes, section 6.2).
+Exact inference comes from the 2x2 hypergeometric test and, for K x K tables,
+Patefield's fixed-margin sampler with p = (hits + 1) / (samples + 1) (Phipson
+& Smyth 2010).  Tail probabilities of the chi-squared family come from the
+regularized upper incomplete gamma function Q(r/2, x/2): erfc for one degree
+of freedom, otherwise its power series below x = a + 1 and its Lentz continued
+fraction above (Press et al., Numerical Recipes, section 6.2).
 """
 
 from __future__ import annotations
@@ -368,56 +368,58 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
     )
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log(i!) for i = 0..n, indexed by i."""
-    return np.fromiter((math.lgamma(i + 1.0) for i in range(n + 1)), dtype=float, count=n + 1)
+def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
+    """Yield m tables with t's margins, drawn from the fixed-margin null, as
+    K^2 cell vectors in row-major order (Patefield 1981, AS 159).  In rows
+    0..K-2 each cell but the last draws what is left of its row from the open
+    part of its column against the open total of the columns after it."""
+    left = [int(c) for c in t.col_totals]
+    below = sum(left)
+    for row in t.row_totals[:-1]:
+        r, rest, below = int(row), below - left[0], below - int(row)
+        for j in range(len(left) - 1):
+            x = rng.hypergeometric(left[j], rest, r, size=m)
+            yield x
+            left[j], r, rest = left[j] - x, r - x, rest - left[j + 1]
+        yield r
+        left[-1] = left[-1] - r
+    yield from left
 
 
 def fisher_montecarlo_kxk(
     t: ContingencyTable, samples: int = 100_000, seed: int = 0
 ) -> SignificanceReport:
-    """Fixed-margin permutation estimate of the exact test for K x K tables.
+    """Monte Carlo estimate of the exact fixed-margin test for K x K tables.
 
-    Tables are sampled by pairing the row-label multiset against a uniformly
-    permuted column-label multiset, which realizes the fixed-margin null
-    exactly.  The p estimate is the fraction of sampled tables whose
-    probability under that null is at most the observed table's, compared on
-    log scale with a tie tolerance.  Deterministic for a given seed.
-    """
+    Tables are drawn by Patefield's algorithm, (K-1)^2 hypergeometric draws
+    each whatever n is.  p = (hits + 1) / (samples + 1) (Phipson & Smyth
+    2010) is never 0; a hit is a draw at most as probable as the observed
+    table (log scale, tie tolerance 1e-9).  Deterministic for a given seed."""
     if samples < 1_000:
         raise UsageError(f"need at least 1000 samples, got {samples}")
     n = t.n
     if n == 0:
         raise DataError("cannot test an empty table")
-    k = t.k
-    rows = np.asarray(t.row_totals)
-    cols = np.asarray(t.col_totals)
-    rows_vec = np.repeat(np.arange(k), rows)
-    cols_vec = np.repeat(np.arange(k), cols)
-    # Fixed margins make the factorial terms of the margins constant, so the
-    # log-probability ordering reduces to comparing -sum(lgamma(cell + 1)).
-    log_factorials = _log_factorials(n)
-    s_obs = float(log_factorials[t.counts].sum())
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
+    if n >= 10**9:
+        raise DataError(f"the sampled exact test needs n below 10^9, got {n}")
+    # With fixed margins -sum(log(cell!)) orders the tables' probabilities; it
+    # is added cell by cell in row-major order, so equal tables tie to the bit.
+    log_factorials = np.fromiter((math.lgamma(i + 1.0) for i in range(n + 1)), float, n + 1)
+    s_obs = 0.0
+    for c in t.counts.ravel():
+        s_obs += log_factorials[c]
+    rng = np.random.Generator(np.random.SFC64(int(seed) & ((1 << 128) - 1)))
+    chunk = max(1, (1 << 20) // (t.k * t.k))
     hits = 0
-    done = 0
-    chunk = max(1, (1 << 20) // max(n, 1))
-    codes_base = rows_vec * k
-    while done < samples:
-        m = min(chunk, samples - done)
-        u = rng.random((m, n))
-        perm = np.argsort(u, axis=1)
-        shuffled = cols_vec[perm]
-        codes = codes_base[None, :] + shuffled
-        offsets = (np.arange(m) * (k * k))[:, None]
-        tallies = np.bincount((codes + offsets).ravel(), minlength=m * k * k)
-        s = log_factorials[tallies.reshape(m, k * k)].sum(axis=1)
+    for done in range(0, samples, chunk):
+        s = 0.0
+        for c in _patefield_cells(t, min(chunk, samples - done), rng):
+            s += log_factorials[c]
         hits += int((s >= s_obs - 1e-9).sum())
-        done += m
-    p = hits / samples
+    p = (hits + 1) / (samples + 1)
     return SignificanceReport(
         kind="fisher_mc", value=p, df=1, p_value=p, n=n,
-        df_alpha=(k - 1) ** 2, df_beta=k - 1,
+        df_alpha=(t.k - 1) ** 2, df_beta=t.k - 1,
     )
 
 

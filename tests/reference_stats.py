@@ -9,6 +9,7 @@ finite, `mutual_information`, `conditional_entropy`, `evenness_variants` and
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,3 +71,34 @@ def hypergeom_numerators(rp, rn, pp):
     lo = max(0, pp - rn)
     hi = min(rp, pp)
     return {a: math.comb(rp, a) * math.comb(rn, pp - a) for a in range(lo, hi + 1)}
+
+
+def fixed_margin_law(rows, cols):
+    """Exact probability of every table with the given margins under the
+    fixed-margin null, prod(r!) prod(c!) / (n! prod(x!)), keyed by the cells
+    in row-major order.  Enumerates cell by cell, so keep the margins small."""
+    n = sum(rows)
+    k_rows, k_cols = len(rows), len(cols)
+    constant = Fraction(math.prod(map(math.factorial, [*rows, *cols])), math.factorial(n))
+    law = {}
+
+    def fill(cells, row_left, col_left):
+        i, j = divmod(len(cells), k_cols)
+        if i == k_rows:
+            law[tuple(cells)] = constant / math.prod(map(math.factorial, cells))
+            return
+        cap = min(row_left[i], col_left[j])
+        if i == k_rows - 1 or j == k_cols - 1:
+            forced = col_left[j] if i == k_rows - 1 else row_left[i]
+            choices = [forced] if forced <= cap else []
+        else:
+            choices = range(cap + 1)
+        for x in choices:
+            row_left[i] -= x
+            col_left[j] -= x
+            fill(cells + [x], row_left, col_left)
+            row_left[i] += x
+            col_left[j] += x
+
+    fill([], list(rows), list(cols))
+    return law

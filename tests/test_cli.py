@@ -253,6 +253,14 @@ def test_significance_seed_reproducibility(tmp_path):
     assert isinstance(doc3["seed"], int)
 
 
+def test_significance_fisher_beyond_sampler_range_exit_2(tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text("1000000000,0,0\n0,1,0\n0,0,1\n")
+    proc = run_cli("significance", "--table", str(p), "--family", "fisher", "--seed", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert "10^9" in proc.stderr
+
+
 def test_confidence_command():
     doc = run_json("confidence", "--table", TABLE_A)
     variants = {c["variant"]: c for c in doc["confidence"]}

@@ -13,6 +13,7 @@ from chancekit.errors import DataError, UsageError
 from chancekit.multiclass import mutual_information
 from chancekit.significance import (
     _hypergeom_numerators,
+    _patefield_cells,
     chi2_bookmaker_family,
     chi2_positive,
     chi2_sf,
@@ -263,8 +264,9 @@ def test_fisher_montecarlo_agrees_with_exact_2x2():
 
 
 def test_fisher_montecarlo_perfect_diagonal():
+    # No draw is as improbable as the diagonal, so p is (0 + 1) / (samples + 1).
     t = from_counts(np.eye(4, dtype=int) * 10)
-    assert fisher_montecarlo_kxk(t, samples=2000, seed=1).p_value < 0.01
+    assert fisher_montecarlo_kxk(t, samples=2000, seed=1).p_value == 1 / 2001
 
 
 def test_fisher_montecarlo_independent_table():
@@ -286,6 +288,69 @@ def test_fisher_montecarlo_deterministic():
 def test_fisher_montecarlo_rejects_tiny_sample_counts():
     with pytest.raises(UsageError):
         fisher_montecarlo_kxk(table_a(), samples=10, seed=0)
+
+
+def test_fisher_montecarlo_rejects_n_beyond_hypergeometric_range(monkeypatch):
+    # numpy's hypergeometric draws need each margin below 10^9; the check must
+    # come before the n + 1 entry log-factorial table is built.
+    def no_table(_):
+        raise AssertionError("log-factorial table built before the range check")
+
+    monkeypatch.setattr(math, "lgamma", no_table)
+    t = from_counts([[10**9, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(DataError):
+        fisher_montecarlo_kxk(t, samples=1000, seed=0)
+
+
+# Goodness of fit of the fixed-margin sampler to the exact law, at level
+# 0.001 with a fixed seed: categories expected fewer than 5 times are pooled.
+FIT_LEVEL = 0.001
+FIT_DRAWS = 20_000
+
+
+def _sampled_tables(counts, seed):
+    t = from_counts(counts)
+    rng = np.random.Generator(np.random.SFC64(seed))
+    cells = np.stack(list(_patefield_cells(t, FIT_DRAWS, rng)), axis=1)
+    tables = cells.reshape(FIT_DRAWS, t.k, t.k)
+    assert (tables >= 0).all()
+    assert (tables.sum(axis=2) == t.row_totals).all()
+    assert (tables.sum(axis=1) == t.col_totals).all()
+    return tables
+
+
+def _fit_p_value(observed, probabilities):
+    expected = FIT_DRAWS * np.asarray(probabilities, dtype=float)
+    observed = np.asarray(observed, dtype=float)
+    keep = expected >= 5.0
+    o, e = observed[keep], expected[keep]
+    if not keep.all():
+        o, e = np.append(o, observed[~keep].sum()), np.append(e, expected[~keep].sum())
+    return chi2_sf(float(((o - e) ** 2 / e).sum()), len(e) - 1)
+
+
+@pytest.mark.parametrize("counts", [[[3, 2], [3, 4]], [[30, 12], [15, 23]]])
+def test_patefield_cells_fit_hypergeometric_law_2x2(counts):
+    tables = _sampled_tables(counts, seed=11)
+    (rp, rn), pp = np.sum(counts, axis=0), sum(counts[0])
+    weights = _hypergeom_numerators(int(rp), int(rn), int(pp))
+    total = math.comb(int(rp + rn), int(pp))
+    drawn = tables[:, 0, 0]
+    assert set(np.unique(drawn)) <= set(weights)
+    observed = [(drawn == a).sum() for a in weights]
+    assert _fit_p_value(observed, [w / total for w in weights.values()]) > FIT_LEVEL
+
+
+@pytest.mark.parametrize("counts", [[[1, 1, 1], [0, 1, 2], [1, 1, 1]],
+                                    [[0, 1, 0], [2, 0, 0], [2, 3, 1]]])
+def test_patefield_cells_fit_enumerated_law_3x3(counts):
+    tables = _sampled_tables(counts, seed=12)
+    law = reference_stats.fixed_margin_law(np.sum(counts, axis=1).tolist(),
+                                           np.sum(counts, axis=0).tolist())
+    drawn, freq = np.unique(tables.reshape(FIT_DRAWS, -1), axis=0, return_counts=True)
+    seen = dict(zip(map(tuple, drawn.tolist()), freq.tolist()))
+    assert set(seen) <= set(law)
+    assert _fit_p_value([seen.get(key, 0) for key in law], list(law.values())) > FIT_LEVEL
 
 
 def test_williams_independence_even_margin_formula():
