@@ -49,6 +49,7 @@ from .significance import (
     fisher_montecarlo_kxk,
     full_table_tests,
     g2_positive,
+    posthoc_calibration,
     williams_correction,
 )
 
@@ -227,6 +228,11 @@ def _print_significance_text(doc: dict) -> None:
         print()
         for key, value in doc["association"].items():
             print(f"{key}: {value:.6f}")
+    if "posthoc" in doc:
+        cal = doc["posthoc"]
+        print()
+        print(f"posthoc: p={cal['p']:.6f} implies false-positive risk >= {cal['alpha_post']:.6f}"
+              f" (bound L={cal['l_bound']:.6f}, beta_post={cal['beta_post']:.6f})")
 
 
 def _print_confidence_text(doc: dict, percent: bool) -> None:
@@ -312,13 +318,17 @@ def _cmd_significance(args) -> None:
         }
     if want_fisher:
         if t.k == 2:
-            reports.append(fisher_exact_2x2(t, args.fisher_sided))
+            fisher = fisher_exact_2x2(t, args.fisher_sided)
         else:
             seed = args.seed if args.seed is not None else _fresh_seed()
             doc["seed"] = seed
-            reports.append(fisher_montecarlo_kxk(t, args.fisher_samples, seed))
+            fisher = fisher_montecarlo_kxk(t, args.fisher_samples, seed)
+        reports.append(fisher)
 
     doc["significance"] = [_report_dict(rep, args.alpha) for rep in reports]
+    # The calibration bound is defined only below p = 1/e.
+    if want_fisher and 0.0 < fisher.p_value < 1.0 / math.e:
+        doc["posthoc"] = dataclasses.asdict(posthoc_calibration(fisher.p_value))
     _emit(doc, args, lambda: _print_significance_text(doc))
 
 

@@ -153,8 +153,9 @@ class ContingencyTable:
         )
         for arr in arrays.values():
             arr.setflags(write=False)
-        return _TableSummary(n=n, det=_joint_det(arrays["probs"]), **arrays,
-                             mean_log_prevalence=float(np.log(prevalence).mean()),
+        det, det_sign, log_abs_det = _joint_det_slogdet(arrays["probs"])
+        return _TableSummary(n=n, det=det, det_sign=det_sign, log_abs_det=log_abs_det,
+                             **arrays, mean_log_prevalence=float(np.log(prevalence).mean()),
                              mean_log_bias=float(np.log(bias).mean()))
 
 
@@ -163,9 +164,10 @@ class _TableSummary:
     """What every chance-corrected measure reads from a table with positive
     margins, and the only place that reduces them: prevalence and bias as
     fractions of n, the joint probabilities, their independence expectation
-    and determinant, the mean log-margins (so margin products stay finite at
-    any K), and at index i of each rate vector what binary_stats reports for
-    dichotomize(t, i), computed the same way so the two agree bit for bit.
+    and determinant (with its sign and log-magnitude, from one factorisation),
+    the mean log-margins (so margin products stay finite at any K), and at
+    index i of each rate vector what binary_stats reports for dichotomize(t,
+    i), computed the same way so the two agree bit for bit.
     evenness_r/_p are the products m(1 - m)."""
 
     n: int
@@ -174,6 +176,8 @@ class _TableSummary:
     probs: np.ndarray
     expected: np.ndarray
     det: float
+    det_sign: float
+    log_abs_det: float
     mean_log_prevalence: float
     mean_log_bias: float
     recall: np.ndarray
@@ -187,8 +191,10 @@ class _TableSummary:
     @cached_property
     def mutual_information(self) -> float:
         """In nats; taken on first use, since both the multiclass record and
-        the full-table log-likelihood statistic read it."""
-        return _sum_p_log_ratio(self.probs, self.expected)
+        the full-table log-likelihood statistic read it.  Never negative: at
+        exact independence the sum leaves a rounding residue either side of 0,
+        and a negative one would reach the G-statistic and Cramer's V."""
+        return max(0.0, _sum_p_log_ratio(self.probs, self.expected))
 
 
 def _sum_p_log_ratio(probs: np.ndarray, denominators: np.ndarray) -> float:
@@ -424,23 +430,19 @@ def expectation_delta(nt: NormalizedTable) -> tuple[np.ndarray, np.ndarray, floa
     bias = probs.sum(axis=1)
     prevalence = probs.sum(axis=0)
     expected = np.outer(bias, prevalence)
-    return expected, probs - expected, _joint_det(probs)
+    return expected, probs - expected, _joint_det_slogdet(probs)[0]
 
 
-def _joint_det(probs: np.ndarray) -> float:
-    """Determinant of a square joint-probability matrix, written out at 2x2."""
-    if probs.shape[0] == 2:
-        return float(probs[0, 0] * probs[1, 1] - probs[0, 1] * probs[1, 0])
-    return float(np.linalg.det(probs))
-
-
-def _joint_slogdet(probs: np.ndarray) -> tuple[float, float]:
-    """Sign (0 if singular) and log-magnitude of _joint_det(probs), finite
-    where the determinant itself underflows."""
+def _joint_det_slogdet(probs: np.ndarray) -> tuple[float, float, float]:
+    """Determinant of a square joint-probability matrix, its sign (0 if
+    singular) and its log-magnitude, which stays finite where the determinant
+    underflows.  Written out at 2x2; above, one LU factorisation gives sign
+    and log-magnitude, and det = sign * exp(log|det|) as np.linalg.det forms it."""
     if probs.shape[0] > 2:
-        return tuple(map(float, np.linalg.slogdet(probs)))
-    det = _joint_det(probs)
-    return (math.copysign(1.0, det), math.log(abs(det))) if det else (0.0, -math.inf)
+        sign, log_abs = map(float, np.linalg.slogdet(probs))
+        return sign * math.exp(log_abs), sign, log_abs
+    det = float(probs[0, 0] * probs[1, 1] - probs[0, 1] * probs[1, 0])
+    return (det, math.copysign(1.0, det), math.log(abs(det))) if det else (det, 0.0, -math.inf)
 
 
 def repair_zero_margins(t: ContingencyTable) -> ContingencyTable:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable, _joint_slogdet, _sum_p_log_ratio
+from .contingency import ContingencyTable, _sum_p_log_ratio
 from .errors import UsageError
 
 __all__ = [
@@ -154,11 +154,10 @@ def det_estimates(
     s = t._summary
     k = t.k
     e = 2.0 / k if exponent_rule == "two_over_k" else 4.0 / (3.0 * k - 2.0)
-    sign, log_det = _joint_slogdet(s.probs)
-    if sign == 0.0:
+    if s.det_sign == 0.0:
         return 0.0, 0.0, 0.0
     log_bias, log_prev = k * s.mean_log_bias, k * s.mean_log_prevalence
-    return tuple(sign * math.exp(e * (log_det - log_product))
+    return tuple(s.det_sign * math.exp(e * (s.log_abs_det - log_product))
                  for log_product in (log_bias, log_prev, 0.5 * (log_prev + log_bias)))
 
 

@@ -404,7 +404,10 @@ def fisher_montecarlo_kxk(
         raise DataError(f"the sampled exact test needs n below 10^9, got {n}")
     # With fixed margins -sum(log(cell!)) orders the tables' probabilities; it
     # is added cell by cell in row-major order, so equal tables tie to the bit.
-    log_factorials = np.fromiter((math.lgamma(i + 1.0) for i in range(n + 1)), float, n + 1)
+    # No cell of a table with these margins exceeds the smaller of the largest
+    # row and column totals, so the table of log(i!) stops there.
+    top = int(min(t.row_totals.max(), t.col_totals.max()))
+    log_factorials = np.fromiter((math.lgamma(i + 1.0) for i in range(top + 1)), float, top + 1)
     s_obs = 0.0
     for c in t.counts.ravel():
         s_obs += log_factorials[c]

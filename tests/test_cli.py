@@ -1,13 +1,15 @@
-"""End-to-end command-line tests, over a subprocess boundary except for the
-in-process fuzz test of `main`.
+"""End-to-end command-line tests, over a subprocess boundary or through an
+in-process call of `main`.
 
 Exit code contract: 0 success, 1 usage, 2 data, 3 internal failure.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chancekit.cli import main
+from chancekit.cli import build_parser, main
+from chancekit.significance import posthoc_calibration
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 DATA = Path(__file__).parent / "data"
 TABLE_A = str(DATA / "table2a.csv")
 TABLE_B = str(DATA / "table2b.csv")
@@ -236,6 +240,76 @@ def test_significance_family_all_includes_positive_and_families():
                      "xb", "xm", "xbm", "conv_b", "conv_m", "conv_bm",
                      "full_chi2", "full_g2"):
         assert expected in kinds
+
+
+def main_output(*args):
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(list(args)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("path, p", [(TABLE_A, 0.043920131566229655), (TABLE_B, 0.06293)])
+def test_significance_posthoc_from_fisher_p(path, p):
+    doc = json.loads(main_output("significance", "--table", path, "--format", "json"))
+    fisher = doc["significance"][-1]
+    assert fisher["kind"] == "fisher_two"
+    assert fisher["p_value"] == pytest.approx(p, rel=1e-4)
+    assert doc["posthoc"] == dataclasses.asdict(posthoc_calibration(fisher["p_value"]))
+    fields = dict(csv.reader(io.StringIO(main_output("significance", "--table", path,
+                                                     "--format", "csv"))))
+    assert float(fields["posthoc.alpha_post"]) == doc["posthoc"]["alpha_post"]
+    text = main_output("significance", "--table", path)
+    assert f"false-positive risk >= {doc['posthoc']['alpha_post']:.6f}" in text
+
+
+def test_significance_posthoc_from_sampled_fisher_p(tmp_path):
+    p = tmp_path / "t3.csv"
+    p.write_text("9,1,1\n1,9,1\n1,1,9\n")
+    doc = json.loads(main_output("significance", "--table", str(p), "--family", "fisher",
+                                 "--fisher-samples", "1000", "--seed", "3", "--format", "json"))
+    (fisher,) = doc["significance"]
+    assert fisher["kind"] == "fisher_mc"
+    assert doc["posthoc"] == dataclasses.asdict(posthoc_calibration(fisher["p_value"]))
+
+
+def test_significance_calibration_block_only_where_defined(tmp_path):
+    # No Fisher report, or a Fisher p at or above 1/e: no block at all.
+    doc = json.loads(main_output("significance", "--table", TABLE_A, "--family", "kb",
+                                 "--format", "json"))
+    assert "posthoc" not in doc
+    p = tmp_path / "indep.csv"
+    p.write_text("8,2\n8,2\n")
+    for fmt in ("json", "csv", "text"):
+        out = main_output("significance", "--table", str(p), "--format", fmt)
+        assert "posthoc" not in out
+
+
+def test_significance_at_exact_independence_exit_0(tmp_path):
+    # The mutual information of an outer product sums to a rounding residue
+    # that can fall below 0, and Cramer's V rejects a negative statistic.
+    p = tmp_path / "outer.csv"
+    rows = [[r * c for c in (11, 11, 18, 6, 16)] for r in (10, 12, 19, 14, 13)]
+    p.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    for family in ("full", "all"):
+        doc = json.loads(main_output("significance", "--table", str(p), "--family", family,
+                                     "--fisher-samples", "1000", "--seed", "1",
+                                     "--format", "json"))
+        assert doc["association"]["cramers_v_g2"] == 0.0
+    evaluate = json.loads(main_output("evaluate", "--table", str(p), "--format", "json"))
+    assert evaluate["metrics"]["multiclass"]["mutual_information"] == 0.0
+
+
+def test_readme_command_lines_parse():
+    # Every documented `chancekit ...` call under "Command line" must name
+    # commands and options the parser still accepts; nothing is run.
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line.split(" #", 1)[0] for line in section.splitlines()
+             if line.startswith("chancekit ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.handler), line
 
 
 def test_significance_seed_reproducibility(tmp_path):

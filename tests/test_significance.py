@@ -292,7 +292,7 @@ def test_fisher_montecarlo_rejects_tiny_sample_counts():
 
 def test_fisher_montecarlo_rejects_n_beyond_hypergeometric_range(monkeypatch):
     # numpy's hypergeometric draws need each margin below 10^9; the check must
-    # come before the n + 1 entry log-factorial table is built.
+    # come before the log-factorial table is built.
     def no_table(_):
         raise AssertionError("log-factorial table built before the range check")
 
@@ -300,6 +300,18 @@ def test_fisher_montecarlo_rejects_n_beyond_hypergeometric_range(monkeypatch):
     t = from_counts([[10**9, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(DataError):
         fisher_montecarlo_kxk(t, samples=1000, seed=0)
+
+
+def test_fisher_montecarlo_log_factorials_stop_at_largest_cell(monkeypatch):
+    # A cell never exceeds min(largest row, largest column) = 402 here, while
+    # n = 1006: the log(i!) table holds 403 entries, not n + 1.
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    t = from_counts([[400, 300, 300], [1, 2, 0], [1, 0, 2]])
+    assert t.n == 1006
+    fisher_montecarlo_kxk(t, samples=1000, seed=0)
+    assert len(calls) == 403
 
 
 # Goodness of fit of the fixed-margin sampler to the exact law, at level

@@ -23,7 +23,7 @@ from chancekit.multiclass import (
     multiclass_stats,
     mutual_information,
 )
-from chancekit.significance import chi2_bookmaker_family, full_table_tests
+from chancekit.significance import chi2_bookmaker_family, cramers_v, full_table_tests
 
 
 @st.composite
@@ -93,3 +93,33 @@ def test_mutual_information_taken_once_per_table(monkeypatch):
     _, g2 = full_table_tests(t)
     assert len(calls) == 1
     assert g2.value == 2.0 * t.n * stats.mutual_information
+
+
+def test_determinant_factorised_once(monkeypatch):
+    # The printed det and both det_estimates rules share one slogdet call.
+    t = from_counts([[5, 2, 1, 0], [1, 6, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]])
+    det, slogdet = np.linalg.det, np.linalg.slogdet
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append("det") or det(a))
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append("slogdet") or slogdet(a))
+    stats = multiclass_stats(t)
+    for rule in EXPONENT_RULES:
+        det_estimates(t, rule)
+    assert calls == ["slogdet"]
+    assert stats.det == det(t.counts / t.n)
+
+
+def test_mutual_information_never_negative_at_exact_independence():
+    # An outer product of margins leaves a rounding residue below 0 in the
+    # reduction; the summary clamps it, so G and Cramer's V stay defined.
+    t = from_counts(np.outer([10, 12, 19, 14, 13], [11, 11, 18, 6, 16]))
+    assert contingency._sum_p_log_ratio(t._summary.probs, t._summary.expected) < 0.0
+    assert mutual_information(t) == 0.0
+    _, g2 = full_table_tests(t)
+    assert g2.value == 0.0 and g2.p_value == 1.0
+    assert cramers_v(g2.value, t.n, t.k) == 0.0
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        counts = np.outer(rng.integers(1, 30, k), rng.integers(1, 30, k))
+        assert mutual_information(from_counts(counts)) >= 0.0
