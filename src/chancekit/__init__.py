@@ -7,114 +7,22 @@ Monte Carlo harness that checks the intervals empirically.
 
 __version__ = "0.1.0"
 
-from .confidence import (
-    CI_VARIANTS,
-    SSE_RULES,
-    ConfidenceInterval,
-    SystemComparison,
-    compare_systems,
-    confidence_interval,
-    evenness_factor,
-    normal_multiplier,
-    sse_profile,
-)
-from .contingency import (
-    TRANSFORM_KINDS,
-    ContingencyTable,
-    CostModel,
-    Margins,
-    NormalizedTable,
-    dichotomize,
-    expectation_delta,
-    from_counts,
-    from_pairs,
-    load_pairs,
-    load_table_csv,
-    margins,
-    normalize,
-    parse_pairs,
-    parse_table_csv,
-    repair_zero_margins,
-    require_positive_margins,
-    transform,
-)
-from .dichotomous import (
-    BinaryStats,
-    auc_single_point,
-    binary_stats,
-    regression_coefficients,
-    wracc,
-)
-from .errors import ChanceKitError, DataError, UsageError
-from .montecarlo import (
-    RUNS_CSV_COLUMNS,
-    CoverageReport,
-    SimConfig,
-    SimRun,
-    StepSummary,
-    coverage_report,
-    gen_chance,
-    gen_perfect,
-    mix_and_constrain,
-    run_grid,
-    run_single,
-    substream,
-    write_runs_csv,
-    write_summary_csv,
-)
-from .multiclass import (
-    EXPONENT_RULES,
-    EvennessVariants,
-    MulticlassStats,
-    bookmaker_informedness,
-    conditional_entropy,
-    correlation_bmg,
-    det_estimates,
-    evenness_variants,
-    macro_averages,
-    multiclass_kappa,
-    multiclass_markedness,
-    multiclass_stats,
-    mutual_information,
-)
-from .significance import (
-    FAMILY_KINDS,
-    PosthocCalibration,
-    SignificanceReport,
-    chi2_bookmaker_family,
-    chi2_positive,
-    chi2_sf,
-    cramers_v,
-    fisher_exact_2x2,
-    fisher_montecarlo_kxk,
-    full_table_tests,
-    g2_positive,
-    posthoc_calibration,
-    williams_correction,
-)
+from . import confidence, contingency, dichotomous, errors, montecarlo, multiclass, significance
+from .confidence import *
+from .contingency import *
+from .dichotomous import *
+from .errors import *
+from .montecarlo import *
+from .multiclass import *
+from .significance import *
 
 __all__ = [
     "__version__",
-    "ChanceKitError", "UsageError", "DataError",
-    "ContingencyTable", "NormalizedTable", "Margins", "CostModel",
-    "TRANSFORM_KINDS", "from_counts", "from_pairs", "normalize", "margins",
-    "require_positive_margins", "dichotomize", "transform", "expectation_delta",
-    "repair_zero_margins", "parse_table_csv", "load_table_csv", "parse_pairs",
-    "load_pairs",
-    "BinaryStats", "binary_stats", "auc_single_point", "wracc",
-    "regression_coefficients",
-    "EXPONENT_RULES", "EvennessVariants", "MulticlassStats",
-    "bookmaker_informedness", "multiclass_markedness", "correlation_bmg",
-    "mutual_information", "conditional_entropy", "det_estimates",
-    "evenness_variants", "multiclass_kappa", "macro_averages", "multiclass_stats",
-    "FAMILY_KINDS", "SignificanceReport", "PosthocCalibration", "chi2_sf",
-    "chi2_positive", "g2_positive", "chi2_bookmaker_family", "full_table_tests",
-    "cramers_v", "fisher_exact_2x2", "fisher_montecarlo_kxk",
-    "williams_correction", "posthoc_calibration",
-    "SSE_RULES", "CI_VARIANTS", "ConfidenceInterval", "SystemComparison",
-    "sse_profile", "evenness_factor", "normal_multiplier",
-    "confidence_interval", "compare_systems",
-    "RUNS_CSV_COLUMNS", "SimConfig", "SimRun", "StepSummary", "CoverageReport",
-    "substream", "gen_perfect", "gen_chance", "mix_and_constrain", "run_single",
-    "run_grid", "coverage_report", "write_runs_csv", "write_summary_csv",
+    *errors.__all__,
+    *contingency.__all__,
+    *dichotomous.__all__,
+    *multiclass.__all__,
+    *significance.__all__,
+    *confidence.__all__,
+    *montecarlo.__all__,
 ]

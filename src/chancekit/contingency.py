@@ -458,23 +458,12 @@ def repair_zero_margins(t: ContingencyTable) -> ContingencyTable:
     if (rows > 0).all() and (cols > 0).all():
         return t
     c = t.counts.copy()
-    for i in range(t.k):
-        if rows[i] == 0 and cols[i] == 0:
-            c[i, i] = 1
-    row_sum = c.sum(axis=1)
-    col_sum = c.sum(axis=0)
-    for i in range(t.k):
-        if row_sum[i] == 0:
-            j = int(np.argmax(col_sum > 0))
-            c[i, j] += 1
-            row_sum = c.sum(axis=1)
-            col_sum = c.sum(axis=0)
-    for j in range(t.k):
-        if col_sum[j] == 0:
-            i = int(np.argmax(row_sum > 0))
-            c[i, j] += 1
-            row_sum = c.sum(axis=1)
-            col_sum = c.sum(axis=0)
+    paired = np.flatnonzero((rows == 0) & (cols == 0))
+    c[paired, paired] = 1
+    # Units go only into positive columns, so the lowest one stays the same
+    # for every zero row, and after that every row is positive.
+    c[c.sum(axis=1) == 0, np.argmax(c.sum(axis=0) > 0)] += 1
+    c[0, c.sum(axis=0) == 0] += 1
     return ContingencyTable(c, t.labels)
 
 
@@ -560,17 +549,17 @@ def _table_from_rows(rows: list[list[str]], labels: Sequence[str] | None) -> Con
     if not rows:
         raise DataError("empty table file")
 
-    def to_matrix(data: list[list[str]], where: str) -> np.ndarray:
+    def to_matrix(data: list[list[str]]) -> np.ndarray:
         for i, row in enumerate(data):
             if len(row) != len(data[0]):
-                raise DataError(f"ragged table row at {where} line {i + 1}")
+                raise DataError(f"ragged table row at data line {i + 1}")
             for cell in row:
                 if not _is_count(cell):
-                    raise DataError(f"non-numeric count '{cell}' at {where} line {i + 1}")
+                    raise DataError(f"non-numeric count '{cell}' at data line {i + 1}")
         return _validated_cells([[_count_value(cell) for cell in row] for row in data])
 
     if _is_count(rows[0][0]):
-        matrix = to_matrix(rows, "data")
+        matrix = to_matrix(rows)
         return from_counts(matrix, labels)
 
     header = rows[0]
@@ -585,13 +574,13 @@ def _table_from_rows(rows: list[list[str]], labels: Sequence[str] | None) -> Con
         row_labels = []
         data = body
         col_labels = header
-    matrix = to_matrix(data, "data")
+    matrix = to_matrix(data)
     if matrix.shape[0] != matrix.shape[1]:
         raise DataError(f"table is {matrix.shape[0]}x{matrix.shape[1]}, expected square")
     if row_labels:
-        if col_labels and sorted(col_labels) != sorted(row_labels):
+        if sorted(col_labels) != sorted(row_labels):
             raise DataError("row and column labels name different sets")
-        if col_labels and list(col_labels) != list(row_labels):
+        if list(col_labels) != list(row_labels):
             order = [list(col_labels).index(lbl) for lbl in row_labels]
             matrix = matrix[:, order]
         parsed = list(row_labels)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every module in the package."""
 
+__all__ = ["ChanceKitError", "UsageError", "DataError"]
+
 
 class ChanceKitError(Exception):
     """Base class for all package-specific errors."""

@@ -180,11 +180,11 @@ def gen_chance(
     """Independence-level table: random margins, cells spread around the
     margin-product expectations e = n * bias * prevalence.
 
-    uniform draws each cell on [0, 2e); binomial_copula pushes a uniform
-    draw through the binomial(n, e/n) quantile function; the default
-    absolute_shifted_normal takes |normal(e + s, 1.5 s)| with s the binomial
-    standard deviation sqrt(e (1 - e/n)), the upward shift compensating the
-    mass lost to truncation and rounding at small expectations.  The 1.5
+    uniform draws each cell on [0, 2e); binomial_copula draws each cell
+    binomial(n, e/n) directly; the default absolute_shifted_normal takes
+    |normal(e + s, 1.5 s)| with s the binomial standard deviation
+    sqrt(e (1 - e/n)), the upward shift compensating the mass lost to
+    truncation and rounding at small expectations.  The 1.5
     noise scale restores the dispersion the positivity fold and the shift
     toward uniformity damp out of the folded sampler; without it the null
     spread of the informedness estimate falls below what the evenness-scaled
@@ -200,52 +200,12 @@ def gen_chance(
     if cell_distribution == "uniform":
         cells = rng.uniform(0.0, 2.0 * expected)
     elif cell_distribution == "binomial_copula":
-        u = rng.uniform(0.0, 1.0, size=(k, k))
-        cells = _binomial_quantile(u, n, np.clip(expected / n, 0.0, 1.0))
+        cells = rng.binomial(n, np.clip(expected / n, 0.0, 1.0))
     else:
         sd = np.sqrt(expected * (1.0 - np.clip(expected / n, 0.0, 1.0)))
         cells = np.abs(rng.normal(expected + sd, 1.5 * sd))
     counts = np.maximum(np.rint(cells), 0.0).astype(np.int64)
     return from_counts(counts)
-
-
-def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """Cell by cell, the smallest count c with binomial(n, p) cdf(c) >= u.
-
-    The pmf is taken over a window of h = 10 standard deviations plus 31
-    counts either side of the mean; Bernstein's inequality bounds the mass
-    beyond it on each side by exp(-h^2 / (2 (sd^2 + h / 3))) < exp(-46),
-    about 1e-20, far under the 1.1e-16 spacing of the uniform draws.  Its logs
-    come from the ratio pmf(c + 1) / pmf(c) = (n - c) p / ((c + 1) (1 - p))
-    summed along the window, and the window is normalised to total mass 1,
-    so the cost follows the window width, not n.  Counting the cdf values
-    below u is searchsorted(cdf, u) row by row; cells go in chunks of about
-    a million pmf values.
-    """
-    quantile = np.where(p >= 1.0, n, 0)
-    inner = np.flatnonzero((p > 0.0) & (p < 1.0))
-    if not inner.size:
-        return quantile
-    q = p.flat[inner]
-    sd = np.sqrt(n * q * (1.0 - q))
-    half = 10.0 * sd + 31.0
-    lo = np.clip(np.floor(n * q - half), 0, n).astype(np.int64)
-    width = min(n + 1, int(2.0 * half.max()) + 2)
-    chunk = max(1, (1 << 20) // width)
-    for start in range(0, inner.size, chunk):
-        part = slice(start, start + chunk)
-        support = lo[part, None] + np.arange(width)
-        inside = support <= n
-        steps = support[:, :-1]
-        log_ratio = (np.log(np.maximum(n - steps, 1) / (steps + 1.0))
-                     + np.log(q[part] / (1.0 - q[part]))[:, None])
-        log_pmf = np.concatenate([np.zeros((steps.shape[0], 1)), np.cumsum(log_ratio, axis=1)], axis=1)
-        log_pmf = np.where(inside, log_pmf, -np.inf)
-        cdf = np.cumsum(np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), axis=1)
-        cdf /= cdf[:, -1:]
-        below = (cdf < u.flat[inner[part]][:, None]).sum(axis=1)
-        quantile.flat[inner[part]] = np.minimum(lo[part] + below, n)
-    return quantile
 
 
 def _safe_decrement_mask(counts: np.ndarray) -> np.ndarray:

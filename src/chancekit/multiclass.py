@@ -27,6 +27,7 @@ from .contingency import ContingencyTable, _sum_p_log_ratio
 from .errors import UsageError
 
 __all__ = [
+    "EXPONENT_RULES",
     "EvennessVariants",
     "MulticlassStats",
     "bookmaker_informedness",

@@ -1,5 +1,7 @@
 """Cell-by-cell information measures and margin products multiplied out,
-kept as the reference for the vectorised, log-space forms in chancekit.
+kept as the reference for the vectorised, log-space forms in chancekit, and
+the unit-by-unit zero-margin repair that `repair_zero_margins` places in
+three vector assignments.
 
 These are the straightforward implementations: the entropies walk every cell
 in Python, and the evenness plus forms and the determinant estimates take
@@ -102,3 +104,30 @@ def fixed_margin_law(rows, cols):
 
     fill([], list(rows), list(cols))
     return law
+
+
+def repair_zero_margins(counts):
+    """The zero-margin repair placed unit by unit, re-summing the margins
+    after every unit: a 1 at (i, i) for each zero row paired with a zero
+    column i, then +1 for each remaining zero row (column) in the
+    lowest-index column (row) with a positive margin.  Returns the counts."""
+    c = np.array(counts, dtype=np.int64)
+    k = c.shape[0]
+    rows = c.sum(axis=1)
+    cols = c.sum(axis=0)
+    for i in range(k):
+        if rows[i] == 0 and cols[i] == 0:
+            c[i, i] = 1
+    row_sum = c.sum(axis=1)
+    col_sum = c.sum(axis=0)
+    for i in range(k):
+        if row_sum[i] == 0:
+            c[i, int(np.argmax(col_sum > 0))] += 1
+            row_sum = c.sum(axis=1)
+            col_sum = c.sum(axis=0)
+    for j in range(k):
+        if col_sum[j] == 0:
+            c[int(np.argmax(row_sum > 0)), j] += 1
+            row_sum = c.sum(axis=1)
+            col_sum = c.sum(axis=0)
+    return c

@@ -28,6 +28,7 @@ from chancekit.contingency import (
 from chancekit.errors import DataError, UsageError
 from helpers import random_valid_table
 import reference_pairs
+import reference_stats
 
 DATA = Path(__file__).parent / "data"
 
@@ -263,6 +264,27 @@ def test_repair_zero_margins_unpaired():
 def test_repair_noop_returns_same_object():
     t = from_counts([[1, 1], [1, 1]])
     assert repair_zero_margins(t) is t
+
+
+@st.composite
+def sparse_tables(draw):
+    """K x K counts, mostly zero, with some whole rows and columns zeroed."""
+    k = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.sampled_from((0, 0, 0, 0, 1, 2, 5)), min_size=k * k, max_size=k * k))
+    counts = np.array(cells, dtype=np.int64).reshape(k, k)
+    counts[draw(st.lists(st.integers(0, k - 1), max_size=k)), :] = 0
+    counts[:, draw(st.lists(st.integers(0, k - 1), max_size=k))] = 0
+    return counts
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_tables())
+def test_repair_zero_margins_matches_unit_by_unit_reference(counts):
+    t = from_counts(counts)
+    fixed = repair_zero_margins(t)
+    np.testing.assert_array_equal(fixed.counts, reference_stats.repair_zero_margins(counts))
+    assert (fixed.row_totals > 0).all() and (fixed.col_totals > 0).all()
+    assert fixed.labels == t.labels
 
 
 @settings(max_examples=100, deadline=None)

@@ -115,6 +115,18 @@ def test_wracc_perfect_even_table():
     assert wracc(s, CostModel(cs=1.0, cv=1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cost_model_from_table():
+    t = table_a()
+    cost = CostModel.from_table(t)
+    assert cost.cs == pytest.approx(32 / 68, abs=1e-15)  # rn / rp = 0.470588...
+    s = binary_stats(t)
+    assert wracc(s, cost) == pytest.approx(s.wracc, abs=1e-12)
+    with pytest.raises(UsageError):
+        CostModel.from_table(from_counts([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    with pytest.raises(DataError):
+        CostModel.from_table(from_counts([[0, 3], [0, 4]]))
+
+
 def test_wracc_rejects_nonpositive_cost():
     s = binary_stats(table_a())
     with pytest.raises(UsageError):

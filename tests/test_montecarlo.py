@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from chancekit.contingency import repair_zero_margins
+import chancekit.montecarlo as mc
+from chancekit.contingency import from_counts, repair_zero_margins
 from chancekit.errors import UsageError
 from chancekit.montecarlo import (
     RUNS_CSV_COLUMNS,
@@ -97,6 +98,27 @@ def test_mix_total_always_exact():
             assert t.n == n
             assert (t.counts >= 0).all()
             assert (t.row_totals > 0).all() and (t.col_totals > 0).all()
+
+
+def test_mix_falls_back_when_no_decrement_is_safe(monkeypatch):
+    # Every cell of this perfect table is alone in its row or column, so no
+    # decrement keeps the margins positive: the constraint loop must take
+    # a unit from any nonzero cell and repair the margins again.
+    calls = []
+
+    def spy(t):
+        calls.append(t)
+        return repair_zero_margins(t)
+
+    monkeypatch.setattr(mc, "repair_zero_margins", spy)
+    perfect = from_counts([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
+    chance = from_counts(np.ones((3, 3), dtype=np.int64))
+    for seed in range(5):
+        calls.clear()
+        t = mix_and_constrain(perfect, chance, 1.0, 3, np.random.default_rng(seed))
+        assert t.n == 3
+        assert (t.row_totals > 0).all() and (t.col_totals > 0).all()
+        assert len(calls) >= 2
 
 
 def test_mix_extremes_recover_components():

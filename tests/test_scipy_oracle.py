@@ -1,8 +1,9 @@
 """scipy as a differential oracle for the scipy-free special functions.
 
-chancekit computes the chi-squared tail, the normal quantile and the
-binomial quantile itself; these tests hold each to the scipy function it
-replaced, on grids wider than the tables chancekit meets in practice.
+chancekit computes the chi-squared tail and the normal quantile itself;
+these tests hold each to the scipy function it replaced, on grids wider
+than the tables chancekit meets in practice.  scipy's binomial law also
+checks the cells the binomial_copula generator draws.
 """
 
 import math
@@ -14,7 +15,7 @@ scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from chancekit.confidence import normal_multiplier
-from chancekit.montecarlo import _binomial_quantile
+from chancekit import montecarlo
 from chancekit.significance import chi2_sf
 
 
@@ -50,17 +51,31 @@ def test_normal_multiplier_matches_ndtri():
                 assert abs(ours - ref) <= 1e-14 * max(1.0, abs(ref)), (alpha, two_tailed)
 
 
-def test_binomial_quantile_matches_binom_ppf():
-    # Exact: on this seeded grid (11 sizes x 20 draws x 36 cells, including
-    # p = 0 and p = 1 cells) no cell differs from scipy's quantile.  Draws
-    # within 1e-12 of 0 or 1, about one in 1e12, can differ: there the cdf's
-    # rounding decides (2 counts at n = 1e7 and u = 1 - 1e-12), and below
-    # u = 1e-20 the window's lower edge answers.
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 5, 16, 50, 128, 1000, 10_000, 100_000, 10**6, 10**7):
-        for _ in range(20):
-            p = rng.uniform(0.0, 1.0, size=(6, 6)) ** rng.uniform(0.5, 4.0)
-            p[0, 0], p[0, 1] = 0.0, 1.0
-            u = rng.uniform(0.0, 1.0, size=(6, 6))
-            expected = scipy_stats.binom.ppf(u, n, p)
-            np.testing.assert_array_equal(_binomial_quantile(u, n, p), expected)
+def _binomial_gof_p(draws, n, p):
+    """Pearson goodness-of-fit p-value of integer draws against
+    binomial(n, p), over about 20 bins cut at binomial quantiles so that
+    each bin holds several expected counts."""
+    edges = np.unique(scipy_stats.binom.ppf(np.linspace(0.0, 1.0, 21)[1:-1], n, p))
+    probs = np.diff(np.concatenate([[0.0], scipy_stats.binom.cdf(edges, n, p), [1.0]]))
+    observed = np.bincount(np.searchsorted(edges, draws), minlength=probs.size)
+    expected = probs * draws.size
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return float(scipy_stats.chi2.sf(stat, probs.size - 1))
+
+
+@pytest.mark.parametrize("n, seed", [(60, 3), (10**6, 4)])
+def test_binomial_copula_cells_follow_binom(monkeypatch, n, seed):
+    # Margins held fixed, so every cell of every table is one draw from
+    # binomial(n, bias_i * prevalence_j); 5,000 tables give 5,000 draws of
+    # each of the 9 cell laws.
+    fixed = np.array([0.5, 0.3, 0.2])
+    monkeypatch.setattr(montecarlo, "_chance_margins", lambda *args: fixed)
+    rng = np.random.default_rng(seed)
+    tables = np.array([
+        montecarlo.gen_chance(3, n, rng, cell_distribution="binomial_copula").counts
+        for _ in range(5000)
+    ])
+    cell_p = np.outer(fixed, fixed)
+    for i in range(3):
+        for j in range(3):
+            assert _binomial_gof_p(tables[:, i, j], n, cell_p[i, j]) >= 0.001, (n, i, j)
