@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -473,26 +473,11 @@ _PRED_HEADER_WORDS = {"predicted", "prediction", "pred", "system", "output"}
 _REAL_HEADER_WORDS = {"actual", "real", "gold", "true", "class", "label", "reference"}
 
 
-def _is_count(token: str) -> bool:
-    token = token.strip()
-    if not token:
-        return False
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _sniff_delimiter(text: str, newline: str = "\n") -> str:
-    """Delimiter of the first 4096 characters.  Raw file text (newline="")
-    is sampled with its line endings translated to \n, so a file sniffs the
-    same whatever its line endings; a translated character comes from at
-    most two raw ones."""
-    if newline:
-        sample = text[:4096]
-    else:
-        sample = text[:8192].replace("\r\n", "\n").replace("\r", "\n")[:4096]
+def _sniff_delimiter(text: str) -> str:
+    """Delimiter of the first 4096 characters, sampled with line endings
+    translated to \n, so input sniffs the same whatever its line endings;
+    a translated character comes from at most two raw ones."""
+    sample = text[:8192].replace("\r\n", "\n").replace("\r", "\n")[:4096]
     lines = sample.splitlines()
     if not lines:
         raise DataError("empty input")
@@ -506,18 +491,23 @@ def _malformed(exc: csv.Error) -> DataError:
     return DataError(f"malformed delimited text: {exc}")
 
 
-def _read_rows(text: str, newline: str = "\n") -> list[list[str]]:
-    """Stripped non-blank rows in file order.
+def _csv_reader(text: str) -> Iterator[list[str]]:
+    """The csv reader for every text and file input.
 
-    With newline="\n" (text from a caller) lines end at \n only, so a bare
-    \r outside quotes is malformed.  With newline="" (raw file text from
-    _read_text) they end at \r, \n or \r\n, as in a file opened with
-    newline="", and line breaks inside quoted cells stay as written.
+    Lines end at \r, \n or \r\n outside quotes, as in a file opened with
+    newline="", and line breaks inside quoted cells stay as written.  One
+    leading byte-order mark is dropped; text without one is not copied.
     """
-    delim = _sniff_delimiter(text, newline)
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    return csv.reader(io.StringIO(text, newline=""), delimiter=_sniff_delimiter(text))
+
+
+def _read_rows(text: str) -> list[list[str]]:
+    """Stripped non-blank rows in file order."""
     rows = []
     try:
-        for raw in csv.reader(io.StringIO(text, newline=newline), delimiter=delim):
+        for raw in _csv_reader(text):
             cells = [c.strip() for c in raw]
             if any(cells):
                 rows.append(cells)
@@ -526,12 +516,16 @@ def _read_rows(text: str, newline: str = "\n") -> list[list[str]]:
     return rows
 
 
-def _count_value(token: str) -> int | float:
-    """A numeric cell as an exact int when it is whole, else as a float."""
+def _count_value(token: str) -> int | float | None:
+    """A numeric cell as an exact int when it is whole, else as a float;
+    None when it is not a number."""
     try:
         return int(token)
     except ValueError:
-        value = float(token)
+        try:
+            value = float(token)
+        except ValueError:
+            return None
         return int(value) if value.is_integer() else value
 
 
@@ -542,23 +536,22 @@ def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> Contingen
     When both row and column labels are present they must name the same set;
     columns are reordered to match the row order.
     """
-    return _table_from_rows(_read_rows(text), labels)
-
-
-def _table_from_rows(rows: list[list[str]], labels: Sequence[str] | None) -> ContingencyTable:
+    rows = _read_rows(text)
     if not rows:
         raise DataError("empty table file")
 
     def to_matrix(data: list[list[str]]) -> np.ndarray:
-        for i, row in enumerate(data):
+        matrix = []
+        for i, row in enumerate(data, start=1):
             if len(row) != len(data[0]):
-                raise DataError(f"ragged table row at data line {i + 1}")
-            for cell in row:
-                if not _is_count(cell):
-                    raise DataError(f"non-numeric count '{cell}' at data line {i + 1}")
-        return _validated_cells([[_count_value(cell) for cell in row] for row in data])
+                raise DataError(f"ragged table row at data line {i}")
+            values = [_count_value(cell) for cell in row]
+            if None in values:
+                raise DataError(f"non-numeric count '{row[values.index(None)]}' at data line {i}")
+            matrix.append(values)
+        return _validated_cells(matrix)
 
-    if _is_count(rows[0][0]):
+    if _count_value(rows[0][0]) is not None:
         matrix = to_matrix(rows)
         return from_counts(matrix, labels)
 
@@ -566,7 +559,7 @@ def _table_from_rows(rows: list[list[str]], labels: Sequence[str] | None) -> Con
     body = rows[1:]
     if not body:
         raise DataError("table file has a header but no data rows")
-    if not _is_count(body[0][0]):
+    if _count_value(body[0][0]) is None:
         row_labels = [r[0] for r in body]
         data = [r[1:] for r in body]
         col_labels = header[1:] if len(header) == len(data[0]) + 1 else header
@@ -601,23 +594,16 @@ def _table_from_rows(rows: list[list[str]], labels: Sequence[str] | None) -> Con
 def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTable:
     """Parse a two-column (predicted, actual) file into a table.
 
-    Comma or tab delimited.  Cells are stripped of surrounding whitespace
-    and blank rows are skipped; a first non-blank row like
+    Comma, semicolon or tab delimited.  Cells are stripped of surrounding
+    whitespace and blank rows are skipped; a first non-blank row like
     "predicted,actual" is treated as a header, anything else as data.
 
     Identical raw rows are counted first and validated once each, so the
     work after the CSV pass grows with the number of distinct rows (at most
     K^2 for clean data), not with the number of rows.
     """
-    return _pairs_from_text(text, labels, "\n")
-
-
-def _pairs_from_text(text: str, labels: Sequence[str] | None, newline: str) -> ContingencyTable:
-    """parse_pairs, with lines split as _read_rows splits them for newline."""
-    delim = _sniff_delimiter(text, newline)
     try:
-        lines = io.StringIO(text, newline=newline)
-        raw_tally = Counter(map(tuple, csv.reader(lines, delimiter=delim)))
+        raw_tally = Counter(map(tuple, _csv_reader(text)))
     except csv.Error as exc:
         raise _malformed(exc) from None
     # Counter keys keep first-occurrence order, so the first non-blank key is
@@ -638,7 +624,7 @@ def _pairs_from_text(text: str, labels: Sequence[str] | None, newline: str) -> C
         if not count:
             continue
         if len(cells) != 2:
-            raise _first_width_error(text, newline)
+            raise _first_width_error(text)
         tally[cells] += count
     return _table_from_tally(tally, labels)
 
@@ -651,12 +637,12 @@ def _is_pairs_header(cells: Sequence[str]) -> bool:
     )
 
 
-def _first_width_error(text: str, newline: str) -> DataError:
+def _first_width_error(text: str) -> DataError:
     """Error for the first data row, in file order, that is not 2 cells wide.
 
     Line numbers count non-blank rows, the header included.
     """
-    rows = _read_rows(text, newline)
+    rows = _read_rows(text)
     start = 1 if _is_pairs_header(rows[0]) else 0
     i, width = next(
         (i, len(row))
@@ -680,8 +666,10 @@ def _read_text(path: str | Path) -> str:
 
 
 def load_table_csv(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    return _table_from_rows(_read_rows(_read_text(path), newline=""), labels)
+    """parse_table_csv on the text of the file at `path`."""
+    return parse_table_csv(_read_text(path), labels)
 
 
 def load_pairs(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    return _pairs_from_text(_read_text(path), labels, "")
+    """parse_pairs on the text of the file at `path`."""
+    return parse_pairs(_read_text(path), labels)

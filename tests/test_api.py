@@ -1,5 +1,6 @@
-"""The public namespace, and the README quick start run as written."""
+"""The public namespace, and the README examples run as written."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -63,3 +64,13 @@ def test_readme_quick_start_prints_its_comments():
     assert shown and len(shown) == len(printed), (shown, printed)
     for value, got in zip(shown, printed):
         assert got.startswith(value), (value, got)
+
+
+def test_readme_count_table_is_the_quick_start_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = re.search(r"from_counts\((\[\[.*?\]\])\)", readme).group(1)
+    formats = readme[readme.index("### Input formats"):]
+    block = re.search(r"```csv\n(.*?)```", formats, re.S).group(1)
+    table = chancekit.parse_table_csv(block)
+    assert table.labels == ("cat", "dog")
+    assert table.counts.tolist() == ast.literal_eval(quick_start)

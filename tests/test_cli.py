@@ -149,14 +149,19 @@ def test_data_errors_exit_2(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(
     st.text(alphabet="0123456789,;\t\n\r .-+eEnaifx\"", max_size=60),
-    st.sampled_from([["evaluate"], ["confidence"], ["significance", "--family", "kb"]]),
+    st.sampled_from([
+        ["evaluate", "--table"],
+        ["confidence", "--table"],
+        ["significance", "--family", "kb", "--table"],
+        ["evaluate", "--pairs"],
+    ]),
     st.sampled_from([[], ["--repair-margins"]]),
 )
 def test_malformed_table_csv_never_internal_error(tmp_path_factory, text, command, repair):
     path = tmp_path_factory.mktemp("fuzz") / "t.csv"
     path.write_text(text)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-        code = main([*command, "--table", str(path), "--format", "json", *repair])
+        code = main([*command, str(path), "--format", "json", *repair])
     assert code in (0, 1, 2), err.getvalue()
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chancekit.contingency import (
@@ -119,12 +119,31 @@ def test_parse_table_csv_garbage_is_data_error():
         parse_table_csv("x,a\nb\n")  # label column and no counts
 
 
+def test_parse_table_csv_reorders_columns_to_the_row_labels():
+    t = parse_table_csv(",dog,cat\ncat,3,1\ndog,2,4\n")
+    assert t.labels == ("cat", "dog")
+    assert t.counts.tolist() == [[1, 3], [4, 2]]
+
+
+def test_parse_table_csv_label_override():
+    t = parse_table_csv(",cat,dog\ncat,3,1\ndog,2,4\n", labels=["dog", "cat"])
+    assert t.labels == ("dog", "cat")
+    assert t.counts.tolist() == [[4, 2], [1, 3]]
+    # without labels in the file the override only names the rows
+    t = parse_table_csv("3,1\n2,4\n", labels=["dog", "cat"])
+    assert t.labels == ("dog", "cat")
+    assert t.counts.tolist() == [[3, 1], [2, 4]]
+    with pytest.raises(DataError, match="label override does not match"):
+        parse_table_csv("a,b\n3,1\n2,4\n", labels=["a", "b", "c"])
+
+
 def test_parse_csv_reader_failure_is_data_error():
-    # a bare carriage return inside a line makes the csv module raise
+    # a cell over csv's field limit (131,072 characters) makes the csv module raise
+    too_long = "x" * 200_000 + ",b\n"
     with pytest.raises(DataError, match="malformed"):
-        parse_pairs("a\rb,c\nd,e\n")
+        parse_pairs(too_long)
     with pytest.raises(DataError, match="malformed"):
-        parse_table_csv("1\r2,3\n4,5\n")
+        parse_table_csv(too_long)
 
 
 def test_parse_pairs_tab_separated_keeps_zero_margins():
@@ -150,6 +169,23 @@ def test_load_keeps_quoted_carriage_return(tmp_path):
     assert load_table_csv(path).labels == ("a\rb", "c")
     path.write_bytes(b'pred,gold\n"a\rb",c\nc,c\n')
     assert load_pairs(path).labels == ("a\rb", "c")
+
+
+@pytest.mark.parametrize("body, parse, load, labels, counts", [
+    # headerless: a kept mark made the first row a header
+    (b"56,20\n12,12\n", parse_table_csv, load_table_csv, ("0", "1"), [[56, 20], [12, 12]]),
+    # header row, no label column: a kept mark stayed in the first label
+    (b"cat,dog\n3,1\n2,4\n", parse_table_csv, load_table_csv, ("cat", "dog"), [[3, 1], [2, 4]]),
+    # pairs: a kept mark defeated the header check
+    (b"predicted,actual\na,b\nb,b\na,a\n", parse_pairs, load_pairs, ("a", "b"), [[1, 1], [0, 1]]),
+])
+def test_leading_byte_order_mark_is_ignored(tmp_path, body, parse, load, labels, counts):
+    data = b"\xef\xbb\xbf" + body  # as a spreadsheet's "CSV UTF-8" export starts
+    path = tmp_path / "bom.csv"
+    path.write_bytes(data)
+    for t in (parse(data.decode("utf-8")), load(path)):
+        assert t.labels == labels
+        assert t.counts.tolist() == counts
 
 
 def test_load_line_endings_give_equal_tables(tmp_path):
@@ -356,6 +392,58 @@ def test_load_pairs_matches_row_by_row_reference(tmp_path_factory, case):
     path.write_text(text)
     expected = _outcome(reference_pairs.parse_pairs, path.read_text(), labels)
     assert _outcome(load_pairs, path, labels) == expected
+
+
+_ODD_COUNTS = st.sampled_from([" 7 ", "2.0", "1e1", "1.5", "-1", "x", ""])
+_TABLE_LABELS = st.sampled_from(["a", "b", " c", "x,y", "x\ty", 'q"q', "a\rb", "a\r\nb", "a\nb"])
+
+
+@st.composite
+def _line_ending_texts(draw):
+    """Pair or table text with LF, CRLF or CR line endings, maybe after a BOM."""
+    if draw(st.booleans()):
+        parse, load = parse_pairs, load_pairs
+        rows = draw(st.lists(_PAIR_ROWS, max_size=10))
+        for odd in draw(st.lists(_ODD_ROWS, max_size=1)):
+            rows.insert(draw(st.integers(0, len(rows))), odd)
+        header = draw(_PAIR_HEADERS)
+        if header is not None:
+            rows.insert(0, header)
+    else:
+        parse, load = parse_table_csv, load_table_csv
+        k = draw(st.integers(2, 3))
+        names = draw(st.lists(_TABLE_LABELS, min_size=k, max_size=k, unique=True))
+        rows = [[str(draw(st.integers(0, 20))) for _ in range(k)] for _ in range(k)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(_ODD_COUNTS)
+        if draw(st.booleans()):
+            rows = [[name, *row] for name, row in zip(names, rows)]
+            rows.insert(0, ["", *draw(st.permutations(names))])
+        elif draw(st.booleans()):
+            rows.insert(0, names)
+    buf = io.StringIO()
+    csv.writer(
+        buf,
+        delimiter=draw(st.sampled_from([",", "\t"])),
+        lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    ).writerows(rows)
+    text = draw(st.sampled_from(["", "\ufeff"])) + buf.getvalue()
+    override = st.lists(_TABLE_LABELS | st.sampled_from(["a", "b", "c"]), max_size=3)
+    labels = draw(st.none() | override)
+    return parse, load, text, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_ending_texts())
+# the raw CRLF sample sniffs as tab, the translated one as comma
+@example((parse_pairs, load_pairs, ' a,x\ty\r\nactual,1\r\n,"x,y"\r\n', None))
+def test_parse_matches_load_for_every_line_ending(tmp_path_factory, case):
+    parse, load, text, labels = case
+    path = tmp_path_factory.mktemp("text") / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(text)
+    assert _outcome(parse, text, labels) == _outcome(load, path, labels)
 
 
 @settings(max_examples=200, deadline=None)
