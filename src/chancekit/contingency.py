@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -491,29 +491,32 @@ def _malformed(exc: csv.Error) -> DataError:
     return DataError(f"malformed delimited text: {exc}")
 
 
-def _csv_reader(text: str) -> Iterator[list[str]]:
-    """The csv reader for every text and file input.
+def _rewind(handle: TextIO) -> None:
+    """Seek to the first character after one leading byte-order mark."""
+    handle.seek(0)
+    if handle.read(1) != "\ufeff":
+        handle.seek(0)
 
-    Lines end at \r, \n or \r\n outside quotes, as in a file opened with
-    newline="", and line breaks inside quoted cells stay as written.  One
-    leading byte-order mark is dropped; text without one is not copied.
+
+def _delimiter(handle: TextIO) -> str:
+    """Sniffed delimiter of a seekable handle opened with newline="", which
+    is left rewound for csv.
+
+    Lines end at \r, \n or \r\n outside quotes, and line breaks inside quoted
+    cells stay as written.  One leading byte-order mark is skipped.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    return csv.reader(io.StringIO(text, newline=""), delimiter=_sniff_delimiter(text))
+    _rewind(handle)
+    delimiter = _sniff_delimiter(handle.read(8192))
+    _rewind(handle)
+    return delimiter
 
 
-def _read_rows(text: str) -> list[list[str]]:
+def _rows(handle: TextIO, delimiter: str) -> Iterator[list[str]]:
     """Stripped non-blank rows in file order."""
-    rows = []
-    try:
-        for raw in _csv_reader(text):
-            cells = [c.strip() for c in raw]
-            if any(cells):
-                rows.append(cells)
-    except csv.Error as exc:
-        raise _malformed(exc) from None
-    return rows
+    for raw in csv.reader(handle, delimiter=delimiter):
+        cells = [c.strip() for c in raw]
+        if any(cells):
+            yield cells
 
 
 def _count_value(token: str) -> int | float | None:
@@ -532,11 +535,20 @@ def _count_value(token: str) -> int | float | None:
 def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> ContingencyTable:
     """Parse a K x K count matrix, with optional header row and label column.
 
-    Header and label column are auto-detected from non-numeric leading cells.
-    When both row and column labels are present they must name the same set;
-    columns are reordered to match the row order.
+    Header and label column are auto-detected from non-numeric leading cells;
+    under a header, body rows one cell wider than their number also have a
+    label column, so labels may be numbers.  When both row and column labels
+    are present they must name the same set; columns are reordered to match
+    the row order.
     """
-    rows = _read_rows(text)
+    return _read_table(io.StringIO(text, newline=""), labels)
+
+
+def _read_table(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
+    try:
+        rows = list(_rows(handle, _delimiter(handle)))
+    except csv.Error as exc:
+        raise _malformed(exc) from None
     if not rows:
         raise DataError("empty table file")
 
@@ -559,7 +571,7 @@ def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> Contingen
     body = rows[1:]
     if not body:
         raise DataError("table file has a header but no data rows")
-    if _count_value(body[0][0]) is None:
+    if _count_value(body[0][0]) is None or len(body[0]) == len(body) + 1:
         row_labels = [r[0] for r in body]
         data = [r[1:] for r in body]
         col_labels = header[1:] if len(header) == len(data[0]) + 1 else header
@@ -599,11 +611,16 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
     "predicted,actual" is treated as a header, anything else as data.
 
     Identical raw rows are counted first and validated once each, so the
-    work after the CSV pass grows with the number of distinct rows (at most
+    work after the count grows with the number of distinct rows (at most
     K^2 for clean data), not with the number of rows.
     """
+    return _read_pairs(io.StringIO(text, newline=""), labels)
+
+
+def _read_pairs(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
+    delimiter = _delimiter(handle)
     try:
-        raw_tally = Counter(map(tuple, _csv_reader(text)))
+        raw_tally = _raw_row_tally(handle, delimiter)
     except csv.Error as exc:
         raise _malformed(exc) from None
     # Counter keys keep first-occurrence order, so the first non-blank key is
@@ -624,9 +641,28 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
         if not count:
             continue
         if len(cells) != 2:
-            raise _first_width_error(text)
+            raise _first_width_error(handle, delimiter)
         tally[cells] += count
     return _table_from_tally(tally, labels)
+
+
+def _raw_row_tally(handle: TextIO, delimiter: str) -> Counter[tuple[str, ...]]:
+    """Count of each raw csv row, keyed in first-occurrence order.
+
+    With newline="", a handle splits lines where csv splits records.  So
+    unless a line holds a quote, which may open a cell spanning lines, each
+    line is one record: the lines are counted at C speed and only the
+    distinct ones are parsed, and lines that differ only in their ending add
+    up under one row.  Otherwise csv reads the handle row by row.
+    """
+    lines = Counter(handle)
+    if any('"' in line for line in lines):
+        _rewind(handle)
+        return Counter(map(tuple, csv.reader(handle, delimiter=delimiter)))
+    tally: Counter[tuple[str, ...]] = Counter()
+    for row, count in zip(csv.reader(lines, delimiter=delimiter), lines.values()):
+        tally[tuple(row)] += count
+    return tally
 
 
 def _is_pairs_header(cells: Sequence[str]) -> bool:
@@ -637,28 +673,42 @@ def _is_pairs_header(cells: Sequence[str]) -> bool:
     )
 
 
-def _first_width_error(text: str) -> DataError:
+def _first_width_error(handle: TextIO, delimiter: str) -> DataError:
     """Error for the first data row, in file order, that is not 2 cells wide.
 
-    Line numbers count non-blank rows, the header included.
+    Line numbers count non-blank rows, the header included.  The handle is
+    read again from the start, one row at a time, up to that row.
     """
-    rows = _read_rows(text)
-    start = 1 if _is_pairs_header(rows[0]) else 0
+    _rewind(handle)
     i, width = next(
         (i, len(row))
-        for i, row in enumerate(rows[start:], start=start + 1)
-        if len(row) != 2
+        for i, row in enumerate(_rows(handle, delimiter), start=1)
+        if len(row) != 2 and not (i == 1 and _is_pairs_header(row))
     )
     return DataError(f"expected 2 columns at pairs line {i}, got {width}")
 
 
-def _read_text(path: str | Path) -> str:
-    """File text in the locale encoding with its line endings as written
-    (newline=""), so csv sees a \r inside a quoted cell as data; undecodable
-    bytes are a DataError."""
+def _load(
+    path: str | Path,
+    read: Callable[[TextIO, Sequence[str] | None], ContingencyTable],
+    labels: Sequence[str] | None,
+) -> ContingencyTable:
+    """`read` on the file at `path`, in the locale encoding with its line
+    endings as written (newline=""), so csv sees a \r inside a quoted cell
+    as data.  A stream that cannot seek, such as a pipe, is read whole
+    first.  Undecodable bytes are a DataError."""
     try:
         with open(path, newline="") as handle:
-            return handle.read()
+            if not handle.seekable():
+                return read(io.StringIO(handle.read(), newline=""), labels)
+            try:
+                return read(handle, labels)
+            except UnicodeDecodeError:
+                # A streaming decoder counts bytes from the start of its
+                # chunk; decoding the whole file raises at the file's offset.
+                handle.buffer.seek(0)
+                handle.buffer.read().decode(handle.encoding)
+                raise
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path} is not valid {exc.encoding} text ({exc.reason} at byte {exc.start})"
@@ -666,10 +716,12 @@ def _read_text(path: str | Path) -> str:
 
 
 def load_table_csv(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    """parse_table_csv on the text of the file at `path`."""
-    return parse_table_csv(_read_text(path), labels)
+    """parse_table_csv on the file at `path`, read from its handle."""
+    return _load(path, _read_table, labels)
 
 
 def load_pairs(path: str | Path, labels: Sequence[str] | None = None) -> ContingencyTable:
-    """parse_pairs on the text of the file at `path`."""
-    return parse_pairs(_read_text(path), labels)
+    """parse_pairs on the file at `path`, read from its handle, so memory
+    holds one count per distinct line or row, not the text of a file that
+    can seek."""
+    return _load(path, _read_pairs, labels)

@@ -110,6 +110,34 @@ def test_evaluate_pairs_input(tmp_path):
     assert doc["input"]["n"] == 4
 
 
+def test_evaluate_pairs_from_a_pipe(tmp_path):
+    data = b"predicted,actual\na,b\nb,b\r\na,a\nb,b\na,b"
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(data)
+    from_file = run_json("evaluate", "--pairs", str(path))
+    piped = subprocess.run(
+        [sys.executable, "-m", "chancekit", "evaluate", "--pairs", "/dev/stdin", "--format", "json"],
+        input=data, capture_output=True, timeout=120,
+    )
+    assert piped.returncode == 0, piped.stderr
+    from_pipe = json.loads(piped.stdout)
+    assert from_pipe["input"].pop("path") == "/dev/stdin"
+    from_file["input"].pop("path")
+    assert from_pipe == from_file
+    assert from_file["input"]["n"] == 5
+
+
+def test_table_with_numeric_labels(tmp_path):
+    good = tmp_path / "digits.csv"
+    good.write_text(",2,1\n1,3,4\n2,5,6\n")
+    assert run_json("evaluate", "--table", str(good))["input"]["labels"] == ["1", "2"]
+    mismatched = tmp_path / "mismatched.csv"
+    mismatched.write_text(",1,3\n1,3,4\n2,5,6\n")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        assert main(["evaluate", "--table", str(mismatched)]) == 2
+    assert "row and column labels name different sets" in err.getvalue()
+
+
 def test_usage_errors_exit_1(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1,2\n3,4\n")

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,18 @@ def test_parse_table_csv_label_override():
         parse_table_csv("a,b\n3,1\n2,4\n", labels=["a", "b", "c"])
 
 
+def test_parse_table_csv_numeric_labels():
+    # under a header, body rows one cell wider than their number carry labels
+    t = parse_table_csv(",1,2\n1,3,4\n2,5,6\n")
+    assert t.labels == ("1", "2")
+    assert t.counts.tolist() == [[3, 4], [5, 6]]
+    t = parse_table_csv(",2,1\n1,3,4\n2,5,6\n")
+    assert t.labels == ("1", "2")
+    assert t.counts.tolist() == [[4, 3], [6, 5]]
+    with pytest.raises(DataError, match="different sets"):
+        parse_table_csv(",1,3\n1,3,4\n2,5,6\n")
+
+
 def test_parse_csv_reader_failure_is_data_error():
     # a cell over csv's field limit (131,072 characters) makes the csv module raise
     too_long = "x" * 200_000 + ",b\n"
@@ -198,6 +211,59 @@ def test_load_line_endings_give_equal_tables(tmp_path):
             path.write_bytes(data.replace(b"\n", newline))
             loaded.append(load(path))
         assert loaded[0] == loaded[1] == loaded[2]
+
+
+def test_load_keeps_decode_error_offset_absolute(tmp_path):
+    # past the first 8192 bytes a streaming decoder counts from its chunk
+    data = bytearray(b"predicted,actual\n" + b"a,b\nb,a\n" * 2000)
+    data[12019] = 0xFF
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bytes(data))
+    for load in (load_pairs, load_table_csv):
+        with pytest.raises(DataError, match="invalid start byte at byte 12019"):
+            load(path)
+
+
+def test_pairs_quoted_cell_spanning_lines(tmp_path):
+    text = 'predicted,actual\n"a\nb",c\nc,c\n"a\nb",c\r\nc,"a\nb"\n'
+    path = tmp_path / "q.csv"
+    path.write_bytes(text.encode())
+    for t in (parse_pairs(text), load_pairs(path)):
+        assert t.labels == ("a\nb", "c")
+        assert t.counts.tolist() == [[0, 2], [1, 1]]
+
+
+def test_pairs_line_endings_add_up_to_one_pair(tmp_path):
+    text = "a,b\na,b\r\na,b"
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    for t in (parse_pairs(text), load_pairs(path)):
+        assert t.labels == ("a", "b")
+        assert t.counts.tolist() == [[0, 3], [0, 0]]
+
+
+@pytest.mark.parametrize("tail, error", [
+    (b"", None),
+    (b"l1,l2,l3\n", "expected 2 columns at pairs line 200002, got 3"),
+])
+def test_load_pairs_memory_stays_below_the_file_size(tmp_path, tail, error):
+    labels = np.array([f"l{i}" for i in range(10)])
+    codes = np.random.default_rng(3).integers(0, 10, size=(200_000, 2))
+    rows = np.char.add(np.char.add(labels[codes[:, 0]], ","), labels[codes[:, 1]])
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(b"predicted,actual\n" + "\n".join(rows.tolist()).encode() + b"\n" + tail)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        if error is None:
+            assert load_pairs(path).n == 200_000
+        else:
+            with pytest.raises(DataError, match=error):
+                load_pairs(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
 
 
 def test_margins():
