@@ -148,8 +148,6 @@ class ContingencyTable:
             markedness=precision + tn / pn - 1.0,
             f1=2.0 * tp / (rp + pp),
             g_measure=np.sqrt(recall * precision),
-            evenness_r=prevalence * (1.0 - prevalence),
-            evenness_p=bias * (1.0 - bias),
         )
         for arr in arrays.values():
             arr.setflags(write=False)
@@ -167,8 +165,9 @@ class _TableSummary:
     and determinant (with its sign and log-magnitude, from one factorisation),
     the mean log-margins (so margin products stay finite at any K), and at
     index i of each rate vector what binary_stats reports for dichotomize(t,
-    i), computed the same way so the two agree bit for bit.
-    evenness_r/_p are the products m(1 - m)."""
+    i), computed the same way so the two agree bit for bit.  The mutual
+    information and the nine evenness forms are taken on first use and then
+    shared by every reader."""
 
     n: int
     prevalence: np.ndarray
@@ -185,8 +184,6 @@ class _TableSummary:
     markedness: np.ndarray
     f1: np.ndarray
     g_measure: np.ndarray
-    evenness_r: np.ndarray
-    evenness_p: np.ndarray
 
     @cached_property
     def mutual_information(self) -> float:
@@ -195,6 +192,50 @@ class _TableSummary:
         exact independence the sum leaves a rounding residue either side of 0,
         and a negative one would reach the G-statistic and Cramer's V."""
         return max(0.0, _sum_p_log_ratio(self.probs, self.expected))
+
+    @cached_property
+    def evenness(self) -> "EvennessVariants":
+        """The nine evenness forms of the margins (see EvennessVariants), read
+        by multiclass_stats, evenness_variants and the evenness-scaled
+        significance family.  The plus forms come from the mean log-margins,
+        so they stay finite and positive at any K instead of underflowing."""
+        k = len(self.prevalence)
+        r, p = self.prevalence * (1.0 - self.prevalence), self.bias * (1.0 - self.bias)
+        forms = {
+            "plus": (math.exp(2.0 * self.mean_log_prevalence), math.exp(2.0 * self.mean_log_bias)),
+            "minus": (float(np.mean(r)), float(np.mean(p))),
+            "hash": (k / float(np.sum(1.0 / r)), k / float(np.sum(1.0 / p))),
+        }
+        return EvennessVariants(**{
+            f"{side}_{form}": value
+            for form, (r_form, p_form) in forms.items()
+            for side, value in (("r", r_form), ("p", p_form), ("g", math.sqrt(r_form * p_form)))
+        })
+
+
+@dataclass(frozen=True)
+class EvennessVariants:
+    """Evenness summaries of the real (r), predicted (p), and geometric-mean
+    (g) margins.
+
+    plus: squared geometric mean of the margin vector, (prod m)^(2/K),
+          computed in log space as exp(2 * mean(log m))
+    minus: arithmetic mean of the per-label dichotomous products m(1-m)
+    hash: harmonic mean of the same products
+    Each g form is the geometric mean of the matching r and p forms.  For
+    K = 2 all three coincide at m(1-m), the plus form up to rounding in its
+    logs; for K > 2 the three means genuinely differ.
+    """
+
+    r_plus: float
+    p_plus: float
+    g_plus: float
+    r_minus: float
+    p_minus: float
+    g_minus: float
+    r_hash: float
+    p_hash: float
+    g_hash: float
 
 
 def _sum_p_log_ratio(probs: np.ndarray, denominators: np.ndarray) -> float:

@@ -7,13 +7,14 @@ twin over the predictions.  Further generalizations work through the
 determinant of the joint probability matrix and through evenness summaries of
 the margins, plus information-theoretic measures in nats.
 
-The per-label one-vs-rest values, the margins, their log means and the
-joint and expected probabilities all come from the table's shared summary
-(ContingencyTable._summary), which is computed once per table and equals
-binary_stats(dichotomize(t, i)) bit for bit; every measure here is a
-weighted sum or a numpy reduction of it.  Margin products (the evenness plus
-forms and the determinant estimates) are taken in log space, so they stay
-finite and positive at any K instead of underflowing to 0.
+The per-label one-vs-rest values, the margins, their log means, the joint
+and expected probabilities and the nine evenness forms all come from the
+table's shared summary (ContingencyTable._summary), which is computed once
+per table and equals binary_stats(dichotomize(t, i)) bit for bit; every
+measure here is a weighted sum or a numpy reduction of it, or a field of it.
+Margin products (the evenness plus forms and the determinant estimates) are
+taken in log space, so they stay finite and positive at any K instead of
+underflowing to 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable, _sum_p_log_ratio
+from .contingency import ContingencyTable, EvennessVariants, _sum_p_log_ratio
 from .errors import UsageError
 
 __all__ = [
@@ -43,31 +44,6 @@ __all__ = [
 ]
 
 EXPONENT_RULES = ("two_over_k", "inverse_3k_minus_2")
-
-
-@dataclass(frozen=True)
-class EvennessVariants:
-    """Evenness summaries of the real (r), predicted (p), and geometric-mean
-    (g) margins.
-
-    plus: squared geometric mean of the margin vector, (prod m)^(2/K),
-          computed in log space as exp(2 * mean(log m))
-    minus: arithmetic mean of the per-label dichotomous products m(1-m)
-    hash: harmonic mean of the same products
-    Each g form is the geometric mean of the matching r and p forms.  For
-    K = 2 all three coincide at m(1-m), the plus form up to rounding in its
-    logs; for K > 2 the three means genuinely differ.
-    """
-
-    r_plus: float
-    p_plus: float
-    g_plus: float
-    r_minus: float
-    p_minus: float
-    g_minus: float
-    r_hash: float
-    p_hash: float
-    g_hash: float
 
 
 @dataclass(frozen=True)
@@ -164,18 +140,7 @@ def det_estimates(
 
 def evenness_variants(t: ContingencyTable) -> EvennessVariants:
     """All nine evenness summaries of the margins (see EvennessVariants)."""
-    s = t._summary
-    k = t.k
-    forms = {
-        "plus": (math.exp(2.0 * s.mean_log_prevalence), math.exp(2.0 * s.mean_log_bias)),
-        "minus": (float(np.mean(s.evenness_r)), float(np.mean(s.evenness_p))),
-        "hash": (k / float(np.sum(1.0 / s.evenness_r)), k / float(np.sum(1.0 / s.evenness_p))),
-    }
-    return EvennessVariants(**{
-        f"{side}_{form}": value
-        for form, (r, p) in forms.items()
-        for side, value in (("r", r), ("p", p), ("g", math.sqrt(r * p)))
-    })
+    return t._summary.evenness
 
 
 def multiclass_kappa(t: ContingencyTable) -> float:
@@ -211,7 +176,7 @@ def multiclass_stats(t: ContingencyTable) -> MulticlassStats:
         mutual_information=mutual_information(t),
         conditional_entropy=conditional_entropy(t),
         det=s.det,
-        evenness=evenness_variants(t),
+        evenness=s.evenness,
         label_informedness=tuple(s.informedness.tolist()),
         class_markedness=tuple(s.markedness.tolist()),
         wav=wav,

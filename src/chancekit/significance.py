@@ -4,11 +4,12 @@ Two families of chi-squared style statistics are provided next to the
 classical full-table tests.  The single-row (or single-column) goodness-of-fit
 statistic sums squared margin-expected deviations over the positive
 prediction (or positive real class) only.  The evenness-scaled family turns
-the chance-corrected association measures directly into test statistics:
+the chance-corrected association measures directly into test statistics,
+scaled by the minus evenness forms of the margins (see EvennessVariants):
 
-    K * n * B^2 * evenness_r        (informedness based)
-    K * n * M^2 * evenness_p        (markedness based)
-    K * n * B * M * evenness_g      (combined)
+    K * n * B^2 * r_minus           (informedness based)
+    K * n * M^2 * p_minus           (markedness based)
+    K * n * B * M * g_minus         (combined)
 
 their (K-1)-scaled variants, and the margin-free conventional forms
 (K-1) * n * {B^2, M^2, B*M}.  These are deliberately conservative relative to
@@ -33,12 +34,7 @@ import numpy as np
 
 from .contingency import ContingencyTable
 from .errors import DataError, UsageError
-from .multiclass import (
-    bookmaker_informedness,
-    evenness_variants,
-    multiclass_markedness,
-    mutual_information,
-)
+from .multiclass import bookmaker_informedness, multiclass_markedness, mutual_information
 
 __all__ = [
     "SignificanceReport",
@@ -258,30 +254,18 @@ def chi2_bookmaker_family(t: ContingencyTable, kind: str) -> SignificanceReport:
     if kind not in FAMILY_KINDS:
         raise UsageError(f"unknown family kind '{kind}'")
     k = t.k
-    n = t._summary.n
+    s = t._summary
+    n = s.n
     b = bookmaker_informedness(t)
     m = multiclass_markedness(t)
-    ev = evenness_variants(t)
-    base = {
-        "b": b * b * ev.r_minus,
-        "m": m * m * ev.p_minus,
-        "bm": b * m * ev.g_minus,
-    }
-    conv = {
-        "b": b * b,
-        "m": m * m,
-        "bm": b * m,
-    }
+    ev = s.evenness
+    factors = {"b": (b, b, ev.r_minus), "m": (m, m, ev.p_minus), "bm": (b, m, ev.g_minus)}
+    x, y, evenness = factors[kind[len("conv_"):] if kind.startswith("conv_") else kind[1:]]
     if kind.startswith("conv_"):
-        value = (k - 1) * n * conv[kind.split("_", 1)[1]]
-        df = k - 1
-    elif kind.startswith("x"):
-        value = (k - 1) * k * n * base[kind[1:]]
-        df = (k - 1) ** 2
-    else:
-        value = k * n * base[kind[1:]]
-        df = k - 1
-    return _report(kind, value, df, n, k)
+        return _report(kind, (k - 1) * n * (x * y), k - 1, n, k)
+    if kind.startswith("x"):
+        return _report(kind, (k - 1) * k * n * (x * y * evenness), (k - 1) ** 2, n, k)
+    return _report(kind, k * n * (x * y * evenness), k - 1, n, k)
 
 
 def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, SignificanceReport]:

@@ -4,9 +4,10 @@ the unit-by-unit zero-margin repair that `repair_zero_margins` places in
 three vector assignments.
 
 These are the straightforward implementations: the entropies walk every cell
-in Python, and the evenness plus forms and the determinant estimates take
-np.prod of the margins, so they underflow at large K.  Wherever they are
-finite, `mutual_information`, `conditional_entropy`, `evenness_variants` and
+in Python, the evenness minus and hash forms walk every label, and the
+evenness plus forms and the determinant estimates take np.prod of the
+margins, so they underflow at large K.  Wherever they are finite,
+`mutual_information`, `conditional_entropy`, `evenness_variants` and
 `det_estimates` in chancekit must agree with them.
 """
 
@@ -47,6 +48,23 @@ def evenness_plus(t):
     """(r_plus, p_plus) as (prod m)^(2/K)."""
     _, bias, prevalence = _joint(t)
     return tuple(float(np.prod(m)) ** (2.0 / t.k) for m in (prevalence, bias))
+
+
+def evenness_minus_hash(t):
+    """The minus and hash forms of both margins, one label at a time: each
+    label's product is taken from its one-vs-rest margins, the positive and
+    the rest counts over n, and the products are then averaged arithmetically
+    (minus) and harmonically (hash)."""
+    n, k = t.n, t.k
+    forms = {}
+    for side, totals in (("r", t.counts.sum(axis=0)), ("p", t.counts.sum(axis=1))):
+        products = []
+        for i in range(k):
+            positive = int(totals[i])
+            products.append((positive / n) * ((n - positive) / n))
+        forms[f"{side}_minus"] = sum(products) / k
+        forms[f"{side}_hash"] = k / sum(1.0 / x for x in products)
+    return forms
 
 
 def det_estimates(t, exponent_rule="two_over_k"):

@@ -1,9 +1,10 @@
 """Differential tests of the per-table summary behind every chance-corrected
 measure: its per-label vectors must equal the one-vs-rest records built by
 dichotomize and binary_stats, and every reader of it must see the same
-informedness and markedness, bit for bit; the vectorised entropies and the
-log-space margin products must match the cell loops and np.prod products of
-reference_stats to a stated relative tolerance."""
+informedness and markedness, bit for bit; the vectorised entropies, the
+evenness forms and the log-space margin products must match the cell and
+label loops and np.prod products of reference_stats to a stated relative
+tolerance."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,7 +24,12 @@ from chancekit.multiclass import (
     multiclass_stats,
     mutual_information,
 )
-from chancekit.significance import chi2_bookmaker_family, cramers_v, full_table_tests
+from chancekit.significance import (
+    FAMILY_KINDS,
+    chi2_bookmaker_family,
+    cramers_v,
+    full_table_tests,
+)
 
 
 @st.composite
@@ -60,9 +66,16 @@ def test_summary_matches_one_vs_rest_records(t):
     assert bookmaker_informedness(t) == stats.informedness
     assert multiclass_markedness(t) == stats.markedness
 
-    # b * b, not b**2: libm's pow can be one unit in the last place off.
-    b = stats.informedness
-    assert chi2_bookmaker_family(t, "conv_b").value == (t.k - 1) * t.n * (b * b)
+    # b * b, not b**2: libm's pow can be one unit in the last place off.  Each
+    # statistic keeps its own operation order: (k - 1) * (k * n * base) would
+    # add a rounding step to xb.
+    b, m, k, n, ev = stats.informedness, stats.markedness, t.k, t.n, stats.evenness
+    base = {"b": (b * b) * ev.r_minus, "m": (m * m) * ev.p_minus, "bm": (b * m) * ev.g_minus}
+    conv = {"b": b * b, "m": m * m, "bm": b * m}
+    for measure in base:
+        assert chi2_bookmaker_family(t, "k" + measure).value == k * n * base[measure]
+        assert chi2_bookmaker_family(t, "x" + measure).value == (k - 1) * k * n * base[measure]
+        assert chi2_bookmaker_family(t, "conv_" + measure).value == (k - 1) * n * conv[measure]
 
 
 def _close(got, want):
@@ -77,6 +90,8 @@ def test_vectorised_measures_match_references(t):
     ev = evenness_variants(t)
     r_plus, p_plus = ref.evenness_plus(t)
     assert _close(ev.r_plus, r_plus) and _close(ev.p_plus, p_plus)
+    for name, want in ref.evenness_minus_hash(t).items():
+        assert _close(getattr(ev, name), want), (name, getattr(ev, name), want)
     for rule in EXPONENT_RULES:
         for got, want in zip(det_estimates(t, rule), ref.det_estimates(t, rule)):
             assert _close(got, want), (rule, got, want)
@@ -93,6 +108,21 @@ def test_mutual_information_taken_once_per_table(monkeypatch):
     _, g2 = full_table_tests(t)
     assert len(calls) == 1
     assert g2.value == 2.0 * t.n * stats.mutual_information
+
+
+def test_evenness_formed_once_per_table(monkeypatch):
+    # multiclass_stats, the nine family statistics and evenness_variants all
+    # read the summary's one record.
+    calls = []
+    build = contingency.EvennessVariants
+    monkeypatch.setattr(contingency, "EvennessVariants",
+                        lambda **forms: calls.append(forms) or build(**forms))
+    t = from_counts([[5, 2, 1], [1, 6, 2], [2, 1, 7]])
+    stats = multiclass_stats(t)
+    for kind in FAMILY_KINDS:
+        chi2_bookmaker_family(t, kind)
+    assert evenness_variants(t) is evenness_variants(t) is stats.evenness
+    assert len(calls) == 1
 
 
 def test_determinant_factorised_once(monkeypatch):
