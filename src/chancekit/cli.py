@@ -153,8 +153,6 @@ def _interval_dict(ci) -> dict:
 # ---------------------------------------------------------------- renderers
 
 def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), value, rows)

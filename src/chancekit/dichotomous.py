@@ -84,10 +84,6 @@ class BinaryStats:
     skew: float
     sq_err_to_optimum: float
 
-    @property
-    def n_fields(self) -> int:
-        return len(self.__dataclass_fields__)
-
 
 def _ratio_or_inf(num: float, den: float) -> float:
     if den > 0.0:

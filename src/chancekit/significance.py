@@ -296,25 +296,6 @@ def cramers_v(chi2_value: float, n: int, k: int) -> float:
     return math.sqrt(chi2_value / (n * (k - 1)))
 
 
-def _hypergeom_numerators(rp: int, rn: int, pp: int):
-    """Integer weights of every table that shares the given 2x2 margins.
-
-    The weight of true-positive count a is C(rp, a) * C(rn, pp - a); dividing
-    by C(rp + rn, pp) turns it into the exact table probability.  Working in
-    integers keeps tie comparisons exact.  Two binomials give the first
-    weight and the ratio w(a + 1) / w(a) = (rp - a)(pp - a) / ((a + 1)(rn - pp
-    + a + 1)) the rest; the division is exact because w(a + 1) is an integer.
-    """
-    lo = max(0, pp - rn)
-    hi = min(rp, pp)
-    weights = {}
-    w = math.comb(rp, lo) * math.comb(rn, pp - lo)
-    for a in range(lo, hi + 1):
-        weights[a] = w
-        w = w * (rp - a) * (pp - a) // ((a + 1) * (rn - pp + a + 1))
-    return weights
-
-
 def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> SignificanceReport:
     """Exact fixed-margin test for a 2x2 table.
 
@@ -322,6 +303,13 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
     direction; two-sided sums every table whose probability does not exceed
     the observed one.  Degenerate margins leave a single admissible table and
     give p = 1.
+
+    The weight of true-positive count x is C(rp, x) * C(rn, pp - x), and the
+    summed weights over C(n, pp) give p.  Working in integers keeps tie
+    comparisons exact.  Two binomials give the first weight and the ratio
+    w(x + 1) / w(x) = (rp - x)(pp - x) / ((x + 1)(rn - pp + x + 1)) the rest;
+    the division is exact because w(x + 1) is an integer.  Each weight is
+    added as it comes, so none is kept.
     """
     if sidedness not in ("one", "two"):
         raise UsageError(f"sidedness must be 'one' or 'two', got '{sidedness}'")
@@ -333,18 +321,20 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
     n = a + b + c + d
     if n == 0:
         raise DataError("cannot test an empty table")
-    numerators = _hypergeom_numerators(rp, rn, pp)
-    denom = math.comb(n, pp)
-    obs = numerators[a]
-    if sidedness == "one":
-        positive_direction = a * d - b * c >= 0
-        if positive_direction:
-            total = sum(w for aa, w in numerators.items() if aa >= a)
-        else:
-            total = sum(w for aa, w in numerators.items() if aa <= a)
+    lo, hi = max(0, pp - rn), min(rp, pp)
+    if sidedness == "two":
+        start, stop = lo, hi
+        obs = math.comb(rp, a) * math.comb(rn, pp - a)
     else:
-        total = sum(w for w in numerators.values() if w <= obs)
-    p = total / denom
+        start, stop = (a, hi) if a * d - b * c >= 0 else (lo, a)
+        obs = None
+    total = 0
+    w = math.comb(rp, start) * math.comb(rn, pp - start)
+    for x in range(start, stop + 1):
+        if obs is None or w <= obs:
+            total += w
+        w = w * (rp - x) * (pp - x) // ((x + 1) * (rn - pp + x + 1))
+    p = total / math.comb(n, pp)
     kind = "fisher_one" if sidedness == "one" else "fisher_two"
     return SignificanceReport(
         kind=kind, value=p, df=1, p_value=p, n=n,

@@ -138,40 +138,43 @@ def test_table_with_numeric_labels(tmp_path):
     assert "row and column labels name different sets" in err.getvalue()
 
 
+def main_code(*args):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(list(args))
+
+
 def test_usage_errors_exit_1(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1,2\n3,4\n")
-    both = run_cli("evaluate", "--table", str(p), "--pairs", str(p))
-    neither = run_cli("evaluate")
-    unknown = run_cli("evaluate", "--table", str(p), "--frobnicate")
-    no_command = run_cli()
-    for proc in (both, neither, unknown, no_command):
-        assert proc.returncode == 1, proc.stderr
+    assert main_code("evaluate", "--table", str(p), "--pairs", str(p)) == 1
+    assert main_code("evaluate") == 1
+    assert main_code("evaluate", "--table", str(p), "--frobnicate") == 1
+    assert main_code() == 1
     for x in ("nan", "inf"):
-        assert run_cli("confidence", "--table", str(p), "--x", x).returncode == 1
-    assert run_cli("compare", "--table-a", str(p), "--table-b", str(p), "--x", "nan").returncode == 1
-    simulate = run_cli("simulate", "--k", "2", "--n", "16", "--x", "nan", "--out", str(tmp_path / "o"))
-    assert simulate.returncode == 1, simulate.stderr
+        assert main_code("confidence", "--table", str(p), "--x", x) == 1
+    assert main_code("compare", "--table-a", str(p), "--table-b", str(p), "--x", "nan") == 1
+    assert main_code("simulate", "--k", "2", "--n", "16", "--x", "nan",
+                     "--out", str(tmp_path / "o")) == 1
     for alpha in ("7", "-1", "nan"):
-        assert run_cli("significance", "--table", str(p), "--alpha", alpha).returncode == 1
+        assert main_code("significance", "--table", str(p), "--alpha", alpha) == 1
 
 
 def test_data_errors_exit_2(tmp_path):
     empty = tmp_path / "empty.tsv"
     empty.write_text("")
-    assert run_cli("evaluate", "--pairs", str(empty)).returncode == 2
-    assert run_cli("evaluate", "--table", str(tmp_path / "missing.csv")).returncode == 2
+    assert main_code("evaluate", "--pairs", str(empty)) == 2
+    assert main_code("evaluate", "--table", str(tmp_path / "missing.csv")) == 2
     garbage = tmp_path / "garbage.csv"
     garbage.write_text("pears,apples\nnot,numbers\n")
-    assert run_cli("evaluate", "--table", str(garbage)).returncode == 2
+    assert main_code("evaluate", "--table", str(garbage)) == 2
     for cell in ("3.5", "nan", "inf", "1e30"):
         bad_cell = tmp_path / f"cell-{cell}.csv"
         bad_cell.write_text(f"1,2\n3,{cell}\n")
-        assert run_cli("evaluate", "--table", str(bad_cell)).returncode == 2
+        assert main_code("evaluate", "--table", str(bad_cell)) == 2
     undecodable = tmp_path / "utf16.csv"
     undecodable.write_bytes(b"\xff\xfe1\x002\x00\n\x00")
     for option in ("--table", "--pairs"):
-        assert run_cli("evaluate", option, str(undecodable)).returncode == 2
+        assert main_code("evaluate", option, str(undecodable)) == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,6 +436,13 @@ def test_simulate_unwritable_output_exit_2(tmp_path):
     proc = run_cli("simulate", "--k", "2", "--n", "16", "--steps", "2",
                    "--runs", "1", "--seed", "3", "--out", str(blocker / "sub"))
     assert proc.returncode == 2
+
+
+def test_simulate_counts_failed_runs(tmp_path):
+    text = main_output("simulate", "--k", "3", "--n", str(2 * 10**9), "--steps", "2",
+                       "--runs", "2", "--seed", "1", "--fisher-samples", "1000",
+                       "--out", str(tmp_path))
+    assert "errors: 4\noverall coverage: nan\n" in text
 
 
 def test_simulate_json_format(tmp_path):

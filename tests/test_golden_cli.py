@@ -33,6 +33,24 @@ TABLE_COMMANDS = {
         "confidence": [],
     },
 }
+# Options that change an output, each pinned on a table where it takes
+# effect: Yates fires only on a table with an expected cell below 5.
+OPTION_CASES = {
+    "compare": ["compare", "--table-a", "table2a.csv", "--table-b", "table2b.csv"],
+    "compare_repair": ["compare", "--table-a", "table3zero.csv", "--table-b", "table4x4.csv",
+                       "--repair-margins"],
+    "significance_table2small_yates_williams": ["significance", "--table", "table2small.csv",
+                                                "--yates", "--williams"],
+    **{
+        f"significance_{Path(table).stem}_fisher_one": ["significance", "--table", table,
+                                                        "--family", "fisher",
+                                                        "--fisher-sided", "one"]
+        for table in ("table2a.csv", "table2b.csv")
+    },
+    "confidence_table4x4_x": ["confidence", "--table", "table4x4.csv", "--x", "2.5758"],
+    "confidence_table4x4_alpha_one_tailed": ["confidence", "--table", "table4x4.csv",
+                                             "--alpha", "0.01", "--one-tailed"],
+}
 STDOUT_CASES = {
     **{
         f"{command}_{Path(table).stem}.{ext}": [command, "--table", table, *extra, "--format", fmt]
@@ -41,8 +59,8 @@ STDOUT_CASES = {
         for fmt, ext in FORMATS.items()
     },
     **{
-        f"compare.{ext}": ["compare", "--table-a", "table2a.csv", "--table-b", "table2b.csv",
-                           "--format", fmt]
+        f"{name}.{ext}": [*argv, "--format", fmt]
+        for name, argv in OPTION_CASES.items()
         for fmt, ext in FORMATS.items()
     },
 }
@@ -50,6 +68,10 @@ _GRID = ["--n", "32", "--steps", "3", "--runs", "2", "--seed", "42"]
 SIMULATE_CASES = {
     "simulate_k2": ["--k", "2", *_GRID],
     "simulate_k3": ["--k", "3", *_GRID, "--fisher-samples", "1000"],
+    # Unrounded uniform cells: the realized n varies around the target.
+    "simulate_k3_uniform": ["--k", "3", *_GRID, "--fisher-samples", "1000",
+                            "--no-enforce-integer", "--dist", "uniform",
+                            "--margin-dist", "uniform"],
 }
 SIMULATE_FILES = ("runs.csv", "summary.csv")
 

@@ -234,6 +234,25 @@ def test_csv_outputs(tmp_path):
     assert runs_path.read_bytes() == runs_path2.read_bytes()
 
 
+def test_failed_runs_become_error_rows(tmp_path):
+    # Every table of this grid is beyond the sampler's range, so each run
+    # fails inside run_single and comes back as an error record.
+    config = SimConfig(k=3, n=2 * 10**9, steps=2, runs_per_step=2, seed=1, fisher_samples=1000)
+    runs = run_grid(config)
+    assert [(r.step, r.run) for r in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for r in runs:
+        assert r.error == "the sampled exact test needs n below 10^9, got 2000000000"
+        assert r.table is None and r.n_realized is None
+    runs_path = tmp_path / "runs.csv"
+    write_runs_csv(runs, runs_path)
+    rows = list(csv.reader(runs_path.open(newline="")))[1:]
+    assert rows == [[str(r.step), str(r.run), repr(r.level), *[""] * (len(RUNS_CSV_COLUMNS) - 4),
+                     r.seed_stream] for r in runs]
+    overall = coverage_report(runs).overall
+    assert overall.errors == overall.runs == 4
+    assert math.isnan(overall.coverage)
+
+
 def test_csv_layouts_follow_records(tmp_path):
     config = SimConfig(k=2, n=32, steps=2, runs_per_step=2, seed=8)
     grid = run_grid(config)

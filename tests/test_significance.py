@@ -1,6 +1,7 @@
 """Test statistics, exact tests, corrections, and the survival function."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +13,6 @@ from chancekit.dichotomous import binary_stats
 from chancekit.errors import DataError, UsageError
 from chancekit.multiclass import mutual_information
 from chancekit.significance import (
-    _hypergeom_numerators,
     _patefield_cells,
     chi2_bookmaker_family,
     chi2_positive,
@@ -235,13 +235,35 @@ def test_fisher_matches_exact_fraction_oracle():
             assert got == oracle.numerator / oracle.denominator
 
 
-def test_hypergeom_weights_match_binomial_products():
-    # The ratio recurrence must reproduce every integer weight, at the 2x2
-    # sizes the exact test meets in practice and with degenerate margins.
+def test_fisher_recurrence_matches_fraction_oracle_across_margins():
+    # The ratio recurrence feeds every p, at the 2x2 sizes the exact test
+    # meets in practice and with degenerate margins; the observed count sits
+    # at both ends of its range, at the mode and between them.
     margins = [(20, 20, 17), (15, 25, 30), (500, 500, 480), (300, 700, 650),
                (2000, 2000, 1990), (1000, 3000, 2500), (0, 5, 3), (3, 7, 0), (10, 3, 13)]
     for rp, rn, pp in margins:
-        assert _hypergeom_numerators(rp, rn, pp) == reference_stats.hypergeom_numerators(rp, rn, pp)
+        lo, hi = max(0, pp - rn), min(rp, pp)
+        mode = (pp + 1) * (rp + 1) // (rp + rn + 2)
+        for a in {lo, (lo + mode) // 2, mode, (mode + hi) // 2, hi}:
+            counts = ((a, pp - a), (rp - a, rn - pp + a))
+            t = from_counts(counts)
+            for side in ("one", "two"):
+                oracle = _fisher_fraction_oracle(counts, side)
+                assert fisher_exact_2x2(t, side).p_value == oracle.numerator / oracle.denominator
+
+
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_fisher_exact_keeps_no_weight_table(side):
+    # A table of every weight holds about n^2 bits, 20 MB at n = 20,001;
+    # summing the weights as they come holds a few at a time.
+    t = from_counts([[5000, 5000], [5000, 5001]])
+    tracemalloc.start()
+    try:
+        fisher_exact_2x2(t, side)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_fisher_degenerate_margins():
@@ -345,7 +367,7 @@ def _fit_p_value(observed, probabilities):
 def test_patefield_cells_fit_hypergeometric_law_2x2(counts):
     tables = _sampled_tables(counts, seed=11)
     (rp, rn), pp = np.sum(counts, axis=0), sum(counts[0])
-    weights = _hypergeom_numerators(int(rp), int(rn), int(pp))
+    weights = reference_stats.hypergeom_numerators(int(rp), int(rn), int(pp))
     total = math.comb(int(rp + rn), int(pp))
     drawn = tables[:, 0, 0]
     assert set(np.unique(drawn)) <= set(weights)
