@@ -174,8 +174,6 @@ def _emit_csv(doc: dict) -> None:
 
 
 def _metric_text(key: str, value, percent: bool) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         if math.isfinite(value) and abs(value) <= 1.0 and key not in _NO_PERCENT:
             if percent:
@@ -191,8 +189,6 @@ def _print_metric_block(title: str, fields: dict, percent: bool) -> None:
     print(f"[{title}]")
     width = max(len(k) for k in fields) + 2
     for key, value in fields.items():
-        if isinstance(value, dict):
-            continue
         print(f"{key:<{width}}{_metric_text(key, value, percent)}")
 
 
@@ -233,25 +229,10 @@ def _print_significance_text(doc: dict) -> None:
               f" (bound L={cal['l_bound']:.6f}, beta_post={cal['beta_post']:.6f})")
 
 
-def _print_confidence_text(doc: dict, percent: bool) -> None:
-    _print_input(doc)
-    print(f"informedness: {_metric_text('informedness', doc['informedness'], percent)}")
-    print(f"evenness_factor: {doc['evenness_factor']:.6f}")
-    print(f"x: {doc['x']}")
-    print()
-    print(f"{'variant':<12}{'sse_rule':<22}{'center':>10}{'half_width':>12}{'lo':>10}{'hi':>10}")
-    for ci in doc["confidence"]:
-        print(
-            f"{ci['variant']:<12}{ci['sse_rule']:<22}{ci['center']:>10.4f}"
-            f"{ci['half_width']:>12.4f}{ci['lo']:>10.4f}{ci['hi']:>10.4f}"
-        )
-
-
 def _emit(doc: dict, args, text_printer) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(doc, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit_csv(doc)
     else:
         text_printer()
@@ -357,7 +338,17 @@ def _cmd_confidence(args) -> None:
     doc["outside_null_band"] = not intervals[0].contains(b)
 
     def text() -> None:
-        _print_confidence_text(doc, args.percent)
+        _print_input(doc)
+        print(f"informedness: {_metric_text('informedness', b, args.percent)}")
+        print(f"evenness_factor: {evenness:.6f}")
+        print(f"x: {x}")
+        print()
+        print(f"{'variant':<12}{'sse_rule':<22}{'center':>10}{'half_width':>12}{'lo':>10}{'hi':>10}")
+        for ci in intervals:
+            print(
+                f"{ci.variant:<12}{ci.sse_rule:<22}{ci.center:>10.4f}"
+                f"{ci.half_width:>12.4f}{ci.lo:>10.4f}{ci.hi:>10.4f}"
+            )
         print()
         print(f"outside_null_band: {'yes' if doc['outside_null_band'] else 'no'}")
 
@@ -412,10 +403,10 @@ def _cmd_simulate(args) -> None:
         enforce_integer=not args.no_enforce_integer, seed=seed,
         x=args.x, alpha=args.alpha, fisher_samples=args.fisher_samples,
     )
-    runs = run_grid(config)
-    report = coverage_report(runs, alpha=config.alpha)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    runs = run_grid(config)
+    report = coverage_report(runs, alpha=config.alpha)
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.csv"
     write_runs_csv(runs, runs_path)
@@ -450,8 +441,6 @@ def _add_io_options(sub, pairs: bool) -> None:
     sub.add_argument("--repair-margins", action="store_true",
                      help="place unit counts to remove zero margins before computing")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.add_argument("--percent", action="store_true",
-                     help="render probability-like values as percents in text mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,6 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     confidence.add_argument("--alpha", type=float, help="derive the multiplier from a level")
     confidence.add_argument("--one-tailed", action="store_true")
     confidence.set_defaults(handler=_cmd_confidence)
+    for sub in (evaluate, confidence):
+        sub.add_argument("--percent", action="store_true",
+                         help="render probability-like values as percents in text mode")
 
     simulate = commands.add_parser("simulate", help="Monte Carlo coverage grid to CSV")
     simulate.add_argument("--k", type=int, required=True)

@@ -445,27 +445,22 @@ def _fmt(value) -> str:
 
 
 def write_runs_csv(runs: tuple[SimRun, ...] | list[SimRun], path: str | Path) -> None:
-    """One row per run; error runs keep identifying columns and leave the
-    statistic columns empty.  Floats use shortest round-trip formatting."""
+    """One row per run; a missing record, as in an error run, leaves its
+    columns empty.  Floats use shortest round-trip formatting."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RUNS_CSV_COLUMNS)
         for r in runs:
-            if r.error is None:
-                row = [
-                    r.step, r.run, _fmt(r.level), r.n_realized,
-                    *(_fmt(_field(r.stats, name))
-                      for name in ("informedness", "markedness", "correlation", "kappa")),
-                    _fmt(_run_cramers_v(r, r.full_chi2)), _fmt(_run_cramers_v(r, r.full_g2)),
-                    *(_fmt(_field(getattr(r, name), "p_value"))
-                      for name in ("full_chi2", "full_g2", "fisher")),
-                    _fmt(_field(r.ci_empirical, "lo")), _fmt(_field(r.ci_empirical, "hi")),
-                    _fmt(r.within_band), r.seed_stream,
-                ]
-            else:
-                row = [r.step, r.run, _fmt(r.level),
-                       *[""] * (len(RUNS_CSV_COLUMNS) - 4), r.seed_stream]
-            writer.writerow(row)
+            writer.writerow([
+                r.step, r.run, _fmt(r.level), r.n_realized,
+                *(_fmt(_field(r.stats, name))
+                  for name in ("informedness", "markedness", "correlation", "kappa")),
+                _fmt(_run_cramers_v(r, r.full_chi2)), _fmt(_run_cramers_v(r, r.full_g2)),
+                *(_fmt(_field(getattr(r, name), "p_value"))
+                  for name in ("full_chi2", "full_g2", "fisher")),
+                _fmt(_field(r.ci_empirical, "lo")), _fmt(_field(r.ci_empirical, "hi")),
+                _fmt(r.within_band), r.seed_stream,
+            ])
 
 
 _SUMMARY_COLUMNS = tuple(f.name for f in fields(StepSummary))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,12 +177,14 @@ def _gamma_q(a: float, x: float) -> float:
 
 
 def _report(kind: str, value: float, df: int, n: int, k: int,
-            corrections: frozenset[str] = frozenset()) -> SignificanceReport:
+            corrections: frozenset[str] = frozenset(), *,
+            p_value: float | None = None) -> SignificanceReport:
+    """p is the chi-squared tail of value (clamped at 0) unless a test gives it."""
     return SignificanceReport(
         kind=kind,
         value=float(value),
         df=df,
-        p_value=chi2_sf(max(float(value), 0.0), df),
+        p_value=chi2_sf(max(float(value), 0.0), df) if p_value is None else p_value,
         n=n,
         df_alpha=(k - 1) ** 2,
         df_beta=k - 1,
@@ -336,10 +338,7 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
         w = w * (rp - x) * (pp - x) // ((x + 1) * (rn - pp + x + 1))
     p = total / math.comb(n, pp)
     kind = "fisher_one" if sidedness == "one" else "fisher_two"
-    return SignificanceReport(
-        kind=kind, value=p, df=1, p_value=p, n=n,
-        df_alpha=(t.k - 1) ** 2, df_beta=t.k - 1,
-    )
+    return _report(kind, p, 1, n, t.k, p_value=p)
 
 
 def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
@@ -394,10 +393,7 @@ def fisher_montecarlo_kxk(
             s += log_factorials[c]
         hits += int((s >= s_obs - 1e-9).sum())
     p = (hits + 1) / (samples + 1)
-    return SignificanceReport(
-        kind="fisher_mc", value=p, df=1, p_value=p, n=n,
-        df_alpha=(t.k - 1) ** 2, df_beta=t.k - 1,
-    )
+    return _report("fisher_mc", p, 1, n, t.k, p_value=p)
 
 
 def williams_correction(
@@ -425,13 +421,8 @@ def williams_correction(
         a2_minus_1 = (k / prev_h - 1.0) * (k / bias_h - 1.0)
         r = (k - 1) ** 2
     q = 1.0 + a2_minus_1 / (6.0 * n * r)
-    value = report.value / q
-    return replace(
-        report,
-        value=value,
-        p_value=chi2_sf(max(value, 0.0), report.df),
-        corrections=report.corrections | {"williams"},
-    )
+    return _report(report.kind, report.value / q, report.df, report.n, k,
+                   report.corrections | {"williams"})
 
 
 def posthoc_calibration(p: float) -> PosthocCalibration:

@@ -7,6 +7,8 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import chancekit
 
 MODULES = ("errors", "contingency", "dichotomous", "multiclass", "significance", "confidence", "montecarlo")
@@ -74,3 +76,65 @@ def test_readme_count_table_is_the_quick_start_table():
     table = chancekit.parse_table_csv(block)
     assert table.labels == ("cat", "dog")
     assert table.counts.tolist() == ast.literal_eval(quick_start)
+
+
+_T2 = chancekit.from_counts([[5, 1], [2, 4]])
+_T3 = chancekit.from_counts([[5, 1, 2], [0, 7, 1], [2, 2, 9]])
+_ZERO3 = chancekit.from_counts([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def _rng():
+    return chancekit.substream(0, 0)[0]
+
+
+# Each public guard on caller input, the class it raises (UsageError exits 1
+# from the command line, DataError exits 2) and the text naming what was bad.
+INPUT_GUARDS = {
+    "chi2_sf_df": (lambda: chancekit.chi2_sf(1.0, 0), chancekit.UsageError, "got 0"),
+    "chi2_sf_statistic": (lambda: chancekit.chi2_sf(-1.0, 1), chancekit.UsageError, "got -1.0"),
+    "chi2_positive_k3": (lambda: chancekit.chi2_positive(_T3), chancekit.UsageError, "2x2 tables"),
+    "chi2_positive_target": (lambda: chancekit.chi2_positive(_T2, "nowhere"),
+                             chancekit.UsageError, "'nowhere'"),
+    "cramers_v_n": (lambda: chancekit.cramers_v(1.0, 0, 2), chancekit.UsageError, "n > 0"),
+    "cramers_v_value": (lambda: chancekit.cramers_v(-1.0, 10, 2),
+                        chancekit.UsageError, "must be non-negative"),
+    "fisher_mc_empty": (lambda: chancekit.fisher_montecarlo_kxk(_ZERO3),
+                        chancekit.DataError, "empty table"),
+    "williams_mode": (lambda: chancekit.williams_correction(chancekit.full_table_tests(_T3)[1],
+                                                            _T3, "both"),
+                      chancekit.UsageError, "'both'"),
+    "normalized_not_square": (lambda: chancekit.NormalizedTable([[0.5, 0.5]], ("a",)),
+                              chancekit.DataError, "square"),
+    "normalized_out_of_range": (lambda: chancekit.NormalizedTable([[1.5, -0.5], [0, 0]], ("a", "b")),
+                                chancekit.DataError, "[0, 1]"),
+    "normalized_sum": (lambda: chancekit.NormalizedTable([[0.5, 0.5], [0.5, 0.5]], ("a", "b")),
+                       chancekit.DataError, "sum to 1"),
+    "margins_all_zero": (lambda: chancekit.margins(_ZERO3), chancekit.DataError, "all-zero"),
+    "transform_dual_permutation": (lambda: chancekit.transform(_T3, "dual", [2, 1, 0]),
+                                   chancekit.UsageError, "dual takes no permutation"),
+    "binary_stats_k3": (lambda: chancekit.binary_stats(_T3), chancekit.UsageError, "got 3x3"),
+    "regression_k3": (lambda: chancekit.regression_coefficients(_T3),
+                      chancekit.UsageError, "2x2 tables"),
+    "wracc_skew_overflow": (lambda: chancekit.wracc(chancekit.binary_stats(_T2),
+                                                    chancekit.CostModel(cs=1e308, cv=1e308)),
+                            chancekit.UsageError, "got inf"),
+    "gen_chance_margins": (lambda: chancekit.gen_chance(3, 30, _rng(), margin_distribution="poisson"),
+                           chancekit.UsageError, "'poisson'"),
+    "gen_chance_cells": (lambda: chancekit.gen_chance(3, 30, _rng(), cell_distribution="poisson"),
+                         chancekit.UsageError, "'poisson'"),
+    "mix_k_mismatch": (lambda: chancekit.mix_and_constrain(_T2, _T3, 0.5, 12, _rng()),
+                       chancekit.UsageError, "matching class counts"),
+    "mix_level": (lambda: chancekit.mix_and_constrain(_T2, _T2, 1.5, 12, _rng()),
+                  chancekit.UsageError, "got 1.5"),
+    "informedness_weights": (lambda: chancekit.bookmaker_informedness(_T3, weights="uniform"),
+                             chancekit.UsageError, "'uniform'"),
+    "det_exponent_rule": (lambda: chancekit.det_estimates(_T3, "square"),
+                          chancekit.UsageError, "'square'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_GUARDS))
+def test_public_input_guards_raise_documented_class(name):
+    call, error, text = INPUT_GUARDS[name]
+    with pytest.raises(error, match=re.escape(text)):
+        call()

@@ -438,6 +438,18 @@ def test_simulate_unwritable_output_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_simulate_checks_output_before_running_grid(tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("occupied")
+
+    def no_grid(config):
+        raise AssertionError("the grid ran before --out was created")
+
+    monkeypatch.setattr("chancekit.cli.run_grid", no_grid)
+    assert main_code("simulate", "--k", "2", "--n", "16", "--steps", "2", "--runs", "1",
+                     "--seed", "3", "--out", str(blocker / "sub")) == 2
+
+
 def test_simulate_counts_failed_runs(tmp_path):
     text = main_output("simulate", "--k", "3", "--n", str(2 * 10**9), "--steps", "2",
                        "--runs", "2", "--seed", "1", "--fisher-samples", "1000",

@@ -307,6 +307,8 @@ def test_dichotomize_one_vs_rest():
     assert d.labels == ("y", "rest")
     assert d.counts.tolist() == [[7, 1], [3, 18]]
     assert d.n == t.n
+    named_rest = from_counts([[5, 1], [2, 4]], labels=("rest", "other"))
+    assert dichotomize(named_rest, 0).labels == ("rest", "_rest")
 
 
 def test_dichotomize_bad_index():

@@ -41,6 +41,10 @@ OPTION_CASES = {
                        "--repair-margins"],
     "significance_table2small_yates_williams": ["significance", "--table", "table2small.csv",
                                                 "--yates", "--williams"],
+    # Independence-mode Williams and the sampled exact test at K > 2.
+    "significance_table4x4_williams": ["significance", "--table", "table4x4.csv",
+                                       "--family", "all", "--williams", "--seed", "7",
+                                       "--fisher-samples", "2000"],
     **{
         f"significance_{Path(table).stem}_fisher_one": ["significance", "--table", table,
                                                         "--family", "fisher",
