@@ -45,8 +45,7 @@ from .significance import (
     chi2_bookmaker_family,
     chi2_positive,
     cramers_v,
-    fisher_exact_2x2,
-    fisher_montecarlo_kxk,
+    exact_test,
     full_table_tests,
     g2_positive,
     posthoc_calibration,
@@ -296,12 +295,10 @@ def _cmd_significance(args) -> None:
             "cramers_v_g2": cramers_v(full_g2.value, t.n, t.k),
         }
     if want_fisher:
-        if t.k == 2:
-            fisher = fisher_exact_2x2(t, args.fisher_sided)
-        else:
-            seed = args.seed if args.seed is not None else _fresh_seed()
+        seed = args.seed if args.seed is not None else _fresh_seed()
+        fisher = exact_test(t, args.fisher_sided, args.fisher_samples, seed)
+        if fisher.kind == "fisher_mc":
             doc["seed"] = seed
-            fisher = fisher_montecarlo_kxk(t, args.fisher_samples, seed)
         reports.append(fisher)
 
     doc["significance"] = [_report_dict(rep, args.alpha) for rep in reports]

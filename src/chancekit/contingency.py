@@ -151,9 +151,8 @@ class ContingencyTable:
         )
         for arr in arrays.values():
             arr.setflags(write=False)
-        det, det_sign, log_abs_det = _joint_det_slogdet(arrays["probs"])
-        return _TableSummary(n=n, det=det, det_sign=det_sign, log_abs_det=log_abs_det,
-                             **arrays, mean_log_prevalence=float(np.log(prevalence).mean()),
+        return _TableSummary(n=n, **arrays,
+                             mean_log_prevalence=float(np.log(prevalence).mean()),
                              mean_log_bias=float(np.log(bias).mean()))
 
 
@@ -161,22 +160,18 @@ class ContingencyTable:
 class _TableSummary:
     """What every chance-corrected measure reads from a table with positive
     margins, and the only place that reduces them: prevalence and bias as
-    fractions of n, the joint probabilities, their independence expectation
-    and determinant (with its sign and log-magnitude, from one factorisation),
-    the mean log-margins (so margin products stay finite at any K), and at
-    index i of each rate vector what binary_stats reports for dichotomize(t,
-    i), computed the same way so the two agree bit for bit.  The mutual
-    information and the nine evenness forms are taken on first use and then
-    shared by every reader."""
+    fractions of n, the joint probabilities and their independence
+    expectation, the mean log-margins (so margin products stay finite at any
+    K), and at index i of each rate vector what binary_stats reports for
+    dichotomize(t, i), computed the same way so the two agree bit for bit.
+    The determinant, the mutual information and the nine evenness forms are
+    taken on first use and then shared by every reader."""
 
     n: int
     prevalence: np.ndarray
     bias: np.ndarray
     probs: np.ndarray
     expected: np.ndarray
-    det: float
-    det_sign: float
-    log_abs_det: float
     mean_log_prevalence: float
     mean_log_bias: float
     recall: np.ndarray
@@ -184,6 +179,13 @@ class _TableSummary:
     markedness: np.ndarray
     f1: np.ndarray
     g_measure: np.ndarray
+
+    @cached_property
+    def determinant(self) -> tuple[float, float, float]:
+        """(det, sign, log|det|) of the joint probabilities from one
+        factorisation (see _joint_det_slogdet); taken on first use, since
+        only the multiclass record and det_estimates read it."""
+        return _joint_det_slogdet(self.probs)
 
     @cached_property
     def mutual_information(self) -> float:

@@ -198,7 +198,7 @@ def regression_coefficients(t: ContingencyTable) -> tuple[float, float, float]:
     correlation, which the identity tests rely on.
     """
     if t.k != 2:
-        raise UsageError("regression coefficients are defined for 2x2 tables")
+        raise UsageError(f"regression coefficients are defined for 2x2 tables, got {t.k}x{t.k}")
     require_positive_margins(t)
     a, b, c, d = (float(x) for x in t.counts.ravel())
     det = a * d - b * c

@@ -32,8 +32,7 @@ from .significance import (
     SignificanceReport,
     chi2_bookmaker_family,
     cramers_v,
-    fisher_exact_2x2,
-    fisher_montecarlo_kxk,
+    exact_test,
     full_table_tests,
 )
 
@@ -238,7 +237,7 @@ def mix_and_constrain(
     again.  Total failure to converge raises RuntimeError.
     """
     if perfect.k != chance.k:
-        raise UsageError("tables must have matching class counts")
+        raise UsageError(f"tables must have matching class counts, got {perfect.k} and {chance.k}")
     if not (0.0 <= level <= 1.0):
         raise UsageError(f"level must lie in [0, 1], got {level}")
     k = perfect.k
@@ -303,10 +302,7 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
         sampler_seed = int(rng.integers(np.iinfo(np.int64).max))
         stats = multiclass_stats(table)
         full_chi2, full_g2 = full_table_tests(table)
-        if table.k == 2:
-            fisher = fisher_exact_2x2(table, "two")
-        else:
-            fisher = fisher_montecarlo_kxk(table, config.fisher_samples, sampler_seed)
+        fisher = exact_test(table, "two", config.fisher_samples, sampler_seed)
         kb = chi2_bookmaker_family(table, "kb")
         km = chi2_bookmaker_family(table, "km")
         kbm = chi2_bookmaker_family(table, "kbm")

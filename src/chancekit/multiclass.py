@@ -76,14 +76,17 @@ def bookmaker_informedness(t: ContingencyTable, *, weights: str = "prevalence") 
     """Prevalence-weighted mean of the one-vs-rest informedness values.
 
     weights="bias" switches to bias weighting, kept as an explicit variant
-    because the two weightings coincide only when margins match.
+    because the two weightings coincide only when margins match.  Clamped to
+    [-1, 1]: the weights can sum to one ulp above 1, which would put a perfect
+    table at 1.0000000000000002.
     """
-    return float(np.dot(_weights(t, weights), t._summary.informedness))
+    return min(1.0, max(-1.0, float(np.dot(_weights(t, weights), t._summary.informedness))))
 
 
 def multiclass_markedness(t: ContingencyTable, *, weights: str = "bias") -> float:
-    """Bias-weighted mean of the one-vs-rest markedness values."""
-    return float(np.dot(_weights(t, weights), t._summary.markedness))
+    """Bias-weighted mean of the one-vs-rest markedness values, clamped to
+    [-1, 1] as bookmaker_informedness is."""
+    return min(1.0, max(-1.0, float(np.dot(_weights(t, weights), t._summary.markedness))))
 
 
 def correlation_bmg(t: ContingencyTable) -> float:
@@ -131,10 +134,11 @@ def det_estimates(
     s = t._summary
     k = t.k
     e = 2.0 / k if exponent_rule == "two_over_k" else 4.0 / (3.0 * k - 2.0)
-    if s.det_sign == 0.0:
+    _, det_sign, log_abs_det = s.determinant
+    if det_sign == 0.0:
         return 0.0, 0.0, 0.0
     log_bias, log_prev = k * s.mean_log_bias, k * s.mean_log_prevalence
-    return tuple(s.det_sign * math.exp(e * (s.log_abs_det - log_product))
+    return tuple(det_sign * math.exp(e * (log_abs_det - log_product))
                  for log_product in (log_bias, log_prev, 0.5 * (log_prev + log_bias)))
 
 
@@ -175,7 +179,7 @@ def multiclass_stats(t: ContingencyTable) -> MulticlassStats:
         kappa=multiclass_kappa(t),
         mutual_information=mutual_information(t),
         conditional_entropy=conditional_entropy(t),
-        det=s.det,
+        det=s.determinant[0],
         evenness=s.evenness,
         label_informedness=tuple(s.informedness.tolist()),
         class_markedness=tuple(s.markedness.tolist()),

@@ -16,12 +16,13 @@ their (K-1)-scaled variants, and the margin-free conventional forms
 the full-table statistic; for a 2x2 table the full statistic is exactly
 n * B * M.
 
-Exact inference comes from the 2x2 hypergeometric test and, for K x K tables,
-Patefield's fixed-margin sampler with p = (hits + 1) / (samples + 1) (Phipson
-& Smyth 2010).  Tail probabilities of the chi-squared family come from the
-regularized upper incomplete gamma function Q(r/2, x/2): erfc for one degree
-of freedom, otherwise its power series below x = a + 1 and its Lentz continued
-fraction above (Press et al., Numerical Recipes, section 6.2).
+Exact inference (exact_test) comes from the 2x2 hypergeometric test and, for
+K x K tables, Patefield's fixed-margin sampler with p = (hits + 1) /
+(samples + 1) (Phipson & Smyth 2010).  Tail probabilities of the chi-squared
+family come from the regularized upper incomplete gamma function Q(r/2, x/2):
+erfc for one degree of freedom, otherwise its power series below x = a + 1 and
+its Lentz continued fraction above (Press et al., Numerical Recipes, section
+6.2).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "cramers_v",
     "fisher_exact_2x2",
     "fisher_montecarlo_kxk",
+    "exact_test",
     "williams_correction",
     "posthoc_calibration",
 ]
@@ -195,7 +197,7 @@ def _report(kind: str, value: float, df: int, n: int, k: int,
 def _positive_cells(t: ContingencyTable, target: str):
     """Observed and expected counts along the positive row or column."""
     if t.k != 2:
-        raise UsageError("single-margin statistics are defined for 2x2 tables")
+        raise UsageError(f"single-margin statistics are defined for 2x2 tables, got {t.k}x{t.k}")
     if target not in _POSITIVE_TARGETS:
         raise UsageError(f"unknown target '{target}'")
     s = t._summary
@@ -292,9 +294,9 @@ def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, Significa
 def cramers_v(chi2_value: float, n: int, k: int) -> float:
     """Association strength sqrt(chi2 / (n (K-1))) on the 0..1 scale."""
     if n <= 0 or k < 2:
-        raise UsageError("need n > 0 and k >= 2")
+        raise UsageError(f"need n > 0 and k >= 2, got n={n}, k={k}")
     if chi2_value < 0.0:
-        raise UsageError("chi-squared value must be non-negative")
+        raise UsageError(f"chi-squared value must be non-negative, got {chi2_value}")
     return math.sqrt(chi2_value / (n * (k - 1)))
 
 
@@ -394,6 +396,22 @@ def fisher_montecarlo_kxk(
         hits += int((s >= s_obs - 1e-9).sum())
     p = (hits + 1) / (samples + 1)
     return _report("fisher_mc", p, 1, n, t.k, p_value=p)
+
+
+def exact_test(
+    t: ContingencyTable, sidedness: str = "two", samples: int = 100_000, seed: int = 0
+) -> SignificanceReport:
+    """The exact fixed-margin test of t: the hypergeometric sum
+    (fisher_exact_2x2, either side) for a 2x2 table, otherwise Patefield's
+    sampler (fisher_montecarlo_kxk) with samples draws from seed.  samples
+    and seed are read only by the sampler; the sampled test is two-sided, so
+    sidedness "one" on a larger table raises UsageError."""
+    if t.k == 2:
+        return fisher_exact_2x2(t, sidedness)
+    if sidedness != "two":
+        raise UsageError(f"the sampled exact test of a {t.k}x{t.k} table is two-sided, "
+                         f"got sidedness '{sidedness}'")
+    return fisher_montecarlo_kxk(t, samples, seed)
 
 
 def williams_correction(

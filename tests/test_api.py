@@ -92,12 +92,14 @@ def _rng():
 INPUT_GUARDS = {
     "chi2_sf_df": (lambda: chancekit.chi2_sf(1.0, 0), chancekit.UsageError, "got 0"),
     "chi2_sf_statistic": (lambda: chancekit.chi2_sf(-1.0, 1), chancekit.UsageError, "got -1.0"),
-    "chi2_positive_k3": (lambda: chancekit.chi2_positive(_T3), chancekit.UsageError, "2x2 tables"),
+    "chi2_positive_k3": (lambda: chancekit.chi2_positive(_T3), chancekit.UsageError,
+                         "2x2 tables, got 3x3"),
     "chi2_positive_target": (lambda: chancekit.chi2_positive(_T2, "nowhere"),
                              chancekit.UsageError, "'nowhere'"),
-    "cramers_v_n": (lambda: chancekit.cramers_v(1.0, 0, 2), chancekit.UsageError, "n > 0"),
+    "cramers_v_n": (lambda: chancekit.cramers_v(1.0, 0, 2), chancekit.UsageError, "got n=0, k=2"),
+    "cramers_v_k": (lambda: chancekit.cramers_v(1.0, 10, 1), chancekit.UsageError, "got n=10, k=1"),
     "cramers_v_value": (lambda: chancekit.cramers_v(-1.0, 10, 2),
-                        chancekit.UsageError, "must be non-negative"),
+                        chancekit.UsageError, "must be non-negative, got -1.0"),
     "fisher_mc_empty": (lambda: chancekit.fisher_montecarlo_kxk(_ZERO3),
                         chancekit.DataError, "empty table"),
     "williams_mode": (lambda: chancekit.williams_correction(chancekit.full_table_tests(_T3)[1],
@@ -114,7 +116,7 @@ INPUT_GUARDS = {
                                    chancekit.UsageError, "dual takes no permutation"),
     "binary_stats_k3": (lambda: chancekit.binary_stats(_T3), chancekit.UsageError, "got 3x3"),
     "regression_k3": (lambda: chancekit.regression_coefficients(_T3),
-                      chancekit.UsageError, "2x2 tables"),
+                      chancekit.UsageError, "2x2 tables, got 3x3"),
     "wracc_skew_overflow": (lambda: chancekit.wracc(chancekit.binary_stats(_T2),
                                                     chancekit.CostModel(cs=1e308, cv=1e308)),
                             chancekit.UsageError, "got inf"),
@@ -123,7 +125,7 @@ INPUT_GUARDS = {
     "gen_chance_cells": (lambda: chancekit.gen_chance(3, 30, _rng(), cell_distribution="poisson"),
                          chancekit.UsageError, "'poisson'"),
     "mix_k_mismatch": (lambda: chancekit.mix_and_constrain(_T2, _T3, 0.5, 12, _rng()),
-                       chancekit.UsageError, "matching class counts"),
+                       chancekit.UsageError, "matching class counts, got 2 and 3"),
     "mix_level": (lambda: chancekit.mix_and_constrain(_T2, _T2, 1.5, 12, _rng()),
                   chancekit.UsageError, "got 1.5"),
     "informedness_weights": (lambda: chancekit.bookmaker_informedness(_T3, weights="uniform"),

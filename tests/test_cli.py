@@ -157,6 +157,9 @@ def test_usage_errors_exit_1(tmp_path):
                      "--out", str(tmp_path / "o")) == 1
     for alpha in ("7", "-1", "nan"):
         assert main_code("significance", "--table", str(p), "--alpha", alpha) == 1
+    # The sampled exact test of a K > 2 table is two-sided only.
+    assert main_code("significance", "--table", str(DATA / "table4x4.csv"), "--family", "fisher",
+                     "--fisher-sided", "one", "--seed", "7", "--fisher-samples", "2000") == 1
 
 
 def test_data_errors_exit_2(tmp_path):
@@ -333,6 +336,17 @@ def test_significance_at_exact_independence_exit_0(tmp_path):
         assert doc["association"]["cramers_v_g2"] == 0.0
     evaluate = json.loads(main_output("evaluate", "--table", str(p), "--format", "json"))
     assert evaluate["metrics"]["multiclass"]["mutual_information"] == 0.0
+
+
+def test_perfect_table_confidence_and_compare_exit_0():
+    # The weights of this diagonal table sum to one ulp above 1, which put
+    # informedness above 1 and outside the interval centre's range.
+    perfect = str(DATA / "table7perfect.csv")
+    assert main_code("confidence", "--table", perfect) == 0
+    assert main_code("compare", "--table-a", perfect, "--table-b", perfect) == 0
+    doc = json.loads(main_output("evaluate", "--table", perfect, "--format", "json"))
+    multiclass = doc["metrics"]["multiclass"]
+    assert multiclass["informedness"] == multiclass["markedness"] == 1.0
 
 
 def test_readme_command_lines_parse():

@@ -32,6 +32,8 @@ TABLE_COMMANDS = {
         "significance": ["--family", "all", "--seed", "7", "--fisher-samples", "2000"],
         "confidence": [],
     },
+    # A perfect table whose prevalence weights sum to one ulp above 1.
+    "table7perfect.csv": {"evaluate": [], "confidence": []},
 }
 # Options that change an output, each pinned on a table where it takes
 # effect: Yates fires only on a table with an expected cell below 5.
@@ -39,6 +41,7 @@ OPTION_CASES = {
     "compare": ["compare", "--table-a", "table2a.csv", "--table-b", "table2b.csv"],
     "compare_repair": ["compare", "--table-a", "table3zero.csv", "--table-b", "table4x4.csv",
                        "--repair-margins"],
+    "compare_perfect": ["compare", "--table-a", "table7perfect.csv", "--table-b", "table4x4.csv"],
     "significance_table2small_yates_williams": ["significance", "--table", "table2small.csv",
                                                 "--yates", "--williams"],
     # Independence-mode Williams and the sampled exact test at K > 2.

@@ -18,6 +18,7 @@ from chancekit.significance import (
     chi2_positive,
     chi2_sf,
     cramers_v,
+    exact_test,
     fisher_exact_2x2,
     fisher_montecarlo_kxk,
     full_table_tests,
@@ -275,6 +276,19 @@ def test_fisher_degenerate_margins():
         fisher_exact_2x2(table_a(), "both")
     with pytest.raises(UsageError):
         fisher_exact_2x2(from_counts(np.eye(3, dtype=int) + 1))
+
+
+def test_exact_test_is_the_2x2_sum_or_the_sampler():
+    # Report equality compares every field; the 2x2 sum ignores samples and seed.
+    t = table_a()
+    for side in ("one", "two"):
+        assert exact_test(t, side, samples=1000, seed=3) == fisher_exact_2x2(t, side)
+    k3 = [[4, 2, 3], [3, 5, 2], [1, 3, 4]]
+    k4 = [[6, 1, 2, 0], [1, 5, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]]
+    for t in (from_counts(k3), from_counts(k4)):
+        assert exact_test(t, "two", 2000, 42) == fisher_montecarlo_kxk(t, 2000, 42)
+        with pytest.raises(UsageError, match=f"{t.k}x{t.k}"):
+            exact_test(t, "one", 2000, 42)
 
 
 def test_fisher_montecarlo_agrees_with_exact_2x2():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference_stats as ref
 from chancekit import contingency
+from chancekit.confidence import confidence_interval, evenness_factor
 from chancekit.contingency import dichotomize, from_counts, margins
 from chancekit.dichotomous import binary_stats
 from chancekit.multiclass import (
@@ -56,8 +57,11 @@ def test_summary_matches_one_vs_rest_records(t):
     assert stats.label_informedness == tuple(s.informedness for s in per_label)
     assert stats.class_markedness == tuple(s.markedness for s in per_label)
     m = margins(t)
-    assert stats.informedness == float(np.dot(m.prevalence, [s.informedness for s in per_label]))
-    assert stats.markedness == float(np.dot(m.bias, [s.markedness for s in per_label]))
+    # Both are clamped to [-1, 1]: the weights can sum to one ulp above 1.
+    b_ref = np.dot(m.prevalence, [s.informedness for s in per_label])
+    m_ref = np.dot(m.bias, [s.markedness for s in per_label])
+    assert stats.informedness == float(np.clip(b_ref, -1.0, 1.0))
+    assert stats.markedness == float(np.clip(m_ref, -1.0, 1.0))
     assert (stats.wav, stats.gav, stats.fav) == tuple(
         float(sum(m.prevalence[i] * getattr(s, field) for i, s in enumerate(per_label)))
         for field in ("recall", "g_measure", "f1")
@@ -132,11 +136,28 @@ def test_determinant_factorised_once(monkeypatch):
     calls = []
     monkeypatch.setattr(np.linalg, "det", lambda a: calls.append("det") or det(a))
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append("slogdet") or slogdet(a))
+    # The significance and confidence paths never factorise.
+    full_table_tests(t)
+    for kind in FAMILY_KINDS:
+        chi2_bookmaker_family(t, kind)
+    b, evenness = bookmaker_informedness(t), evenness_factor(t)
+    for variant in ("null", "empirical", "full"):
+        confidence_interval(b, t.n, evenness, 1.96, variant)
+    assert calls == []
     stats = multiclass_stats(t)
     for rule in EXPONENT_RULES:
         det_estimates(t, rule)
     assert calls == ["slogdet"]
     assert stats.det == det(t.counts / t.n)
+
+
+def test_informedness_and_markedness_never_exceed_one_on_a_perfect_table():
+    # The prevalence weights of this diagonal table sum to one ulp above 1.
+    t = from_counts(np.diag([298, 843, 57, 204, 13, 234, 44]))
+    assert float(np.dot(t._summary.prevalence, t._summary.informedness)) > 1.0
+    assert bookmaker_informedness(t) == multiclass_markedness(t) == 1.0
+    stats = multiclass_stats(t)
+    assert stats.informedness == stats.markedness == stats.correlation == 1.0
 
 
 def test_mutual_information_never_negative_at_exact_independence():
