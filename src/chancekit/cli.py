@@ -310,8 +310,8 @@ def _cmd_significance(args) -> None:
 
 def _cmd_confidence(args) -> None:
     t, descriptor = _load_input(args, allow_pairs=False)
-    if args.alpha is not None and args.x is not None:
-        raise UsageError("provide --x or --alpha, not both")
+    if args.x is not None and (args.alpha is not None or args.one_tailed):
+        raise UsageError("--x sets the multiplier itself, so it takes neither --alpha nor --one-tailed")
     if args.x is not None:
         x = args.x
     elif args.alpha is not None:

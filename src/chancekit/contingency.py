@@ -382,19 +382,13 @@ def margins(t: ContingencyTable) -> Margins:
 
 
 def require_positive_margins(t: ContingencyTable) -> None:
-    """Raise DataError naming the first zero margin, if any."""
-    rows = t.row_totals
-    cols = t.col_totals
-    for i in range(t.k):
-        if cols[i] == 0:
-            raise DataError(
-                f"zero real-class margin (column) for label '{t.labels[i]}'"
-            )
-    for i in range(t.k):
-        if rows[i] == 0:
-            raise DataError(
-                f"zero predicted margin (row) for label '{t.labels[i]}'"
-            )
+    """Raise DataError naming the first zero margin, if any: columns first,
+    then rows, each at its lowest index."""
+    for totals, kind in ((t.col_totals, "real-class margin (column)"),
+                         (t.row_totals, "predicted margin (row)")):
+        zeros = np.flatnonzero(totals == 0)
+        if zeros.size:
+            raise DataError(f"zero {kind} for label '{t.labels[zeros[0]]}'")
 
 
 def dichotomize(t: ContingencyTable, label_index: int) -> ContingencyTable:
@@ -653,9 +647,10 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
     whitespace and blank rows are skipped; a first non-blank row like
     "predicted,actual" is treated as a header, anything else as data.
 
-    Identical raw rows are counted first and validated once each, so the
-    work after the count grows with the number of distinct rows (at most
-    K^2 for clean data), not with the number of rows.
+    Identical rows are counted first and validated once each, so the work
+    after the count grows with the number of distinct rows (at most K^2 for
+    clean data), not with the number of rows.  Rows that differ only in the
+    blanks around their cells add up under one row.
     """
     return _read_pairs(io.StringIO(text, newline=""), labels)
 
@@ -663,48 +658,45 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
 def _read_pairs(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
     delimiter = _delimiter(handle)
     try:
-        raw_tally = _raw_row_tally(handle, delimiter)
+        tally = _row_tally(handle, delimiter)
     except csv.Error as exc:
         raise _malformed(exc) from None
-    # Counter keys keep first-occurrence order, so the first non-blank key is
-    # the file's first non-blank row.
-    rows = {}
-    for raw in raw_tally:
-        cells = tuple(c.strip() for c in raw)
-        if any(cells):
-            rows[raw] = cells
-    if not rows:
+    if not tally:
         raise DataError("empty pairs file")
-    first_raw = next(iter(rows))
-    if _is_pairs_header(rows[first_raw]):
-        raw_tally[first_raw] -= 1
-    tally: Counter[tuple[str, str]] = Counter()
-    for raw, cells in rows.items():
-        count = raw_tally[raw]
-        if not count:
-            continue
-        if len(cells) != 2:
-            raise _first_width_error(handle, delimiter)
-        tally[cells] += count
+    # Counter keys keep first-occurrence order, so the first key is the
+    # file's first non-blank row.
+    first = next(iter(tally))
+    if _is_pairs_header(first):
+        tally[first] -= 1
+    tally = +tally
+    if any(len(cells) != 2 for cells in tally):
+        raise _first_width_error(handle, delimiter)
     return _table_from_tally(tally, labels)
 
 
-def _raw_row_tally(handle: TextIO, delimiter: str) -> Counter[tuple[str, ...]]:
-    """Count of each raw csv row, keyed in first-occurrence order.
+def _row_tally(handle: TextIO, delimiter: str) -> Counter[tuple[str, ...]]:
+    """Count of each non-blank csv row, its cells stripped, keyed in
+    first-occurrence order.
 
     With newline="", a handle splits lines where csv splits records.  So
     unless a line holds a quote, which may open a cell spanning lines, each
     line is one record: the lines are counted at C speed and only the
-    distinct ones are parsed, and lines that differ only in their ending add
-    up under one row.  Otherwise csv reads the handle row by row.
+    distinct ones are parsed and stripped.  Otherwise csv reads the handle
+    row by row and only the distinct rows are stripped.  Either way, rows
+    that differ only in their ending or in the blanks around their cells
+    add up under one row.
     """
     lines = Counter(handle)
     if any('"' in line for line in lines):
         _rewind(handle)
-        return Counter(map(tuple, csv.reader(handle, delimiter=delimiter)))
+        rows = lines = Counter(map(tuple, csv.reader(handle, delimiter=delimiter)))
+    else:
+        rows = csv.reader(lines, delimiter=delimiter)
     tally: Counter[tuple[str, ...]] = Counter()
-    for row, count in zip(csv.reader(lines, delimiter=delimiter), lines.values()):
-        tally[tuple(row)] += count
+    for row, count in zip(rows, lines.values()):
+        cells = tuple(c.strip() for c in row)
+        if any(cells):
+            tally[cells] += count
     return tally
 
 

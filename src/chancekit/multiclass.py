@@ -108,9 +108,10 @@ def mutual_information(t: ContingencyTable) -> float:
 
 
 def conditional_entropy(t: ContingencyTable) -> float:
-    """Entropy of the real class left once the prediction is known, in nats."""
+    """Entropy of the real class left once the prediction is known, in nats,
+    clamped at 0 as the mutual information is, so a perfect table reads 0.0, not -0.0."""
     s = t._summary
-    return -_sum_p_log_ratio(s.probs, np.broadcast_to(s.bias[:, None], s.probs.shape))
+    return max(0.0, -_sum_p_log_ratio(s.probs, np.broadcast_to(s.bias[:, None], s.probs.shape)))
 
 
 def det_estimates(
@@ -148,24 +149,26 @@ def evenness_variants(t: ContingencyTable) -> EvennessVariants:
 
 
 def multiclass_kappa(t: ContingencyTable) -> float:
-    """Chance-corrected agreement (observed vs margin-expected diagonal)."""
+    """Chance-corrected agreement (observed vs margin-expected diagonal),
+    clamped at 1 as bookmaker_informedness is: a perfect table can read one ulp above."""
     s = t._summary
     po = float(np.trace(s.probs))
     pe = float(np.dot(s.bias, s.prevalence))
-    return (po - pe) / (1.0 - pe)
+    return min(1.0, (po - pe) / (1.0 - pe))
 
 
 def macro_averages(t: ContingencyTable) -> tuple[float, float, float]:
     """Prevalence-weighted one-vs-rest recall, g-measure, and f-measure.
 
     The weighted recall always collapses to the diagonal accuracy; it is kept
-    as an explicit average so the trio stays comparable.
+    as an explicit average so the trio stays comparable.  Each is clamped at
+    1, as bookmaker_informedness is: the weights can sum to one ulp above 1.
     """
     s = t._summary
     w = s.prevalence
-    # Python's left-to-right sum, not np.sum's pairwise one, so the last bit
-    # matches a sum over the one-vs-rest records.
-    return tuple(float(sum(w * v)) for v in (s.recall, s.g_measure, s.f1))
+    # Python's left-to-right sum, not np.sum's pairwise one, so below 1 the
+    # last bit matches a sum over the one-vs-rest records.
+    return tuple(min(1.0, float(sum(w * v))) for v in (s.recall, s.g_measure, s.f1))
 
 
 def multiclass_stats(t: ContingencyTable) -> MulticlassStats:

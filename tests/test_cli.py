@@ -153,6 +153,9 @@ def test_usage_errors_exit_1(tmp_path):
     for x in ("nan", "inf"):
         assert main_code("confidence", "--table", str(p), "--x", x) == 1
     assert main_code("compare", "--table-a", str(p), "--table-b", str(p), "--x", "nan") == 1
+    # --x sets the multiplier itself, so --one-tailed is refused as --alpha is
+    # (test_confidence_alpha_and_x_are_exclusive).
+    assert main_code("confidence", "--table", str(p), "--x", "2", "--one-tailed") == 1
     assert main_code("simulate", "--k", "2", "--n", "16", "--x", "nan",
                      "--out", str(tmp_path / "o")) == 1
     for alpha in ("7", "-1", "nan"):

@@ -348,6 +348,12 @@ def test_require_positive_margins_names_the_margin():
     with pytest.raises(DataError, match="row"):
         require_positive_margins(from_counts([[0, 0], [1, 2]]))
     require_positive_margins(from_counts([[1, 1], [1, 1]]))
+    # Columns are checked before rows, and each axis names its lowest zero.
+    labels = ("a", "b", "c")
+    with pytest.raises(DataError, match="column\\) for label 'c'"):
+        require_positive_margins(from_counts([[0, 0, 0], [1, 2, 0], [3, 4, 0]], labels))
+    with pytest.raises(DataError, match="column\\) for label 'a'"):
+        require_positive_margins(from_counts([[0, 1, 0], [0, 2, 0], [0, 3, 0]], labels))
 
 
 def test_repair_zero_margins_paired_diagonal():
@@ -447,6 +453,16 @@ def _outcome(parse, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(_pair_texts())
+# a header repeated later as a data row
+@example(("predicted,actual\na,b\npredicted,actual\n", None))
+# a header, then a data row with the same stripped cells but other blanks
+@example(("predicted,actual\n predicted ,actual \na,b\n", None))
+# a header and nothing else: no pairs to tally
+@example(("predicted,actual\n", None))
+# a 3-cell header over 2-cell rows
+@example(("system,label,extra\na,b\nb,a\n", None))
+# a row of blank cells between data rows
+@example(("a,b\n,\nb,a\n", None))
 def test_parse_pairs_matches_row_by_row_reference(case):
     text, labels = case
     assert _outcome(parse_pairs, text, labels) == _outcome(reference_pairs.parse_pairs, text, labels)

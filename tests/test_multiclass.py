@@ -2,11 +2,12 @@
 reconstruction, determinant estimates, evenness, and information measures."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chancekit.contingency import dichotomize, from_counts, margins, transform
+from chancekit.contingency import dichotomize, from_counts, load_table_csv, margins, transform
 from chancekit.dichotomous import binary_stats
 from chancekit.errors import DataError
 from chancekit.multiclass import (
@@ -23,6 +24,7 @@ from chancekit.multiclass import (
 )
 from helpers import random_valid_table, random_valid_tables, table_a
 
+DATA = Path(__file__).parent / "data"
 PERFECT3 = from_counts([[20, 0, 0], [0, 30, 0], [0, 0, 10]])
 UNIFORM3 = from_counts([[4, 4, 4], [4, 4, 4], [4, 4, 4]])
 
@@ -115,6 +117,14 @@ def test_perfect_uniform_diagonal_information():
     t = from_counts([[50, 0], [0, 50]])
     assert mutual_information(t) == pytest.approx(math.log(2), abs=1e-12)
     assert conditional_entropy(t) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_conditional_entropy_of_a_perfect_table_is_positive_zero():
+    # The negated sum of exact zeros would be -0.0 and print as -0.000000.
+    t = load_table_csv(DATA / "table7perfect.csv")
+    assert conditional_entropy(t) == 0.0
+    assert math.copysign(1.0, conditional_entropy(t)) == 1.0
+    assert math.copysign(1.0, multiclass_stats(t).conditional_entropy) == 1.0
 
 
 def test_mutual_information_zero_iff_independent():

@@ -21,6 +21,8 @@ from chancekit.multiclass import (
     conditional_entropy,
     det_estimates,
     evenness_variants,
+    macro_averages,
+    multiclass_kappa,
     multiclass_markedness,
     multiclass_stats,
     mutual_information,
@@ -62,8 +64,9 @@ def test_summary_matches_one_vs_rest_records(t):
     m_ref = np.dot(m.bias, [s.markedness for s in per_label])
     assert stats.informedness == float(np.clip(b_ref, -1.0, 1.0))
     assert stats.markedness == float(np.clip(m_ref, -1.0, 1.0))
+    # Each is clamped at 1, as B and M are.
     assert (stats.wav, stats.gav, stats.fav) == tuple(
-        float(sum(m.prevalence[i] * getattr(s, field) for i, s in enumerate(per_label)))
+        min(1.0, float(sum(m.prevalence[i] * getattr(s, field) for i, s in enumerate(per_label))))
         for field in ("recall", "g_measure", "f1")
     )
 
@@ -152,12 +155,17 @@ def test_determinant_factorised_once(monkeypatch):
 
 
 def test_informedness_and_markedness_never_exceed_one_on_a_perfect_table():
-    # The prevalence weights of this diagonal table sum to one ulp above 1.
+    # The prevalence weights of this diagonal table sum to one ulp above 1,
+    # and so, unclamped, would kappa and the three macro averages.
     t = from_counts(np.diag([298, 843, 57, 204, 13, 234, 44]))
     assert float(np.dot(t._summary.prevalence, t._summary.informedness)) > 1.0
+    assert float(sum(t._summary.prevalence * t._summary.recall)) > 1.0
     assert bookmaker_informedness(t) == multiclass_markedness(t) == 1.0
+    assert multiclass_kappa(t) == 1.0
+    assert macro_averages(t) == (1.0, 1.0, 1.0)
     stats = multiclass_stats(t)
     assert stats.informedness == stats.markedness == stats.correlation == 1.0
+    assert stats.kappa == stats.wav == stats.gav == stats.fav == 1.0
 
 
 def test_mutual_information_never_negative_at_exact_independence():
