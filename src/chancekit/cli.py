@@ -28,7 +28,7 @@ from .contingency import (
     repair_zero_margins,
 )
 from .dichotomous import binary_stats
-from .errors import ChanceKitError, DataError, UsageError
+from .errors import DataError, UsageError
 from .montecarlo import (
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
@@ -90,11 +90,11 @@ def _parse_labels(raw: str | None) -> list[str] | None:
     return labels
 
 
-def _load_input(args, allow_pairs: bool) -> tuple[ContingencyTable, dict]:
-    table_path = getattr(args, "table", None)
-    pairs_path = getattr(args, "pairs", None) if allow_pairs else None
+def _load_input(args) -> tuple[ContingencyTable, dict]:
+    table_path = args.table
+    pairs_path = getattr(args, "pairs", None)
     if (table_path is None) == (pairs_path is None):
-        if allow_pairs:
+        if hasattr(args, "pairs"):
             raise UsageError("provide exactly one of --table or --pairs")
         raise UsageError("--table is required")
     labels = _parse_labels(getattr(args, "labels", None))
@@ -240,7 +240,7 @@ def _emit(doc: dict, args, text_printer) -> None:
 # --------------------------------------------------------------- subcommands
 
 def _cmd_evaluate(args) -> None:
-    t, descriptor = _load_input(args, allow_pairs=True)
+    t, descriptor = _load_input(args)
     doc = _document("evaluate", descriptor)
     stats = multiclass_stats(t)
     multiclass = dataclasses.asdict(stats)
@@ -266,7 +266,7 @@ def _cmd_evaluate(args) -> None:
 def _cmd_significance(args) -> None:
     if not (0.0 < args.alpha < 1.0):
         raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
-    t, descriptor = _load_input(args, allow_pairs=False)
+    t, descriptor = _load_input(args)
     doc = _document("significance", descriptor)
     doc["alpha"] = args.alpha
     reports = []
@@ -309,7 +309,7 @@ def _cmd_significance(args) -> None:
 
 
 def _cmd_confidence(args) -> None:
-    t, descriptor = _load_input(args, allow_pairs=False)
+    t, descriptor = _load_input(args)
     if args.x is not None and (args.alpha is not None or args.one_tailed):
         raise UsageError("--x sets the multiplier itself, so it takes neither --alpha nor --one-tailed")
     if args.x is not None:
@@ -484,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--x", type=float, default=1.96)
     simulate.add_argument("--alpha", type=float, default=0.05)
     simulate.add_argument("--fisher-samples", type=int, default=10_000)
-    simulate.add_argument("--no-enforce-integer", action="store_true")
+    simulate.add_argument("--no-enforce-integer", action="store_true",
+                          help="keep each rounded table's own total instead of forcing it to --n")
     simulate.add_argument("--out", required=True, help="output directory for runs.csv and summary.csv")
     simulate.add_argument("--format", choices=("json", "text"), default="text")
     simulate.set_defaults(handler=_cmd_simulate)
@@ -515,9 +516,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except ChanceKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - last-resort exit code mapping
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -64,9 +64,6 @@ RUNS_CSV_COLUMNS = (
     "ci_lo", "ci_hi", "within_band", "seed_stream",
 )
 
-_CONSTRAIN_CAP = 100_000
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Grid configuration; the default grid is 11 levels x 10 runs."""
@@ -207,12 +204,15 @@ def gen_chance(
     return from_counts(counts)
 
 
-def _safe_decrement_mask(counts: np.ndarray) -> np.ndarray:
-    """Cells that can lose one count without zeroing any margin."""
+def _decrement_cells(counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flat indices of the cells that can lose a unit without zeroing a
+    margin, and of the one-unit rows' (columns') units whose column (row)
+    holds more."""
     rows = counts.sum(axis=1, keepdims=True)
     cols = counts.sum(axis=0, keepdims=True)
     lone = (counts == 1) & ((rows == 1) | (cols == 1))
-    return (counts >= 1) & ~lone
+    masks = ((counts >= 1) & ~lone, lone & (cols > 1), lone & (rows > 1))
+    return tuple(np.flatnonzero(mask.ravel()) for mask in masks)
 
 
 def mix_and_constrain(
@@ -224,23 +224,27 @@ def mix_and_constrain(
     enforce_total: bool = True,
 ) -> ContingencyTable:
     """Weighted cell mix level*perfect + (1-level)*chance, rounded, zero
-    margins repaired, then unit increments/decrements on randomly chosen
-    cells until the total equals n (skipped when enforce_total is off).
+    margins repaired, then forced to total n (unless enforce_total is off)
+    in exactly |total - n| unit steps on randomly chosen cells.
 
     Each component is rescaled to total mass n before mixing; the sampled
     tables only hit n in expectation, and mixing raw counts would make the
     realized weight of each component drift with its total instead of
     staying at level/(1-level).
 
-    Decrements avoid cells whose removal would zero a margin; if no such
-    cell exists the constraint falls back to any nonzero cell and repairs
-    again.  Total failure to converge raises RuntimeError.
+    An increment lands on any cell, a decrement on a cell whose loss zeroes
+    no margin.  With no such cell, total > n >= K leaves a one-unit row i
+    whose unit sits in a fuller column j and a one-unit column j2 whose unit
+    sits in a fuller row i2: the step takes the units at (i, j) and (i2, j2)
+    and puts one at (i, j2).  With enforce_total, n < K raises UsageError.
     """
     if perfect.k != chance.k:
         raise UsageError(f"tables must have matching class counts, got {perfect.k} and {chance.k}")
     if not (0.0 <= level <= 1.0):
         raise UsageError(f"level must lie in [0, 1], got {level}")
     k = perfect.k
+    if enforce_total and n < k:
+        raise UsageError(f"n must be at least K to keep every margin positive, got n={n}, K={k}")
 
     def mass_scaled(t: ContingencyTable) -> np.ndarray:
         cells = t.counts.astype(float)
@@ -256,26 +260,19 @@ def mix_and_constrain(
     if not enforce_total:
         return repaired
     counts = np.array(repaired.counts)
-    total = int(counts.sum())
-    iterations = 0
-    while total != n:
-        iterations += 1
-        if iterations > _CONSTRAIN_CAP:
-            raise RuntimeError(f"constraint loop failed to reach total {n} from {total}")
-        if total < n:
-            counts.flat[int(rng.integers(k * k))] += 1
-            total += 1
+    excess = int(counts.sum()) - n
+    for _ in range(-excess):
+        counts.flat[int(rng.integers(k * k))] += 1
+    for _ in range(excess):
+        safe, lone_in_row, lone_in_col = _decrement_cells(counts)
+        if safe.size:
+            counts.flat[int(safe[int(rng.integers(safe.size))])] -= 1
         else:
-            safe = np.flatnonzero(_safe_decrement_mask(counts).ravel())
-            if safe.size:
-                counts.flat[int(safe[int(rng.integers(safe.size))])] -= 1
-                total -= 1
-            else:
-                nonzero = np.flatnonzero(counts.ravel() >= 1)
-                counts.flat[int(nonzero[int(rng.integers(nonzero.size))])] -= 1
-                fixed = repair_zero_margins(from_counts(counts, perfect.labels))
-                counts = np.array(fixed.counts)
-                total = int(counts.sum())
+            i, j = divmod(int(lone_in_row[int(rng.integers(lone_in_row.size))]), k)
+            i2, j2 = divmod(int(lone_in_col[int(rng.integers(lone_in_col.size))]), k)
+            counts[i, j] -= 1
+            counts[i2, j2] -= 1
+            counts[i, j2] += 1
     return from_counts(counts, perfect.labels)
 
 

@@ -54,6 +54,10 @@ OPTION_CASES = {
                                                         "--fisher-sided", "one"]
         for table in ("table2a.csv", "table2b.csv")
     },
+    # A pair file with a header row and a blank line, in sorted and in
+    # reversed label order.
+    "evaluate_pairs3": ["evaluate", "--pairs", "pairs3.csv"],
+    "evaluate_pairs3_labels": ["evaluate", "--pairs", "pairs3.csv", "--labels", "dog,cat,bird"],
     "confidence_table4x4_x": ["confidence", "--table", "table4x4.csv", "--x", "2.5758"],
     "confidence_table4x4_alpha_one_tailed": ["confidence", "--table", "table4x4.csv",
                                              "--alpha", "0.01", "--one-tailed"],
@@ -79,6 +83,9 @@ SIMULATE_CASES = {
     "simulate_k3_uniform": ["--k", "3", *_GRID, "--fisher-samples", "1000",
                             "--no-enforce-integer", "--dist", "uniform",
                             "--margin-dist", "uniform"],
+    # n = K: the constraint loop meets tables where no unit can leave alone.
+    "simulate_k4_n4": ["--k", "4", "--n", "4", "--steps", "3", "--runs", "2",
+                       "--seed", "391116", "--fisher-samples", "1000"],
 }
 SIMULATE_FILES = ("runs.csv", "summary.csv")
 

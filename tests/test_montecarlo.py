@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import chancekit.montecarlo as mc
 from chancekit.contingency import from_counts, repair_zero_margins
 from chancekit.errors import UsageError
 from chancekit.montecarlo import (
@@ -88,37 +87,44 @@ def test_gen_chance_is_centered_on_zero_informedness():
     assert -0.05 < float(np.mean(values)) < 0.05
 
 
+def _assert_constrained(t, n):
+    assert t.n == n
+    assert (t.counts >= 0).all()
+    assert (t.row_totals > 0).all() and (t.col_totals > 0).all()
+
+
 def test_mix_total_always_exact():
     rng = np.random.default_rng(5)
     for k, n in ((2, 16), (3, 40), (4, 128)):
         for level in (0.0, 0.3, 0.5, 0.8, 1.0):
             perfect = gen_perfect(k, n, rng)
             chance = gen_chance(k, n, rng)
-            t = mix_and_constrain(perfect, chance, level, n, rng)
-            assert t.n == n
-            assert (t.counts >= 0).all()
-            assert (t.row_totals > 0).all() and (t.col_totals > 0).all()
+            _assert_constrained(mix_and_constrain(perfect, chance, level, n, rng), n)
 
 
-def test_mix_falls_back_when_no_decrement_is_safe(monkeypatch):
-    # Every cell of this perfect table is alone in its row or column, so no
-    # decrement keeps the margins positive: the constraint loop must take
-    # a unit from any nonzero cell and repair the margins again.
-    calls = []
-
-    def spy(t):
-        calls.append(t)
-        return repair_zero_margins(t)
-
-    monkeypatch.setattr(mc, "repair_zero_margins", spy)
+def test_mix_falls_back_when_no_decrement_is_safe():
+    # Every unit of this perfect table is alone in its row or column, so no
+    # unit can leave without zeroing a margin: the constraint loop must move
+    # units between cells instead.
     perfect = from_counts([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
     chance = from_counts(np.ones((3, 3), dtype=np.int64))
     for seed in range(5):
-        calls.clear()
-        t = mix_and_constrain(perfect, chance, 1.0, 3, np.random.default_rng(seed))
-        assert t.n == 3
-        assert (t.row_totals > 0).all() and (t.col_totals > 0).all()
-        assert len(calls) >= 2
+        _assert_constrained(mix_and_constrain(perfect, chance, 1.0, 3, np.random.default_rng(seed)), 3)
+
+
+def test_mix_reaches_n_from_a_star_table():
+    # Row 0 and column 0 hold three units each and every unit is alone in
+    # its row or its column; the rounded mix keeps the star, total 6.
+    star = from_counts([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    for seed in range(200):
+        _assert_constrained(mix_and_constrain(star, star, 1.0, 4, np.random.default_rng(seed)), 4)
+
+
+def test_mix_rejects_n_below_k_only_when_enforcing_the_total():
+    t = from_counts(np.eye(4, dtype=np.int64))
+    with pytest.raises(UsageError, match="n=3, K=4"):
+        mix_and_constrain(t, t, 0.5, 3, np.random.default_rng(0))
+    assert mix_and_constrain(t, t, 0.5, 3, np.random.default_rng(0), enforce_total=False).k == 4
 
 
 def test_mix_extremes_recover_components():
