@@ -658,7 +658,7 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
 def _read_pairs(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
     delimiter = _delimiter(handle)
     try:
-        tally = _row_tally(handle, delimiter)
+        tally, lines = _row_tally(handle, delimiter)
     except csv.Error as exc:
         raise _malformed(exc) from None
     if not tally:
@@ -670,13 +670,16 @@ def _read_pairs(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTabl
         tally[first] -= 1
     tally = +tally
     if any(len(cells) != 2 for cells in tally):
-        raise _first_width_error(handle, delimiter)
+        raise _first_width_error(handle, delimiter, lines)
     return _table_from_tally(tally, labels)
 
 
-def _row_tally(handle: TextIO, delimiter: str) -> Counter[tuple[str, ...]]:
+def _row_tally(
+    handle: TextIO, delimiter: str
+) -> tuple[Counter[tuple[str, ...]], Counter[str] | None]:
     """Count of each non-blank csv row, its cells stripped, keyed in
-    first-occurrence order.
+    first-occurrence order, and the count of each distinct line when no
+    line holds a quote (else None).
 
     With newline="", a handle splits lines where csv splits records.  So
     unless a line holds a quote, which may open a cell spanning lines, each
@@ -689,15 +692,16 @@ def _row_tally(handle: TextIO, delimiter: str) -> Counter[tuple[str, ...]]:
     lines = Counter(handle)
     if any('"' in line for line in lines):
         _rewind(handle)
-        rows = lines = Counter(map(tuple, csv.reader(handle, delimiter=delimiter)))
+        rows = counts = Counter(map(tuple, csv.reader(handle, delimiter=delimiter)))
+        lines = None
     else:
-        rows = csv.reader(lines, delimiter=delimiter)
+        rows, counts = csv.reader(lines, delimiter=delimiter), lines
     tally: Counter[tuple[str, ...]] = Counter()
-    for row, count in zip(rows, lines.values()):
+    for row, count in zip(rows, counts.values()):
         cells = tuple(c.strip() for c in row)
         if any(cells):
             tally[cells] += count
-    return tally
+    return tally, lines
 
 
 def _is_pairs_header(cells: Sequence[str]) -> bool:
@@ -708,19 +712,27 @@ def _is_pairs_header(cells: Sequence[str]) -> bool:
     )
 
 
-def _first_width_error(handle: TextIO, delimiter: str) -> DataError:
+def _first_width_error(handle: TextIO, delimiter: str, lines: Counter[str] | None) -> DataError:
     """Error for the first data row, in file order, that is not 2 cells wide.
 
     Line numbers count non-blank rows, the header included.  The handle is
-    read again from the start, one row at a time, up to that row.
+    read again from the start up to that row.  Given the distinct lines of
+    a file without quotes (from _row_tally), each line is one row: only the
+    distinct lines are parsed, and each line of the file is a set and a dict
+    lookup.  Otherwise csv reads the handle row by row.
     """
     _rewind(handle)
-    i, width = next(
-        (i, len(row))
-        for i, row in enumerate(_rows(handle, delimiter), start=1)
-        if len(row) != 2 and not (i == 1 and _is_pairs_header(row))
-    )
-    return DataError(f"expected 2 columns at pairs line {i}, got {width}")
+    if lines is None:
+        rows = _rows(handle, delimiter)
+    else:
+        parsed = {line: [c.strip() for c in row]
+                  for line, row in zip(lines, csv.reader(lines, delimiter=delimiter))}
+        nonblank = {line for line, cells in parsed.items() if any(cells)}
+        rows = map(parsed.__getitem__, filter(nonblank.__contains__, handle))
+    for i, row in enumerate(rows, start=1):
+        if len(row) != 2 and not (i == 1 and _is_pairs_header(row)):
+            return DataError(f"expected 2 columns at pairs line {i}, got {len(row)}")
+    raise AssertionError("no row of the wrong width")
 
 
 def _load(

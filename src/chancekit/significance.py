@@ -18,11 +18,15 @@ n * B * M.
 
 Exact inference (exact_test) comes from the 2x2 hypergeometric test and, for
 K x K tables, Patefield's fixed-margin sampler with p = (hits + 1) /
-(samples + 1) (Phipson & Smyth 2010).  Tail probabilities of the chi-squared
-family come from the regularized upper incomplete gamma function Q(r/2, x/2):
-erfc for one degree of freedom, otherwise its power series below x = a + 1 and
-its Lentz continued fraction above (Press et al., Numerical Recipes, section
-6.2).
+(samples + 1) (Phipson & Smyth 2010).  The 2x2 p is the correctly rounded
+exact fraction: on supports of _WINDOW_MIN_WIDTH tables or more it comes
+from tail sums bounded in fixed-point integers around the mode, whose cost
+grows with |a - mode| plus sqrt(n), and the full integer sum over the
+support settles any p whose bounds straddle a rounding boundary.  Tail
+probabilities of the chi-squared family come from the regularized upper
+incomplete gamma function Q(r/2, x/2): erfc for one degree of freedom,
+otherwise its power series below x = a + 1 and its Lentz continued fraction
+above (Press et al., Numerical Recipes, section 6.2).
 """
 
 from __future__ import annotations
@@ -308,12 +312,17 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
     the observed one.  Degenerate margins leave a single admissible table and
     give p = 1.
 
-    The weight of true-positive count x is C(rp, x) * C(rn, pp - x), and the
-    summed weights over C(n, pp) give p.  Working in integers keeps tie
-    comparisons exact.  Two binomials give the first weight and the ratio
-    w(x + 1) / w(x) = (rp - x)(pp - x) / ((x + 1)(rn - pp + x + 1)) the rest;
-    the division is exact because w(x + 1) is an integer.  Each weight is
-    added as it comes, so none is kept.
+    The weight of true-positive count x is C(rp, x) * C(rn, pp - x), and p is
+    the selected weights over all of them, C(n, pp), rounded once.  When the
+    support has at least _WINDOW_MIN_WIDTH tables, _fisher_window bounds both
+    sums from the terms that can move that rounding, about |a - mode| plus
+    sqrt(n) of them.  If its bounds straddle a rounding boundary, or the
+    support is narrower, every weight is added as an exact integer, at a
+    cost that grows faster than n^2: two binomials give the first weight and
+    the ratio w(x + 1) / w(x) = (rp - x)(pp - x) / ((x + 1)(rn - pp + x + 1))
+    the rest, a division that is exact because w(x + 1) is an integer.  Each
+    weight is added as it comes, so none is kept, and ties compare exactly.
+    Either way p is the correctly rounded exact fraction.
     """
     if sidedness not in ("one", "two"):
         raise UsageError(f"sidedness must be 'one' or 'two', got '{sidedness}'")
@@ -325,7 +334,12 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
     n = a + b + c + d
     if n == 0:
         raise DataError("cannot test an empty table")
+    kind = "fisher_one" if sidedness == "one" else "fisher_two"
     lo, hi = max(0, pp - rn), min(rp, pp)
+    if hi - lo >= _WINDOW_MIN_WIDTH:
+        p = _fisher_window(a, b, c, d, sidedness)
+        if p is not None:
+            return _report(kind, p, 1, n, t.k, p_value=p)
     if sidedness == "two":
         start, stop = lo, hi
         obs = math.comb(rp, a) * math.comb(rn, pp - a)
@@ -339,8 +353,158 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
             total += w
         w = w * (rp - x) * (pp - x) // ((x + 1) * (rn - pp + x + 1))
     p = total / math.comb(n, pp)
-    kind = "fisher_one" if sidedness == "one" else "fisher_two"
     return _report(kind, p, 1, n, t.k, p_value=p)
+
+
+# _fisher_window stops each tail once what is left of it is below
+# 2^-_WINDOW_BITS of its sum, and keeps terms in fixed point with 32 bits
+# more, which absorb the one unit each floored term can lose.  Below
+# _WINDOW_MIN_WIDTH tables of support (the smallest margin) the full sum is
+# cheaper.
+_WINDOW_BITS = 100
+_WINDOW_RUN = 64
+_WINDOW_MIN_WIDTH = 256
+
+
+def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | None:
+    """p of fisher_exact_2x2 from bounded tail sums around the mode, or None
+    when the bounds do not settle its rounding.
+
+    The weights w(x) are log-concave: their ratio w(x + 1) / w(x) falls as x
+    grows, so each tail summed outward from its inner edge is bounded by a
+    geometric series once its ratio is below 1, and w(x) <= w(a) holds on
+    one outer interval on each side of the mode m.  Every sum is kept
+    relative to w(m) as an interval [lo, hi] * 2^-shift with floors below
+    and ceilings above: the whole mass, the tails the test selects, and the
+    complement of a selected tail that holds the mode.  A tail's inner edge
+    e enters through w(e) / w(m), multiplied up from runs of _WINDOW_RUN
+    consecutive factors, each run exact (math.perm) and the running product
+    rounded outward.  The two-sided test finds the first table past the mode
+    that is at most as probable as a by bisection on lgamma log-weights,
+    settling every near-tie by an exact integer comparison.  p is returned
+    when both ends of its interval round to the same double, which int / int
+    true division does correctly.
+    """
+    rp, rn, pp = a + c, b + d, a + b
+    q = rn - pp
+    lo, hi = max(0, -q), min(rp, pp)
+    m = (pp + 1) * (rp + 1) // (rp + rn + 2)
+    bits = _WINDOW_BITS + 32
+    one = 1 << bits
+
+    def ratio(x: int, y: int) -> tuple[int, int]:
+        """w(y) / w(x) as an exact numerator and denominator."""
+        if y < x:
+            den, num = ratio(y, x)
+            return num, den
+        k = y - x
+        return (math.perm(rp - x, k) * math.perm(pp - x, k),
+                math.perm(y, k) * math.perm(q + y, k))
+
+    def tail(e: int, step: int) -> tuple[int, int, int] | None:
+        """The sum of w(x) / w(m) over x = e, e + step, ... in the support,
+        for e at m or on step's side of it, so that the terms fall; None
+        when e is outside the support."""
+        if not lo <= e <= hi:
+            return None
+        # Term j is floored j times, so it is below its true value by less
+        # than j units.  Once the ratio r to the next term is below 1, the
+        # rest is at most the current term times r / (1 - r).
+        if step > 0:
+            u1, u2, v1, v2, steps = rp - e, pp - e, e + 1, q + e + 1, hi - e
+        else:
+            u1, u2, v1, v2, steps = e, q + e, rp - e + 1, pp - e + 1, e - lo
+        t = s = one
+        rest = j = 0
+        for j in range(steps):
+            num, den = (u1 - j) * (u2 - j), (v1 + j) * (v2 + j)
+            if num < den and (t + j) * num <= (s >> _WINDOW_BITS) * (den - num):
+                rest = s >> _WINDOW_BITS
+                break
+            t = t * num // den
+            s += t
+        else:
+            j = steps
+        # w(e) / w(m) in runs of _WINDOW_RUN factors, each run exact and
+        # its product with the bounds so far rounded outward to `bits` bits.
+        w_lo = w_hi = 1
+        shift = 0
+        near, far = min(m, e), max(m, e)
+        for x in range(near, far, _WINDOW_RUN):
+            num, den = ratio(x, min(x + _WINDOW_RUN, far))
+            if e < m:
+                num, den = den, num
+            k = bits + den.bit_length() - w_lo.bit_length() - num.bit_length()
+            w_lo, w_hi = w_lo * num, -w_hi * num
+            if k >= 0:
+                w_lo, w_hi = (w_lo << k) // den, -((w_hi << k) // den)
+            else:
+                w_lo, w_hi = (w_lo >> -k) // den, -((w_hi >> -k) // den)
+            shift += k
+        return w_lo * s, w_hi * (s + j * (j + 1) // 2 + rest), shift + bits
+
+    def combine(u, v, sign: int) -> tuple[int, int, int]:
+        """u + sign * v on the coarser of their two scales, rounded outward."""
+        if v is None:
+            return u
+        shift = min(u[2], v[2])
+        (u_lo, u_hi), (v_lo, v_hi) = (
+            (x_lo >> (x_s - shift), -(-x_hi >> (x_s - shift))) for x_lo, x_hi, x_s in (u, v))
+        if sign > 0:
+            return u_lo + v_lo, u_hi + v_hi, shift
+        return u_lo - v_hi, u_hi - v_lo, shift
+
+    below, above = tail(m, -1), tail(m, 1)
+    total = (below[0] + above[0] - one, below[1] + above[1] - one, bits)
+    if sidedness == "one":
+        step = 1 if a * d - b * c >= 0 else -1
+        if (a - m) * step >= 0:
+            selected = tail(a, step)
+        else:
+            selected = combine(total, tail(a - step, -step), -1)
+    else:
+        def log_weight(x: int) -> float:
+            """log w(x) up to a constant."""
+            return -(math.lgamma(x + 1) + math.lgamma(rp - x + 1)
+                     + math.lgamma(pp - x + 1) + math.lgamma(q + x + 1))
+
+        # Each lgamma here is within about one ulp of (n + 2) log(n + 2)
+        # (checked against mpmath up to 10^6), so a difference of log-weights
+        # beyond tol has the sign of the exact one.
+        log_wa = log_weight(a)
+        tol = 1e-12 * (rp + rn + 2) * math.log(rp + rn + 2)
+
+        def at_most_a(x: int) -> bool:
+            """w(x) <= w(a), with 0 outside the support."""
+            if not lo <= x <= hi:
+                return True
+            diff = log_weight(x) - log_wa
+            if abs(diff) > tol:
+                return diff < 0
+            if sorted((x, rp - x, pp - x, q + x)) == sorted((a, rp - a, pp - a, q + a)):
+                return True  # the same four factorials: a tie of symmetric margins
+            num, den = ratio(a, x)
+            return num <= den
+
+        # w falls strictly from m upward and from m - 1 downward, so on the
+        # far side of the mode from a, at_most_a holds from one table on.
+        step = -1 if a <= m else 1
+        first = max(a + 1, m) if step < 0 else m - 1
+        j_lo, j_hi = 0, hi + 1 - first if step < 0 else first + 1 - lo
+        while j_lo < j_hi:
+            mid = (j_lo + j_hi) // 2
+            if at_most_a(first - step * mid):
+                j_hi = mid
+            else:
+                j_lo = mid + 1
+        selected = combine(tail(a, step), tail(first - step * j_lo, -step), 1)
+    (n_lo, n_hi, n_s), (d_lo, d_hi, d_s) = selected, total
+    if n_s >= d_s:
+        d_lo, d_hi = d_lo << (n_s - d_s), d_hi << (n_s - d_s)
+    else:
+        n_lo, n_hi = n_lo << (d_s - n_s), n_hi << (d_s - n_s)
+    p_lo, p_hi = n_lo / d_hi, n_hi / d_lo
+    return p_lo if p_lo == p_hi else None
 
 
 def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):

@@ -461,6 +461,8 @@ def _outcome(parse, *args):
 @example(("predicted,actual\n", None))
 # a 3-cell header over 2-cell rows
 @example(("system,label,extra\na,b\nb,a\n", None))
+# a 3-cell header repeated later as a data row
+@example(("system,label,extra\na,b\nsystem,label,extra\n", None))
 # a row of blank cells between data rows
 @example(("a,b\n,\nb,a\n", None))
 def test_parse_pairs_matches_row_by_row_reference(case):

@@ -1,6 +1,7 @@
 """Test statistics, exact tests, corrections, and the survival function."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from chancekit.contingency import from_counts, transform
 from chancekit.dichotomous import binary_stats
 from chancekit.errors import DataError, UsageError
 from chancekit.multiclass import mutual_information
+from chancekit import significance
 from chancekit.significance import (
+    _fisher_window,
     _patefield_cells,
     chi2_bookmaker_family,
     chi2_positive,
@@ -251,6 +254,77 @@ def test_fisher_recurrence_matches_fraction_oracle_across_margins():
             for side in ("one", "two"):
                 oracle = _fisher_fraction_oracle(counts, side)
                 assert fisher_exact_2x2(t, side).p_value == oracle.numerator / oracle.denominator
+
+
+def test_fisher_window_matches_fraction_oracle_on_small_margins():
+    # Small supports go to the full sum, so the windowed routine is called
+    # directly here, on criterion 04's margin grid.
+    for n in range(2, 41):
+        margin_points = sorted({1, n // 4, n // 2, (3 * n) // 4, n - 1} & set(range(1, n)))
+        for rp in margin_points:
+            for pp in margin_points:
+                rn = n - rp
+                for a in range(max(0, pp - rn), min(rp, pp) + 1):
+                    counts = ((a, pp - a), (rp - a, rn - pp + a))
+                    for side in ("one", "two"):
+                        oracle = _fisher_fraction_oracle(counts, side)
+                        got = _fisher_window(a, pp - a, rp - a, rn - pp + a, side)
+                        assert got == oracle.numerator / oracle.denominator, (counts, side)
+
+
+def _large_margin_tables():
+    """Tables with n up to 20,001 whose observed count sits at both ends of
+    its range, next to the mode, and at and before the first table past the
+    mode that is no more probable than one about 3 sd below it."""
+    margins = [(1000, 1000, 1000), (400, 800, 600), (9000, 11001, 300),
+               (19700, 301, 400), (10000, 10001, 350),
+               (0, 20001, 5000), (20001, 0, 7), (9000, 11001, 0), (9000, 11001, 20001)]
+    for rp, rn, pp in margins:
+        n = rp + rn
+        lo, hi = max(0, pp - rn), min(rp, pp)
+        mode = (pp + 1) * (rp + 1) // (n + 2)
+        def weight(x):
+            return math.comb(rp, x) * math.comb(rn, pp - x)
+
+        sd = math.sqrt(pp * rp * rn * (n - pp) / (n * n * max(n - 1, 1)))
+        below = max(lo, mode - int(3 * sd))
+        mirror = mode
+        while mirror <= hi and weight(mirror) > weight(below):
+            mirror += 1
+        for a in sorted({lo, mode - 1, mode, mode + 1, below, mirror - 1, mirror, hi}):
+            if lo <= a <= hi:
+                yield (a, pp - a), (rp - a, rn - pp + a)
+
+
+def test_fisher_matches_fraction_oracle_on_large_margins():
+    for counts in _large_margin_tables():
+        t = from_counts(counts)
+        for side in ("one", "two"):
+            oracle = _fisher_fraction_oracle(counts, side)
+            assert fisher_exact_2x2(t, side).p_value == oracle.numerator / oracle.denominator, (
+                counts, side)
+
+
+def test_fisher_window_falls_back_when_rounding_is_undecided(monkeypatch):
+    # With 8 bits the bounds cannot settle a double; the full sum then gives p.
+    monkeypatch.setattr(significance, "_WINDOW_BITS", 8)
+    for counts in (((560, 440), (440, 560)), ((700, 300), (500, 501)), ((1300, 700), (700, 1300))):
+        (a, b), (c, d) = counts
+        for side in ("one", "two"):
+            assert _fisher_window(a, b, c, d, side) is None
+            oracle = _fisher_fraction_oracle(counts, side)
+            assert fisher_exact_2x2(from_counts(counts), side).p_value == (
+                oracle.numerator / oracle.denominator)
+
+
+def test_fisher_exact_balanced_table_at_n_1e5_is_fast():
+    # The full sum takes about 2 s here, the windowed sum milliseconds; the
+    # expected value is the full sum's.
+    t = from_counts([[25100, 24900], [24900, 25100]])
+    start = time.perf_counter()
+    p = fisher_exact_2x2(t, "two").p_value
+    assert time.perf_counter() - start < 0.5
+    assert p == 0.2081795011947948
 
 
 @pytest.mark.parametrize("side", ["one", "two"])
