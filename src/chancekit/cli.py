@@ -5,6 +5,8 @@ Five subcommands over the library: evaluate (metric report), significance
 simulate (Monte Carlo grid to CSV), and compare (interval overlap of two
 systems).  Values are fractions by default; --percent switches the text
 renderer to two-decimal percents.  JSON output round-trips losslessly.
+Each subcommand imports the library modules it runs when it runs, so a
+call loads only those.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 internal error.
 """
@@ -20,50 +22,29 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .confidence import compare_systems, confidence_interval, evenness_factor, normal_multiplier
 from .contingency import (
+    CELL_DISTRIBUTIONS,
+    MARGIN_DISTRIBUTIONS,
     ContingencyTable,
+    _fmt,
     load_pairs,
     load_table_csv,
     repair_zero_margins,
 )
-from .dichotomous import binary_stats
 from .errors import DataError, UsageError
-from .montecarlo import (
-    CELL_DISTRIBUTIONS,
-    MARGIN_DISTRIBUTIONS,
-    SimConfig,
-    _fmt,
-    coverage_report,
-    run_grid,
-    write_runs_csv,
-    write_summary_csv,
-)
-from .multiclass import bookmaker_informedness, multiclass_stats
-from .significance import (
-    FAMILY_KINDS,
-    chi2_bookmaker_family,
-    chi2_positive,
-    cramers_v,
-    exact_test,
-    full_table_tests,
-    g2_positive,
-    posthoc_calibration,
-    williams_correction,
-)
 
 __all__ = ["main", "console_entry", "build_parser"]
 
-# --family values that run evenness-scaled statistics, and which kinds
+# --family values that run part of the evenness-scaled statistics, and which
+# kinds; "all" runs every kind, significance.FAMILY_KINDS.
 _FAMILY_KIND_SETS = {
-    "all": FAMILY_KINDS,
     "kb": ("kb",),
     "km": ("km",),
     "kbm": ("kbm",),
     "x": ("xb", "xm", "xbm"),
     "conv": ("conv_b", "conv_m", "conv_bm"),
 }
-_FAMILY_CHOICES = (*_FAMILY_KIND_SETS, "full", "fisher")
+_FAMILY_CHOICES = ("all", *_FAMILY_KIND_SETS, "full", "fisher")
 
 # metric fields that are not probability-like; never shown as percents
 _NO_PERCENT = {
@@ -240,6 +221,9 @@ def _emit(doc: dict, args, text_printer) -> None:
 # --------------------------------------------------------------- subcommands
 
 def _cmd_evaluate(args) -> None:
+    from .dichotomous import binary_stats
+    from .multiclass import multiclass_stats
+
     t, descriptor = _load_input(args)
     doc = _document("evaluate", descriptor)
     stats = multiclass_stats(t)
@@ -264,6 +248,18 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_significance(args) -> None:
+    from .significance import (
+        FAMILY_KINDS,
+        chi2_bookmaker_family,
+        chi2_positive,
+        cramers_v,
+        exact_test,
+        full_table_tests,
+        g2_positive,
+        posthoc_calibration,
+        williams_correction,
+    )
+
     if not (0.0 < args.alpha < 1.0):
         raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
     t, descriptor = _load_input(args)
@@ -284,7 +280,8 @@ def _cmd_significance(args) -> None:
             g2_p = williams_correction(g2_p, t, "goodness_of_fit")
             g2_r = williams_correction(g2_r, t, "goodness_of_fit")
         reports.extend([g2_p, g2_r])
-    reports.extend(chi2_bookmaker_family(t, kind) for kind in _FAMILY_KIND_SETS.get(family, ()))
+    kinds = FAMILY_KINDS if family == "all" else _FAMILY_KIND_SETS.get(family, ())
+    reports.extend(chi2_bookmaker_family(t, kind) for kind in kinds)
     if want_full:
         full_chi2, full_g2 = full_table_tests(t)
         if args.williams:
@@ -309,6 +306,9 @@ def _cmd_significance(args) -> None:
 
 
 def _cmd_confidence(args) -> None:
+    from .confidence import confidence_interval, evenness_factor, normal_multiplier
+    from .multiclass import bookmaker_informedness
+
     t, descriptor = _load_input(args)
     if args.x is not None and (args.alpha is not None or args.one_tailed):
         raise UsageError("--x sets the multiplier itself, so it takes neither --alpha nor --one-tailed")
@@ -353,6 +353,9 @@ def _cmd_confidence(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from .confidence import compare_systems, evenness_factor
+    from .multiclass import bookmaker_informedness
+
     t_a = load_table_csv(args.table_a)
     t_b = load_table_csv(args.table_b)
     if args.repair_margins:
@@ -393,6 +396,8 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from .montecarlo import SimConfig, coverage_report, run_grid, write_runs_csv, write_summary_csv
+
     seed = args.seed if args.seed is not None else _fresh_seed()
     config = SimConfig(
         k=args.k, n=args.n, steps=args.steps, runs_per_step=args.runs,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -87,6 +86,10 @@ def evenness_factor(t: ContingencyTable) -> float:
 def normal_multiplier(alpha: float, two_tailed: bool = True) -> float:
     """Standard normal quantile for a coverage level, e.g. 1.96 for a
     two-tailed alpha of 0.05 and 1.645 one-tailed."""
+    # statistics takes longer to import than the rest of this module, and
+    # only this function reads it.
+    from statistics import NormalDist
+
     if not (0.0 < alpha < 1.0):
         raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
     q = 1.0 - alpha / 2.0 if two_tailed else 1.0 - alpha

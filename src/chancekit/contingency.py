@@ -44,6 +44,23 @@ __all__ = [
 
 TRANSFORM_KINDS = ("inverse", "dual", "perverse_rows", "perverse_cols")
 
+# The Monte Carlo generator's margin and cell distributions, and the one
+# cell formatting of its CSV files and the CLI's csv output.  They live here
+# so the command-line parser and renderers need no montecarlo import;
+# montecarlo exports the two tuples.
+MARGIN_DISTRIBUTIONS = ("uniform", "binomial")
+CELL_DISTRIBUTIONS = ("uniform", "binomial_copula", "absolute_shifted_normal")
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -678,19 +695,20 @@ def _row_tally(
     handle: TextIO, delimiter: str
 ) -> tuple[Counter[tuple[str, ...]], Counter[str] | None]:
     """Count of each non-blank csv row, its cells stripped, keyed in
-    first-occurrence order, and the count of each distinct line when no
-    line holds a quote (else None).
+    first-occurrence order, and the count of each distinct line when each
+    line is one record (else None).
 
-    With newline="", a handle splits lines where csv splits records.  So
-    unless a line holds a quote, which may open a cell spanning lines, each
-    line is one record: the lines are counted at C speed and only the
+    With newline="", a handle splits lines where csv splits records, unless
+    a quote opens a cell spanning lines.  So when every distinct line that
+    holds a quote is a whole record on its own, such as a quoted header,
+    each line is one record: the lines are counted at C speed and only the
     distinct ones are parsed and stripped.  Otherwise csv reads the handle
     row by row and only the distinct rows are stripped.  Either way, rows
     that differ only in their ending or in the blanks around their cells
     add up under one row.
     """
     lines = Counter(handle)
-    if any('"' in line for line in lines):
+    if not all(_is_record(line, delimiter) for line in lines if '"' in line):
         _rewind(handle)
         rows = counts = Counter(map(tuple, csv.reader(handle, delimiter=delimiter)))
         lines = None
@@ -702,6 +720,15 @@ def _row_tally(
         if any(cells):
             tally[cells] += count
     return tally, lines
+
+
+def _is_record(line: str, delimiter: str) -> bool:
+    """Whether csv reads `line` as one whole record: a quote left open
+    would take the blank line after it into its cell, leaving one row."""
+    try:
+        return sum(1 for _ in csv.reader([line, "\n"], delimiter=delimiter)) == 2
+    except csv.Error:
+        return False
 
 
 def _is_pairs_header(cells: Sequence[str]) -> bool:
@@ -717,9 +744,9 @@ def _first_width_error(handle: TextIO, delimiter: str, lines: Counter[str] | Non
 
     Line numbers count non-blank rows, the header included.  The handle is
     read again from the start up to that row.  Given the distinct lines of
-    a file without quotes (from _row_tally), each line is one row: only the
-    distinct lines are parsed, and each line of the file is a set and a dict
-    lookup.  Otherwise csv reads the handle row by row.
+    a file whose lines are each one record (from _row_tally), each line is
+    one row: only the distinct lines are parsed, and each line of the file
+    is a set and a dict lookup.  Otherwise csv reads the handle row by row.
     """
     _rewind(handle)
     if lines is None:

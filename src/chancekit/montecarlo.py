@@ -25,7 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .confidence import ConfidenceInterval, confidence_interval, evenness_factor
-from .contingency import ContingencyTable, from_counts, repair_zero_margins
+from .contingency import (
+    CELL_DISTRIBUTIONS,
+    MARGIN_DISTRIBUTIONS,
+    ContingencyTable,
+    _fmt,
+    from_counts,
+    repair_zero_margins,
+)
 from .errors import DataError, UsageError
 from .multiclass import MulticlassStats, multiclass_stats
 from .significance import (
@@ -54,9 +61,6 @@ __all__ = [
     "write_summary_csv",
     "RUNS_CSV_COLUMNS",
 ]
-
-MARGIN_DISTRIBUTIONS = ("uniform", "binomial")
-CELL_DISTRIBUTIONS = ("uniform", "binomial_copula", "absolute_shifted_normal")
 
 RUNS_CSV_COLUMNS = (
     "step", "run", "l", "n_realized", "B", "M", "BMG", "kappa",
@@ -425,16 +429,6 @@ def coverage_report(runs: tuple[SimRun, ...] | list[SimRun], alpha: float = 0.05
     )
     overall = _summarize(None, None, list(runs), alpha)
     return CoverageReport(steps=steps, overall=overall)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_runs_csv(runs: tuple[SimRun, ...] | list[SimRun], path: str | Path) -> None:

@@ -4,7 +4,10 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,10 +52,53 @@ def test_package_exports_each_module_name_once():
             assert getattr(chancekit, export) is getattr(module, export), (name, export)
             assert export not in seen, (export, seen.get(export), name)
             seen[export] = name
-    assert len(chancekit.__all__) == len(set(chancekit.__all__))
-    assert set(chancekit.__all__) == {"__version__", *seen}
+    assert chancekit.__all__ == ["__version__", *seen]
     assert set(EARLIER_EXPORTS) <= set(chancekit.__all__)
     assert {"MARGIN_DISTRIBUTIONS", "CELL_DISTRIBUTIONS"} <= set(chancekit.__all__)
+
+
+def _fresh(probe: str) -> str:
+    """stdout of a new interpreter running `probe`."""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule():
+    loaded = _fresh("import sys, chancekit\n"
+                    "print(sorted(m for m in sys.modules if m.startswith(('chancekit.', 'numpy'))))")
+    assert loaded.strip() == "[]"
+
+
+def test_star_import_binds_every_export_from_its_module():
+    # In a new interpreter, so the star import is what loads the modules.
+    owners = json.loads(_fresh(
+        "import importlib, json\n"
+        "namespace = {}\n"
+        "exec('from chancekit import *', namespace)\n"
+        "del namespace['__builtins__']\n"
+        f"modules = [importlib.import_module('chancekit.' + m) for m in {MODULES!r}]\n"
+        "print(json.dumps({name: [m.__name__ for m in modules if getattr(m, name, None) is value]\n"
+        "                  for name, value in namespace.items()}))\n"
+    ))
+    expected = {*EARLIER_EXPORTS, "MARGIN_DISTRIBUTIONS", "CELL_DISTRIBUTIONS", "exact_test"}
+    assert len(expected) == 79  # 78 library names and __version__
+    assert set(owners) == expected
+    assert [name for name, found_in in owners.items() if not found_in] == ["__version__"]
+
+
+def test_lazy_namespace_lookups():
+    assert "__all__" in dir(chancekit)
+    assert {"cli", "montecarlo", "multiclass_stats"} <= set(dir(chancekit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chancekit.no_such_name
+    assert chancekit.cli is importlib.import_module("chancekit.cli")
+    # A name resolved once is then a plain entry of the package dict.
+    bound = _fresh("import chancekit\n"
+                   "before = 'run_grid' in vars(chancekit)\n"
+                   "first = chancekit.run_grid\n"
+                   "print(before, vars(chancekit)['run_grid'] is first)\n")
+    assert bound.split() == ["False", "True"]
 
 
 def test_readme_quick_start_prints_its_comments():

@@ -203,12 +203,47 @@ def test_malformed_table_csv_never_internal_error(tmp_path_factory, text, comman
 
 
 def test_import_loads_no_scipy():
-    # Importing scipy.special alone costs about half of every CLI call.
-    probe = ("import sys, chancekit, chancekit.cli; "
+    # Importing scipy.special alone costs about half of every CLI call.  The
+    # package loads its modules on first use, so the probe loads them all.
+    probe = ("import sys, chancekit.cli; from chancekit import *; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Each command, and modules it must not load since it runs none of them.
+# hashlib comes in with the Monte Carlo streams (and numpy.random, which a
+# K > 2 exact test samples with), statistics with the normal quantile of
+# --alpha.
+_NOT_LOADED = {
+    "evaluate": (["evaluate", "--table", TABLE_A],
+                 {"chancekit.significance", "chancekit.confidence", "chancekit.montecarlo",
+                  "hashlib", "statistics"}),
+    "confidence": (["confidence", "--table", TABLE_A],
+                   {"chancekit.significance", "chancekit.montecarlo", "hashlib", "statistics"}),
+    "compare": (["compare", "--table-a", TABLE_A, "--table-b", TABLE_B],
+                {"chancekit.significance", "chancekit.montecarlo", "hashlib", "statistics"}),
+    "significance": (["significance", "--table", TABLE_A, "--family", "all"],
+                     {"chancekit.confidence", "chancekit.montecarlo", "hashlib", "statistics"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_command_loads_only_the_modules_it_runs(command):
+    args, not_loaded = _NOT_LOADED[command]
+    # As `python -m chancekit` runs it, then the module names at exit.
+    probe = (
+        "import atexit, json, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules))))\n"
+        "runpy.run_module('chancekit', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, *args, "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr))
+    assert "chancekit.multiclass" in loaded
+    assert not loaded & not_loaded
 
 
 def test_commands_run_with_scipy_blocked(tmp_path):
@@ -462,7 +497,7 @@ def test_simulate_checks_output_before_running_grid(tmp_path, monkeypatch):
     def no_grid(config):
         raise AssertionError("the grid ran before --out was created")
 
-    monkeypatch.setattr("chancekit.cli.run_grid", no_grid)
+    monkeypatch.setattr("chancekit.montecarlo.run_grid", no_grid)
     assert main_code("simulate", "--k", "2", "--n", "16", "--steps", "2", "--runs", "1",
                      "--seed", "3", "--out", str(blocker / "sub")) == 2
 

@@ -465,6 +465,18 @@ def _outcome(parse, *args):
 @example(("system,label,extra\na,b\nsystem,label,extra\n", None))
 # a row of blank cells between data rows
 @example(("a,b\n,\nb,a\n", None))
+# a quoted header, each line still one record
+@example(('"predicted","actual"\na,b\nb,a\n', None))
+# a quoted header, then a row too wide, found line by line
+@example(('"predicted","actual"\na,b\na,b,c\n', None))
+# a quoted cell spanning lines after a quoted header (the repeated rows
+# would be miscounted if each line were taken as one record)
+@example(('"predicted","actual"\na,"b\nc"\nb,a\nb,a\n', None))
+# a quoted label holding a \r, which ends a line by itself
+@example(('"a\rb",x\nx,"a\rb"\nx,"a\rb"\n', None))
+# a quote inside a cell is data, but the next cell's quote opens and
+# continues on the next line
+@example(('a"b,"c\nd"\nb,a\nb,a\n', None))
 def test_parse_pairs_matches_row_by_row_reference(case):
     text, labels = case
     assert _outcome(parse_pairs, text, labels) == _outcome(reference_pairs.parse_pairs, text, labels)
