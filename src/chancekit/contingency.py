@@ -565,6 +565,15 @@ def _delimiter(handle: TextIO) -> str:
     return delimiter
 
 
+def _text_handle(text: str) -> TextIO:
+    """A seekable handle on `text` that reads as a file opened with
+    newline="" does.  It holds the text as UTF-8, one to four bytes a
+    character where io.StringIO holds four; surrogatepass keeps lone
+    surrogates as they are."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")),
+                            encoding="utf-8", errors="surrogatepass", newline="")
+
+
 def _rows(handle: TextIO, delimiter: str) -> Iterator[list[str]]:
     """Stripped non-blank rows in file order."""
     for raw in csv.reader(handle, delimiter=delimiter):
@@ -595,7 +604,7 @@ def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> Contingen
     are present they must name the same set; columns are reordered to match
     the row order.
     """
-    return _read_table(io.StringIO(text, newline=""), labels)
+    return _read_table(_text_handle(text), labels)
 
 
 def _read_table(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
@@ -669,7 +678,7 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
     clean data), not with the number of rows.  Rows that differ only in the
     blanks around their cells add up under one row.
     """
-    return _read_pairs(io.StringIO(text, newline=""), labels)
+    return _read_pairs(_text_handle(text), labels)
 
 
 def _read_pairs(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
@@ -774,7 +783,7 @@ def _load(
     try:
         with open(path, newline="") as handle:
             if not handle.seekable():
-                return read(io.StringIO(handle.read(), newline=""), labels)
+                return read(_text_handle(handle.read()), labels)
             try:
                 return read(handle, labels)
             except UnicodeDecodeError:

@@ -102,7 +102,11 @@ def binary_stats(t: ContingencyTable, *, repair: bool = False) -> BinaryStats:
         raise UsageError(f"binary_stats needs a 2x2 table, got {t.k}x{t.k}")
     if repair:
         t = repair_zero_margins(t)
-    require_positive_margins(t)
+    # The shared summary raises DataError on a zero margin and holds, at
+    # label 0, the one-vs-rest rates below computed the same way.
+    s = t._summary
+    recall, informedness, markedness, f1, g_measure = (
+        float(v[0]) for v in (s.recall, s.informedness, s.markedness, s.f1, s.g_measure))
     n = t.n
     a, b, c, d = (float(x) for x in t.counts.ravel())
     tp, fp, fn, tn = a / n, b / n, c / n, d / n
@@ -112,21 +116,15 @@ def binary_stats(t: ContingencyTable, *, repair: bool = False) -> BinaryStats:
     pp = tp + fp
     pn = fn + tn
 
-    recall = tp / rp
     inverse_recall = tn / rn
     precision = tp / pp
     inverse_precision = tn / pn
     fallout = fp / rn
     miss_rate = fn / rp
 
-    f1 = 2.0 * tp / (rp + pp)
-    g_measure = math.sqrt(recall * precision)
     jaccard = tp / (tp + fp + fn)
     rand_accuracy = tp + tn
     ps_negative = 2.0 * tn / (rn + pn)
-
-    informedness = recall + inverse_recall - 1.0
-    markedness = precision + inverse_precision - 1.0
 
     etp = rp * pp
     etn = rn * pn

@@ -285,8 +285,9 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
 
     The stream is consumed in a fixed order (perfect table, chance table,
     constraint loop, sampler seed) so results are reproducible regardless of
-    which statistics get computed.  Data and convergence failures come back
-    as the error field rather than raising.
+    which statistics get computed.  A DataError from any stage, and the
+    RuntimeError chi2_sf raises when its incomplete gamma continued fraction
+    does not converge, come back as the error field rather than raising.
     """
     rng, stream_id = substream(config.seed, step, run)
     level = config.level(step)

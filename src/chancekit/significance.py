@@ -375,15 +375,17 @@ def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | No
     geometric series once its ratio is below 1, and w(x) <= w(a) holds on
     one outer interval on each side of the mode m.  Every sum is kept
     relative to w(m) as an interval [lo, hi] * 2^-shift with floors below
-    and ceilings above: the whole mass, the tails the test selects, and the
-    complement of a selected tail that holds the mode.  A tail's inner edge
-    e enters through w(e) / w(m), multiplied up from runs of _WINDOW_RUN
-    consecutive factors, each run exact (math.perm) and the running product
-    rounded outward.  The two-sided test finds the first table past the mode
-    that is at most as probable as a by bisection on lgamma log-weights,
-    settling every near-tie by an exact integer comparison.  p is returned
-    when both ends of its interval round to the same double, which int / int
-    true division does correctly.
+    and ceilings above: the whole mass and the tails the test selects.  The
+    one-sided tail always runs from a away from m, because m lies within one
+    table of the mean E = rp pp / n (E - 1 < m < E + 1), so an integer a >= E
+    has a >= m and one below E has a <= m.  A tail's inner edge e enters
+    through w(e) / w(m), multiplied up from runs of _WINDOW_RUN consecutive
+    factors, each run exact (math.perm) and the running product rounded
+    outward.  The two-sided test finds the first table past the mode that is
+    at most as probable as a by bisection on lgamma log-weights, settling
+    every near-tie by an exact integer comparison.  p is returned when both
+    ends of its interval round to the same double, which int / int true
+    division does correctly.
     """
     rp, rn, pp = a + c, b + d, a + b
     q = rn - pp
@@ -425,8 +427,10 @@ def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | No
             s += t
         else:
             j = steps
-        # w(e) / w(m) in runs of _WINDOW_RUN factors, each run exact and
-        # its product with the bounds so far rounded outward to `bits` bits.
+        # w(e) / w(m) in runs of _WINDOW_RUN factors, each run exact and its
+        # product with the bounds so far rounded outward to `bits` bits.  Runs
+        # are at most 1 (w rises to m and falls after it), so k = 0 keeps a
+        # bound within bits + 1 bits where it would otherwise be negative.
         w_lo = w_hi = 1
         shift = 0
         near, far = min(m, e), max(m, e)
@@ -434,34 +438,21 @@ def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | No
             num, den = ratio(x, min(x + _WINDOW_RUN, far))
             if e < m:
                 num, den = den, num
-            k = bits + den.bit_length() - w_lo.bit_length() - num.bit_length()
-            w_lo, w_hi = w_lo * num, -w_hi * num
-            if k >= 0:
-                w_lo, w_hi = (w_lo << k) // den, -((w_hi << k) // den)
-            else:
-                w_lo, w_hi = (w_lo >> -k) // den, -((w_hi >> -k) // den)
+            k = max(0, bits + den.bit_length() - w_lo.bit_length() - num.bit_length())
+            w_lo, w_hi = (w_lo * num << k) // den, -((-w_hi * num << k) // den)
             shift += k
         return w_lo * s, w_hi * (s + j * (j + 1) // 2 + rest), shift + bits
 
-    def combine(u, v, sign: int) -> tuple[int, int, int]:
-        """u + sign * v on the coarser of their two scales, rounded outward."""
-        if v is None:
-            return u
-        shift = min(u[2], v[2])
-        (u_lo, u_hi), (v_lo, v_hi) = (
-            (x_lo >> (x_s - shift), -(-x_hi >> (x_s - shift))) for x_lo, x_hi, x_s in (u, v))
-        if sign > 0:
-            return u_lo + v_lo, u_hi + v_hi, shift
-        return u_lo - v_hi, u_hi - v_lo, shift
+    def aligned(u, v) -> tuple[int, int, int, int, int]:
+        """u's and v's bounds on the finer of their two scales, exactly."""
+        shift = max(u[2], v[2])
+        return (u[0] << shift - u[2], u[1] << shift - u[2],
+                v[0] << shift - v[2], v[1] << shift - v[2], shift)
 
     below, above = tail(m, -1), tail(m, 1)
     total = (below[0] + above[0] - one, below[1] + above[1] - one, bits)
     if sidedness == "one":
-        step = 1 if a * d - b * c >= 0 else -1
-        if (a - m) * step >= 0:
-            selected = tail(a, step)
-        else:
-            selected = combine(total, tail(a - step, -step), -1)
+        selected = tail(a, 1 if a * d - b * c >= 0 else -1)
     else:
         def log_weight(x: int) -> float:
             """log w(x) up to a constant."""
@@ -475,9 +466,8 @@ def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | No
         tol = 1e-12 * (rp + rn + 2) * math.log(rp + rn + 2)
 
         def at_most_a(x: int) -> bool:
-            """w(x) <= w(a), with 0 outside the support."""
-            if not lo <= x <= hi:
-                return True
+            """w(x) <= w(a), for x in the support, which is all the bisection
+            below probes: first..hi when a <= m, lo..m - 1 when a > m."""
             diff = log_weight(x) - log_wa
             if abs(diff) > tol:
                 return diff < 0
@@ -497,12 +487,12 @@ def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | No
                 j_hi = mid
             else:
                 j_lo = mid + 1
-        selected = combine(tail(a, step), tail(first - step * j_lo, -step), 1)
-    (n_lo, n_hi, n_s), (d_lo, d_hi, d_s) = selected, total
-    if n_s >= d_s:
-        d_lo, d_hi = d_lo << (n_s - d_s), d_hi << (n_s - d_s)
-    else:
-        n_lo, n_hi = n_lo << (d_s - n_s), n_hi << (d_s - n_s)
+        selected = tail(a, step)
+        other = tail(first - step * j_lo, -step)
+        if other is not None:
+            s_lo, s_hi, o_lo, o_hi, shift = aligned(selected, other)
+            selected = s_lo + o_lo, s_hi + o_hi, shift
+    n_lo, n_hi, d_lo, d_hi, _ = aligned(selected, total)
     p_lo, p_hi = n_lo / d_hi, n_hi / d_lo
     return p_lo if p_lo == p_hi else None
 

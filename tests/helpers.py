@@ -1,4 +1,7 @@
-"""Shared table builders for the test suite."""
+"""Shared table builders and a line census for the test suite."""
+
+import sys
+import types
 
 import numpy as np
 
@@ -28,3 +31,33 @@ def random_valid_table(rng: np.random.Generator, k: int = 2, cell_max: int = 60)
 def random_valid_tables(seed: int, count: int, k: int = 2, cell_max: int = 60) -> list[ContingencyTable]:
     rng = np.random.default_rng(seed)
     return [random_valid_table(rng, k, cell_max) for _ in range(count)]
+
+
+def unreached_lines(func, run) -> list[int]:
+    """Lines of `func` and of the functions defined in it that never ran
+    while `run()` ran, from a sys.settrace line census."""
+    codes, stack = set(), [func.__code__]
+    while stack:
+        code = stack.pop()
+        codes.add(code)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    reached = set()
+
+    def local(frame, event, arg):
+        reached.add(frame.f_lineno)
+        return local
+
+    def trace(frame, event, arg):
+        if frame.f_code in codes:
+            reached.add(frame.f_lineno)
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    lines = {line for code in codes for _, _, line in code.co_lines() if line is not None}
+    return sorted(lines - reached)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chancekit import cli
 from chancekit.cli import build_parser, main
 from chancekit.significance import posthoc_calibration
 
@@ -149,6 +150,8 @@ def test_usage_errors_exit_1(tmp_path):
     assert main_code("evaluate", "--table", str(p), "--pairs", str(p)) == 1
     assert main_code("evaluate") == 1
     assert main_code("evaluate", "--table", str(p), "--frobnicate") == 1
+    assert main_code("evaluate", "--table", str(p), "--labels", "a,,b") == 1
+    assert main_code("significance") == 1
     assert main_code() == 1
     for x in ("nan", "inf"):
         assert main_code("confidence", "--table", str(p), "--x", x) == 1
@@ -181,6 +184,24 @@ def test_data_errors_exit_2(tmp_path):
     undecodable.write_bytes(b"\xff\xfe1\x002\x00\n\x00")
     for option in ("--table", "--pairs"):
         assert main_code("evaluate", option, str(undecodable)) == 2
+    # A quoted cell over csv's 131,072-character limit: the pairs reader
+    # meets it checking whether a quoted line is one record.
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('"' + "x" * 200_000 + '",b\n')
+    for option in ("--table", "--pairs"):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            assert main(["evaluate", option, str(quoted)]) == 2
+        assert "malformed delimited text" in err.getvalue()
+
+
+def test_unexpected_failure_exit_3(monkeypatch):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_evaluate", broken)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        assert main(["evaluate", "--table", TABLE_A]) == 3
+    assert err.getvalue().startswith("internal error:")
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,6 +459,9 @@ def test_confidence_alpha_and_x_are_exclusive():
     assert doc["x"] == pytest.approx(1.959964, abs=1e-5)
     one = run_json("confidence", "--table", TABLE_A, "--alpha", "0.05", "--one-tailed")
     assert one["x"] == pytest.approx(1.644854, abs=1e-5)
+    # --one-tailed alone takes alpha = 0.05.
+    assert run_json("confidence", "--table", TABLE_A, "--one-tailed")["x"] == one["x"]
+    assert one["x"] == 1.6448536269514715
 
 
 def test_compare_command():

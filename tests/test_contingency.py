@@ -242,28 +242,49 @@ def test_pairs_line_endings_add_up_to_one_pair(tmp_path):
         assert t.counts.tolist() == [[0, 3], [0, 0]]
 
 
-@pytest.mark.parametrize("tail, error", [
+_PAIRS_WIDTH_CASES = [
     (b"", None),
     (b"l1,l2,l3\n", "expected 2 columns at pairs line 200002, got 3"),
-])
-def test_load_pairs_memory_stays_below_the_file_size(tmp_path, tail, error):
+]
+
+
+def _pairs_text_200k(tail: bytes) -> bytes:
+    """A header and 200,000 pair rows over 10 labels, about 1.2 MB."""
     labels = np.array([f"l{i}" for i in range(10)])
     codes = np.random.default_rng(3).integers(0, 10, size=(200_000, 2))
     rows = np.char.add(np.char.add(labels[codes[:, 0]], ","), labels[codes[:, 1]])
-    path = tmp_path / "pairs.csv"
-    path.write_bytes(b"predicted,actual\n" + "\n".join(rows.tolist()).encode() + b"\n" + tail)
-    size = path.stat().st_size
+    return b"predicted,actual\n" + "\n".join(rows.tolist()).encode() + b"\n" + tail
+
+
+def _traced_peak(parse, source, error) -> int:
     tracemalloc.start()
     try:
         if error is None:
-            assert load_pairs(path).n == 200_000
+            assert parse(source).n == 200_000
         else:
             with pytest.raises(DataError, match=error):
-                load_pairs(path)
+                parse(source)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("tail, error", _PAIRS_WIDTH_CASES)
+def test_load_pairs_memory_stays_below_the_file_size(tmp_path, tail, error):
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(_pairs_text_200k(tail))
+    size = path.stat().st_size
+    peak = _traced_peak(load_pairs, path, error)
     assert peak < size / 4, (peak, size)
+
+
+@pytest.mark.parametrize("tail, error", _PAIRS_WIDTH_CASES)
+def test_parse_pairs_memory_stays_below_twice_the_text(tail, error):
+    # Held as UTF-8 bytes, not as io.StringIO's four bytes a character.
+    text = _pairs_text_200k(tail).decode()
+    peak = _traced_peak(parse_pairs, text, error)
+    assert peak < 2 * len(text), (peak, len(text))
 
 
 def test_margins():

@@ -29,7 +29,7 @@ from chancekit.significance import (
     posthoc_calibration,
     williams_correction,
 )
-from helpers import random_valid_tables, table_a, table_b
+from helpers import random_valid_tables, table_a, table_b, unreached_lines
 import reference_stats
 
 INDEP = from_counts([[8, 2], [8, 2]])
@@ -229,8 +229,11 @@ def _fisher_fraction_oracle(counts, sidedness):
 
 
 def test_fisher_matches_exact_fraction_oracle():
+    # The fixtures, then every table with 1 <= n <= 20 through the public call.
     cases = [((56, 20), (12, 12)), ((30, 12), (30, 28)), ((3, 1), (1, 3)),
              ((1, 5), (5, 1)), ((10, 0), (0, 10)), ((2, 2), (2, 2))]
+    cases += [((a, b), (c, n - a - b - c)) for n in range(1, 21) for a in range(n + 1)
+              for b in range(n + 1 - a) for c in range(n + 1 - a - b)]
     for counts in cases:
         t = from_counts(counts)
         for side in ("one", "two"):
@@ -256,20 +259,26 @@ def test_fisher_recurrence_matches_fraction_oracle_across_margins():
                 assert fisher_exact_2x2(t, side).p_value == oracle.numerator / oracle.denominator
 
 
-def test_fisher_window_matches_fraction_oracle_on_small_margins():
-    # Small supports go to the full sum, so the windowed routine is called
-    # directly here, on criterion 04's margin grid.
+def _small_margin_tables():
+    """Criterion 04's margin grid, n = 2..40, at every observed count."""
     for n in range(2, 41):
         margin_points = sorted({1, n // 4, n // 2, (3 * n) // 4, n - 1} & set(range(1, n)))
         for rp in margin_points:
             for pp in margin_points:
                 rn = n - rp
                 for a in range(max(0, pp - rn), min(rp, pp) + 1):
-                    counts = ((a, pp - a), (rp - a, rn - pp + a))
-                    for side in ("one", "two"):
-                        oracle = _fisher_fraction_oracle(counts, side)
-                        got = _fisher_window(a, pp - a, rp - a, rn - pp + a, side)
-                        assert got == oracle.numerator / oracle.denominator, (counts, side)
+                    yield (a, pp - a), (rp - a, rn - pp + a)
+
+
+def test_fisher_window_matches_fraction_oracle_on_small_margins():
+    # Small supports go to the full sum, so the windowed routine is called
+    # directly here.
+    for counts in _small_margin_tables():
+        (a, b), (c, d) = counts
+        for side in ("one", "two"):
+            oracle = _fisher_fraction_oracle(counts, side)
+            assert _fisher_window(a, b, c, d, side) == oracle.numerator / oracle.denominator, (
+                counts, side)
 
 
 def _large_margin_tables():
@@ -303,6 +312,18 @@ def test_fisher_matches_fraction_oracle_on_large_margins():
             oracle = _fisher_fraction_oracle(counts, side)
             assert fisher_exact_2x2(t, side).p_value == oracle.numerator / oracle.denominator, (
                 counts, side)
+
+
+def test_fisher_window_runs_every_line():
+    # A line no table on these grids reaches is a path to prove or delete.
+    tables = [*_small_margin_tables(), *_large_margin_tables()]
+
+    def run():
+        for (a, b), (c, d) in tables:
+            for side in ("one", "two"):
+                _fisher_window(a, b, c, d, side)
+
+    assert unreached_lines(_fisher_window, run) == []
 
 
 def test_fisher_window_falls_back_when_rounding_is_undecided(monkeypatch):
