@@ -137,9 +137,9 @@ def confidence_interval(
         raise UsageError(f"unknown variant '{variant}'")
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
-    if not (float(evenness) > 0.0) or not np.isfinite(evenness):
+    if not (float(evenness) > 0.0) or not math.isfinite(evenness):
         raise UsageError(f"evenness factor must be a positive finite number, got {evenness}")
-    if not (float(x) > 0.0) or not np.isfinite(x):
+    if not (float(x) > 0.0) or not math.isfinite(x):
         raise UsageError(f"multiplier must be a positive finite number, got {x}")
     if rule is None:
         rule = _DEFAULT_RULES[variant]

@@ -124,8 +124,9 @@ class ContingencyTable:
     def k(self) -> int:
         return self.counts.shape[0]
 
-    @property
+    @cached_property
     def n(self) -> int:
+        """Taken on first use and kept, since the counts are read-only."""
         return int(self.counts.sum())
 
     @property
@@ -168,9 +169,11 @@ class ContingencyTable:
         )
         for arr in arrays.values():
             arr.setflags(write=False)
+        # np.add.reduce is the pairwise sum np.mean and np.sum reach through
+        # their Python wrappers; dividing by K afterwards is what np.mean does.
         return _TableSummary(n=n, **arrays,
-                             mean_log_prevalence=float(np.log(prevalence).mean()),
-                             mean_log_bias=float(np.log(bias).mean()))
+                             mean_log_prevalence=float(np.add.reduce(np.log(prevalence))) / self.k,
+                             mean_log_bias=float(np.add.reduce(np.log(bias))) / self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +184,8 @@ class _TableSummary:
     expectation, the mean log-margins (so margin products stay finite at any
     K), and at index i of each rate vector what binary_stats reports for
     dichotomize(t, i), computed the same way so the two agree bit for bit.
-    The determinant, the mutual information and the nine evenness forms are
+    The (B, M) pair of multiclass informedness and markedness, the
+    determinant, the mutual information and the nine evenness forms are
     taken on first use and then shared by every reader."""
 
     n: int
@@ -196,6 +200,15 @@ class _TableSummary:
     markedness: np.ndarray
     f1: np.ndarray
     g_measure: np.ndarray
+
+    @cached_property
+    def bm(self) -> tuple[float, float]:
+        """(B, M): the prevalence-weighted mean of the per-label informedness
+        and the bias-weighted mean of the per-label markedness, each clamped
+        to [-1, 1] (see _clamped_dot).  Read by multiclass_stats,
+        correlation_bmg and the evenness-scaled significance family."""
+        return (_clamped_dot(self.prevalence, self.informedness),
+                _clamped_dot(self.bias, self.markedness))
 
     @cached_property
     def determinant(self) -> tuple[float, float, float]:
@@ -222,8 +235,8 @@ class _TableSummary:
         r, p = self.prevalence * (1.0 - self.prevalence), self.bias * (1.0 - self.bias)
         forms = {
             "plus": (math.exp(2.0 * self.mean_log_prevalence), math.exp(2.0 * self.mean_log_bias)),
-            "minus": (float(np.mean(r)), float(np.mean(p))),
-            "hash": (k / float(np.sum(1.0 / r)), k / float(np.sum(1.0 / p))),
+            "minus": (float(np.add.reduce(r)) / k, float(np.add.reduce(p)) / k),
+            "hash": (k / float(np.add.reduce(1.0 / r)), k / float(np.add.reduce(1.0 / p))),
         }
         return EvennessVariants(**{
             f"{side}_{form}": value
@@ -257,11 +270,24 @@ class EvennessVariants:
     g_hash: float
 
 
+def _clamped_dot(weights: np.ndarray, values: np.ndarray) -> float:
+    """The weighted sum of values, clamped to [-1, 1]: weights that are
+    fractions of n can sum to one ulp above 1, which would put a perfect
+    table at 1.0000000000000002."""
+    return min(1.0, max(-1.0, float(np.dot(weights, values))))
+
+
 def _sum_p_log_ratio(probs: np.ndarray, denominators: np.ndarray) -> float:
-    """Sum of p * log(p / d) over the positive cells (0 log 0 counts as 0)."""
+    """Sum of p * log(p / d) over the positive cells (0 log 0 counts as 0),
+    d taken from a K x K array of one value per cell, or from a length-K
+    vector of one value per row."""
     positive = probs > 0.0
     p = probs[positive]
-    return float(np.sum(p * np.log(p / denominators[positive])))
+    if denominators.ndim == 1:
+        d = denominators[positive.nonzero()[0]]
+    else:
+        d = denominators[positive]
+    return float(np.add.reduce(p * np.log(p / d)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -779,18 +805,21 @@ def _load(
     """`read` on the file at `path`, in the locale encoding with its line
     endings as written (newline=""), so csv sees a \r inside a quoted cell
     as data.  A stream that cannot seek, such as a pipe, is read whole
-    first.  Undecodable bytes are a DataError."""
+    first, as bytes, and read through a seekable handle on those bytes in
+    the same encoding.  Undecodable bytes are a DataError."""
     try:
         with open(path, newline="") as handle:
+            source = handle
             if not handle.seekable():
-                return read(_text_handle(handle.read()), labels)
+                source = io.TextIOWrapper(io.BytesIO(handle.buffer.read()),
+                                          encoding=handle.encoding, newline="")
             try:
-                return read(handle, labels)
+                return read(source, labels)
             except UnicodeDecodeError:
                 # A streaming decoder counts bytes from the start of its
                 # chunk; decoding the whole file raises at the file's offset.
-                handle.buffer.seek(0)
-                handle.buffer.read().decode(handle.encoding)
+                source.buffer.seek(0)
+                source.buffer.read().decode(handle.encoding)
                 raise
     except UnicodeDecodeError as exc:
         raise DataError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable, EvennessVariants, _sum_p_log_ratio
+from .contingency import ContingencyTable, EvennessVariants, _clamped_dot, _sum_p_log_ratio
 from .errors import UsageError
 
 __all__ = [
@@ -78,15 +78,21 @@ def bookmaker_informedness(t: ContingencyTable, *, weights: str = "prevalence") 
     weights="bias" switches to bias weighting, kept as an explicit variant
     because the two weightings coincide only when margins match.  Clamped to
     [-1, 1]: the weights can sum to one ulp above 1, which would put a perfect
-    table at 1.0000000000000002.
+    table at 1.0000000000000002.  The default weighting is read from the
+    table summary's (B, M) pair, weighed once per table.
     """
-    return min(1.0, max(-1.0, float(np.dot(_weights(t, weights), t._summary.informedness))))
+    if weights == "prevalence":
+        return t._summary.bm[0]
+    return _clamped_dot(_weights(t, weights), t._summary.informedness)
 
 
 def multiclass_markedness(t: ContingencyTable, *, weights: str = "bias") -> float:
     """Bias-weighted mean of the one-vs-rest markedness values, clamped to
-    [-1, 1] as bookmaker_informedness is."""
-    return min(1.0, max(-1.0, float(np.dot(_weights(t, weights), t._summary.markedness))))
+    [-1, 1] as bookmaker_informedness is.  The default weighting is read
+    from the table summary's (B, M) pair, weighed once per table."""
+    if weights == "bias":
+        return t._summary.bm[1]
+    return _clamped_dot(_weights(t, weights), t._summary.markedness)
 
 
 def correlation_bmg(t: ContingencyTable) -> float:
@@ -111,7 +117,7 @@ def conditional_entropy(t: ContingencyTable) -> float:
     """Entropy of the real class left once the prediction is known, in nats,
     clamped at 0 as the mutual information is, so a perfect table reads 0.0, not -0.0."""
     s = t._summary
-    return max(0.0, -_sum_p_log_ratio(s.probs, np.broadcast_to(s.bias[:, None], s.probs.shape)))
+    return max(0.0, -_sum_p_log_ratio(s.probs, s.bias))
 
 
 def det_estimates(

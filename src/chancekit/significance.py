@@ -39,7 +39,7 @@ import numpy as np
 
 from .contingency import ContingencyTable
 from .errors import DataError, UsageError
-from .multiclass import bookmaker_informedness, multiclass_markedness, mutual_information
+from .multiclass import mutual_information
 
 __all__ = [
     "SignificanceReport",
@@ -264,11 +264,14 @@ def chi2_bookmaker_family(t: ContingencyTable, kind: str) -> SignificanceReport:
     k = t.k
     s = t._summary
     n = s.n
-    b = bookmaker_informedness(t)
-    m = multiclass_markedness(t)
-    ev = s.evenness
-    factors = {"b": (b, b, ev.r_minus), "m": (m, m, ev.p_minus), "bm": (b, m, ev.g_minus)}
-    x, y, evenness = factors[kind[len("conv_"):] if kind.startswith("conv_") else kind[1:]]
+    b, m = s.bm
+    measure = kind[len("conv_"):] if kind.startswith("conv_") else kind[1:]
+    if measure == "b":
+        x, y, evenness = b, b, s.evenness.r_minus
+    elif measure == "m":
+        x, y, evenness = m, m, s.evenness.p_minus
+    else:
+        x, y, evenness = b, m, s.evenness.g_minus
     if kind.startswith("conv_"):
         return _report(kind, (k - 1) * n * (x * y), k - 1, n, k)
     if kind.startswith("x"):
@@ -541,7 +544,11 @@ def fisher_montecarlo_kxk(
     for c in t.counts.ravel():
         s_obs += log_factorials[c]
     rng = np.random.Generator(np.random.SFC64(int(seed) & ((1 << 128) - 1)))
-    chunk = max(1, (1 << 20) // (t.k * t.k))
+    # _patefield_cells holds O(K) cell vectors of a chunk at once, not K^2,
+    # so 2^16 // K draws keep a chunk near 2^16 live values while each
+    # hypergeometric call stays wide at large K.  Up to K = 16 the 2^20 // K^2
+    # term is the larger, so those tables keep their chunks and seeded draws.
+    chunk = max((1 << 20) // (t.k * t.k), (1 << 16) // t.k)
     hits = 0
     for done in range(0, samples, chunk):
         s = 0.0

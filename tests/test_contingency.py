@@ -2,6 +2,8 @@
 
 import csv
 import io
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -214,14 +216,19 @@ def test_load_line_endings_give_equal_tables(tmp_path):
 
 
 def test_load_keeps_decode_error_offset_absolute(tmp_path):
-    # past the first 8192 bytes a streaming decoder counts from its chunk
+    # past the first 8192 bytes a streaming decoder counts from its chunk;
+    # a pipe, read whole, reports the same offset
     data = bytearray(b"predicted,actual\n" + b"a,b\nb,a\n" * 2000)
     data[12019] = 0xFF
     path = tmp_path / "bad.csv"
     path.write_bytes(bytes(data))
     for load in (load_pairs, load_table_csv):
-        with pytest.raises(DataError, match="invalid start byte at byte 12019"):
+        with pytest.raises(DataError, match="invalid start byte at byte 12019") as from_file:
             load(path)
+        with pytest.raises(DataError) as from_pipe:
+            _through_pipe(bytes(data), load)
+        assert (str(from_pipe.value).partition(" is not valid ")[2]
+                == str(from_file.value).partition(" is not valid ")[2])
 
 
 def test_pairs_quoted_cell_spanning_lines(tmp_path):
@@ -277,6 +284,34 @@ def test_load_pairs_memory_stays_below_the_file_size(tmp_path, tail, error):
     size = path.stat().st_size
     peak = _traced_peak(load_pairs, path, error)
     assert peak < size / 4, (peak, size)
+
+
+def _through_pipe(data: bytes, call):
+    """call(path) with path a /dev/fd name for the read end of a pipe that a
+    thread fills with data, so the stream cannot seek."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return call(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("tail, error", _PAIRS_WIDTH_CASES)
+def test_load_pairs_from_a_pipe_holds_its_bytes_once(tail, error):
+    # Read as bytes and decoded through a handle on them, not decoded into
+    # one str and encoded back (2.0 times the stream).
+    data = _pairs_text_200k(tail)
+    peak = _through_pipe(data, lambda path: _traced_peak(load_pairs, path, error))
+    assert peak < 1.5 * len(data), (peak, len(data))
 
 
 @pytest.mark.parametrize("tail, error", _PAIRS_WIDTH_CASES)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,3 +289,16 @@ def test_csv_layouts_follow_records(tmp_path):
     moments = [getattr(all_failed, name) for name in header if name.startswith(("mean_", "std_"))]
     assert len(moments) == 10 and all(math.isnan(v) for v in moments)
     assert all_failed.small_n_warning is False
+
+
+def test_benchmark_replay_matches_run_single(monkeypatch):
+    # A traced benchmark run exits 1 when its replay of run_single from the
+    # public calls differs; this runs the benchmark's own replay on its grids.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    from tracing import Tracer
+
+    for config in workloads.sim_configs(1, 0):
+        for step in range(workloads.SIM_STEPS):
+            actual = run_single(config, step, 0)
+            assert workloads.replay_problem(Tracer(False), config, step, 0, actual) is None

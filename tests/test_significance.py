@@ -445,6 +445,17 @@ def test_fisher_montecarlo_log_factorials_stop_at_largest_cell(monkeypatch):
     assert len(calls) == 403
 
 
+def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
+    # A chunk holds O(K) cell vectors at once, so at K = 40 it is 2^16 // 40
+    # = 1638 draws wide (not 2^20 // 40^2 = 655) and 1000 draws take one.
+    chunks = []
+    cells = significance._patefield_cells
+    monkeypatch.setattr(significance, "_patefield_cells",
+                        lambda t, m, rng: chunks.append(m) or cells(t, m, rng))
+    fisher_montecarlo_kxk(from_counts(np.eye(40, dtype=int) + 1), samples=1000, seed=0)
+    assert chunks == [1000]
+
+
 # Goodness of fit of the fixed-margin sampler to the exact law, at level
 # 0.001 with a fixed seed: categories expected fewer than 5 times are pooled.
 FIT_LEVEL = 0.001

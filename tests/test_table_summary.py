@@ -132,6 +132,33 @@ def test_evenness_formed_once_per_table(monkeypatch):
     assert len(calls) == 1
 
 
+def test_informedness_and_markedness_weighed_once_per_table(monkeypatch):
+    # multiclass_stats (B, M and their correlation) and the nine family
+    # statistics all read the summary's one (B, M) pair.
+    t = from_counts([[5, 2, 1], [1, 6, 2], [2, 1, 7]])
+    s = t._summary
+    weighed = []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda w, v: weighed.append(v) or dot(w, v))
+    multiclass_stats(t)
+    for kind in FAMILY_KINDS:
+        chi2_bookmaker_family(t, kind)
+    assert sum(v is s.informedness for v in weighed) == 1
+    assert sum(v is s.markedness for v in weighed) == 1
+
+
+def test_other_weighting_is_its_own_clamped_dot_product():
+    t = from_counts([[40, 2, 1], [1, 6, 2], [30, 1, 7]])
+    s = t._summary
+    assert not np.array_equal(s.prevalence, s.bias)
+    b_bias = bookmaker_informedness(t, weights="bias")
+    m_prev = multiclass_markedness(t, weights="prevalence")
+    assert b_bias == min(1.0, max(-1.0, float(np.dot(s.bias, s.informedness))))
+    assert m_prev == min(1.0, max(-1.0, float(np.dot(s.prevalence, s.markedness))))
+    assert b_bias != bookmaker_informedness(t)
+    assert m_prev != multiclass_markedness(t)
+
+
 def test_determinant_factorised_once(monkeypatch):
     # The printed det and both det_estimates rules share one slogdet call.
     t = from_counts([[5, 2, 1, 0], [1, 6, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]])
