@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -129,13 +129,19 @@ class ContingencyTable:
         """Taken on first use and kept, since the counts are read-only."""
         return int(self.counts.sum())
 
-    @property
+    @cached_property
     def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        """Taken on first use and kept, read-only, as n is."""
+        totals = self.counts.sum(axis=1)
+        totals.setflags(write=False)
+        return totals
 
-    @property
+    @cached_property
     def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+        """Taken on first use and kept, read-only, as n is."""
+        totals = self.counts.sum(axis=0)
+        totals.setflags(write=False)
+        return totals
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContingencyTable):
@@ -439,12 +445,11 @@ def dichotomize(t: ContingencyTable, label_index: int) -> ContingencyTable:
     k = t.k
     if not (0 <= label_index < k):
         raise UsageError(f"label index {label_index} out of range for a {k}x{k} table")
-    c = t.counts
     i = label_index
-    tp = int(c[i, i])
-    fp = int(c[i, :].sum() - c[i, i])
-    fn = int(c[:, i].sum() - c[i, i])
-    tn = int(c.sum() - tp - fp - fn)
+    tp = int(t.counts[i, i])
+    fp = int(t.row_totals[i]) - tp
+    fn = int(t.col_totals[i]) - tp
+    tn = t.n - tp - fp - fn
     positive = t.labels[i]
     rest = "rest"
     while rest == positive:
@@ -567,10 +572,6 @@ def _sniff_delimiter(text: str) -> str:
         return "\t" if "\t" in lines[0] else ","
 
 
-def _malformed(exc: csv.Error) -> DataError:
-    return DataError(f"malformed delimited text: {exc}")
-
-
 def _rewind(handle: TextIO) -> None:
     """Seek to the first character after one leading byte-order mark."""
     handle.seek(0)
@@ -589,15 +590,6 @@ def _delimiter(handle: TextIO) -> str:
     delimiter = _sniff_delimiter(handle.read(8192))
     _rewind(handle)
     return delimiter
-
-
-def _text_handle(text: str) -> TextIO:
-    """A seekable handle on `text` that reads as a file opened with
-    newline="" does.  It holds the text as UTF-8, one to four bytes a
-    character where io.StringIO holds four; surrogatepass keeps lone
-    surrogates as they are."""
-    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")),
-                            encoding="utf-8", errors="surrogatepass", newline="")
 
 
 def _rows(handle: TextIO, delimiter: str) -> Iterator[list[str]]:
@@ -630,14 +622,12 @@ def parse_table_csv(text: str, labels: Sequence[str] | None = None) -> Contingen
     are present they must name the same set; columns are reordered to match
     the row order.
     """
-    return _read_table(_text_handle(text), labels)
+    return _read(io.BytesIO(text.encode("utf-8", "surrogatepass")), _read_table, labels,
+                 "utf-8", "surrogatepass")
 
 
 def _read_table(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
-    try:
-        rows = list(_rows(handle, _delimiter(handle)))
-    except csv.Error as exc:
-        raise _malformed(exc) from None
+    rows = list(_rows(handle, _delimiter(handle)))
     if not rows:
         raise DataError("empty table file")
 
@@ -704,15 +694,13 @@ def parse_pairs(text: str, labels: Sequence[str] | None = None) -> ContingencyTa
     clean data), not with the number of rows.  Rows that differ only in the
     blanks around their cells add up under one row.
     """
-    return _read_pairs(_text_handle(text), labels)
+    return _read(io.BytesIO(text.encode("utf-8", "surrogatepass")), _read_pairs, labels,
+                 "utf-8", "surrogatepass")
 
 
 def _read_pairs(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTable:
     delimiter = _delimiter(handle)
-    try:
-        tally, lines = _row_tally(handle, delimiter)
-    except csv.Error as exc:
-        raise _malformed(exc) from None
+    tally = _row_tally(handle, delimiter)
     if not tally:
         raise DataError("empty pairs file")
     # Counter keys keep first-occurrence order, so the first key is the
@@ -722,39 +710,35 @@ def _read_pairs(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTabl
         tally[first] -= 1
     tally = +tally
     if any(len(cells) != 2 for cells in tally):
-        raise _first_width_error(handle, delimiter, lines)
+        raise _first_width_error(handle, delimiter)
     return _table_from_tally(tally, labels)
 
 
-def _row_tally(
-    handle: TextIO, delimiter: str
-) -> tuple[Counter[tuple[str, ...]], Counter[str] | None]:
+def _row_tally(handle: TextIO, delimiter: str) -> Counter[tuple[str, ...]]:
     """Count of each non-blank csv row, its cells stripped, keyed in
-    first-occurrence order, and the count of each distinct line when each
-    line is one record (else None).
+    first-occurrence order.
 
     With newline="", a handle splits lines where csv splits records, unless
     a quote opens a cell spanning lines.  So when every distinct line that
     holds a quote is a whole record on its own, such as a quoted header,
     each line is one record: the lines are counted at C speed and only the
     distinct ones are parsed and stripped.  Otherwise csv reads the handle
-    row by row and only the distinct rows are stripped.  Either way, rows
-    that differ only in their ending or in the blanks around their cells
-    add up under one row.
+    again row by row and only the distinct rows are stripped.  Either way,
+    rows that differ only in their ending or in the blanks around their
+    cells add up under one row.
     """
-    lines = Counter(handle)
-    if not all(_is_record(line, delimiter) for line in lines if '"' in line):
+    counts = Counter(handle)
+    if all(_is_record(line, delimiter) for line in counts if '"' in line):
+        rows = csv.reader(counts, delimiter=delimiter)
+    else:
         _rewind(handle)
         rows = counts = Counter(map(tuple, csv.reader(handle, delimiter=delimiter)))
-        lines = None
-    else:
-        rows, counts = csv.reader(lines, delimiter=delimiter), lines
     tally: Counter[tuple[str, ...]] = Counter()
     for row, count in zip(rows, counts.values()):
         cells = tuple(c.strip() for c in row)
         if any(cells):
             tally[cells] += count
-    return tally, lines
+    return tally
 
 
 def _is_record(line: str, delimiter: str) -> bool:
@@ -774,27 +758,46 @@ def _is_pairs_header(cells: Sequence[str]) -> bool:
     )
 
 
-def _first_width_error(handle: TextIO, delimiter: str, lines: Counter[str] | None) -> DataError:
+def _first_width_error(handle: TextIO, delimiter: str) -> DataError:
     """Error for the first data row, in file order, that is not 2 cells wide.
 
-    Line numbers count non-blank rows, the header included.  The handle is
-    read again from the start up to that row.  Given the distinct lines of
-    a file whose lines are each one record (from _row_tally), each line is
-    one row: only the distinct lines are parsed, and each line of the file
-    is a set and a dict lookup.  Otherwise csv reads the handle row by row.
+    Line numbers count non-blank rows, the header included.  csv reads the
+    handle again from the start, row by row, up to that row.
     """
     _rewind(handle)
-    if lines is None:
-        rows = _rows(handle, delimiter)
-    else:
-        parsed = {line: [c.strip() for c in row]
-                  for line, row in zip(lines, csv.reader(lines, delimiter=delimiter))}
-        nonblank = {line for line, cells in parsed.items() if any(cells)}
-        rows = map(parsed.__getitem__, filter(nonblank.__contains__, handle))
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(_rows(handle, delimiter), start=1):
         if len(row) != 2 and not (i == 1 and _is_pairs_header(row)):
             return DataError(f"expected 2 columns at pairs line {i}, got {len(row)}")
     raise AssertionError("no row of the wrong width")
+
+
+def _read(
+    raw: BinaryIO,
+    read: Callable[[TextIO, Sequence[str] | None], ContingencyTable],
+    labels: Sequence[str] | None,
+    encoding: str | None = None,
+    errors: str | None = None,
+) -> ContingencyTable:
+    """`read` on the seekable bytes `raw`, decoded as they are read in
+    `encoding` (the locale's when None) with line endings as written
+    (newline=""), so csv sees a \r inside a quoted cell as data.
+
+    Every table source comes through here: text as its UTF-8 bytes, one to
+    four a character where io.StringIO holds four (surrogatepass keeps lone
+    surrogates as they are), and a file as its own bytes.  A csv error is a
+    DataError.  A streaming decoder counts bytes from the start of its
+    chunk, so on an undecodable byte `raw` is decoded again whole, to raise
+    the UnicodeDecodeError at the byte's offset in the stream.
+    """
+    handle = io.TextIOWrapper(raw, encoding=encoding, errors=errors, newline="")
+    try:
+        return read(handle, labels)
+    except csv.Error as exc:
+        raise DataError(f"malformed delimited text: {exc}") from None
+    except UnicodeDecodeError:
+        raw.seek(0)
+        raw.read().decode(handle.encoding, handle.errors)
+        raise
 
 
 def _load(
@@ -802,25 +805,12 @@ def _load(
     read: Callable[[TextIO, Sequence[str] | None], ContingencyTable],
     labels: Sequence[str] | None,
 ) -> ContingencyTable:
-    """`read` on the file at `path`, in the locale encoding with its line
-    endings as written (newline=""), so csv sees a \r inside a quoted cell
-    as data.  A stream that cannot seek, such as a pipe, is read whole
-    first, as bytes, and read through a seekable handle on those bytes in
-    the same encoding.  Undecodable bytes are a DataError."""
+    """_read on the bytes of the file at `path`, in the locale encoding.  A
+    stream that cannot seek, such as a pipe, is read whole first into one
+    bytes buffer.  Undecodable bytes are a DataError."""
     try:
-        with open(path, newline="") as handle:
-            source = handle
-            if not handle.seekable():
-                source = io.TextIOWrapper(io.BytesIO(handle.buffer.read()),
-                                          encoding=handle.encoding, newline="")
-            try:
-                return read(source, labels)
-            except UnicodeDecodeError:
-                # A streaming decoder counts bytes from the start of its
-                # chunk; decoding the whole file raises at the file's offset.
-                source.buffer.seek(0)
-                source.buffer.read().decode(handle.encoding)
-                raise
+        with open(path, "rb") as raw:
+            return _read(raw if raw.seekable() else io.BytesIO(raw.read()), read, labels)
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path} is not valid {exc.encoding} text ({exc.reason} at byte {exc.start})"

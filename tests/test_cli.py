@@ -55,6 +55,18 @@ def test_evaluate_text_percent_rendering():
         assert token in proc.stdout
 
 
+def test_percent_flag_renders_bare_percents():
+    text = run_cli("evaluate", "--table", TABLE_A, "--percent").stdout
+    lines = {line.split()[0]: line.split()[1:] for line in text.splitlines() if line.strip()}
+    assert lines["recall"] == ["82.35%"]
+    assert "0.823529" not in text
+    # fields in _NO_PERCENT stay plain 6-decimal numbers
+    assert lines["mutual_information"] == ["0.022500"]
+    proc = run_cli("confidence", "--table", TABLE_A, "--percent")
+    assert proc.returncode == 0
+    assert "informedness: 19.85%\n" in proc.stdout
+
+
 def test_evaluate_json_values_and_text_agreement():
     doc = run_json("evaluate", "--table", TABLE_A)
     metrics = doc["metrics"]

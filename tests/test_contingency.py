@@ -44,6 +44,19 @@ def test_from_counts_basic():
     assert t.counts.dtype == np.int64
     assert t.row_totals.tolist() == [4, 6]
     assert t.col_totals.tolist() == [5, 5]
+    u = from_counts([[1, 2], [3, 4]])
+    assert repr(u) == "ContingencyTable(labels=('0', '1'), counts=[[1, 2], [3, 4]])"
+    assert (u == "x") is False
+    assert u != 5
+
+
+def test_totals_are_kept_read_only():
+    t = from_counts([[3, 1], [2, 4]])
+    for name in ("row_totals", "col_totals"):
+        totals = getattr(t, name)
+        assert getattr(t, name) is totals
+        with pytest.raises(ValueError):
+            totals[0] = 99
 
 
 def test_from_counts_rejects_bad_shapes():
@@ -322,6 +335,44 @@ def test_parse_pairs_memory_stays_below_twice_the_text(tail, error):
     assert peak < 2 * len(text), (peak, len(text))
 
 
+_TOO_LONG = "x" * 200_000 + ",b\n"  # over csv's field limit of 131,072 characters
+_MALFORMED = "malformed delimited text: field larger than field limit (131072)"
+
+_SOURCE_CASES = [
+    (parse_pairs, load_pairs, "predicted,actual\na,b\nb,b\na,a\n", (("a", "b"), [[1, 1], [0, 1]])),
+    (parse_pairs, load_pairs, '"predicted","actual"\na,b\nb,a\n', (("a", "b"), [[0, 1], [1, 0]])),
+    (parse_pairs, load_pairs, 'predicted,actual\n"a\nb",c\nc,c\n', (("a\nb", "c"), [[0, 1], [0, 1]])),
+    (parse_pairs, load_pairs, "predicted,actual\ra,b\rb,b\r", (("a", "b"), [[0, 1], [0, 1]])),
+    (parse_pairs, load_pairs, "\ufeffpredicted,actual\na,b\nb,b\n", (("a", "b"), [[0, 1], [0, 1]])),
+    (parse_pairs, load_pairs, "predicted,actual\na,b\n\nb,a,c\na,a\n",
+     "expected 2 columns at pairs line 3, got 3"),
+    (parse_pairs, load_pairs, _TOO_LONG, _MALFORMED),
+    (parse_pairs, load_pairs, "", "empty input"),
+    (parse_table_csv, load_table_csv, "56,20\n12,12\n", (("0", "1"), [[56, 20], [12, 12]])),
+    (parse_table_csv, load_table_csv, '"cat","dog"\n3,1\n2,4\n', (("cat", "dog"), [[3, 1], [2, 4]])),
+    (parse_table_csv, load_table_csv, ',"a\nb",c\n"a\nb",1,2\nc,3,4\n', (("a\nb", "c"), [[1, 2], [3, 4]])),
+    (parse_table_csv, load_table_csv, "cat,dog\r3,1\r2,4\r", (("cat", "dog"), [[3, 1], [2, 4]])),
+    (parse_table_csv, load_table_csv, "\ufeff56,20\n12,12\n", (("0", "1"), [[56, 20], [12, 12]])),
+    (parse_table_csv, load_table_csv, "1,2\n3,4\n\n5\n", "ragged table row at data line 3"),
+    (parse_table_csv, load_table_csv, _TOO_LONG, _MALFORMED),
+    (parse_table_csv, load_table_csv, "", "empty input"),
+]
+
+
+@pytest.mark.parametrize("parse, load, text, expected", _SOURCE_CASES)
+def test_text_file_and_pipe_read_alike(tmp_path, parse, load, text, expected):
+    data = text.encode("utf-8")
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    from_text = _outcome(parse, text)
+    assert _outcome(load, path) == from_text
+    assert _through_pipe(data, lambda name: _outcome(load, name)) == from_text
+    if isinstance(expected, str):
+        assert from_text == ("error", expected)
+    else:
+        assert (from_text[1], from_text[3]) == expected
+
+
 def test_margins():
     m = margins(from_counts([[3, 1], [2, 4]]))
     assert m.prevalence.tolist() == [0.5, 0.5]
@@ -331,6 +382,7 @@ def test_margins():
 
 def test_normalize_sums_to_one():
     nt = normalize(from_counts([[3, 1], [2, 4]]))
+    assert nt.k == 2
     assert nt.probs.sum() == pytest.approx(1.0, abs=1e-15)
     assert nt.probs[0, 0] == pytest.approx(0.3, abs=1e-15)
 
