@@ -13,7 +13,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -68,7 +68,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _validated_cells(counts) -> np.ndarray:
     """Counts as int64: finite, whole, non-negative, and a total that fits."""
     arr = np.asarray(counts)
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         as_float = np.asarray(arr, dtype=float)
         if not np.all(np.isfinite(as_float)):
             raise DataError("counts must be finite")
@@ -78,11 +78,12 @@ def _validated_cells(counts) -> np.ndarray:
         arr = rounded
     if arr.size == 0:
         return arr.astype(np.int64)
-    if arr.min() < 0:
+    if np.minimum.reduce(arr, None) < 0:
         raise DataError("counts must be non-negative")
     # An int64 sum wraps silently.  The largest cell times the cell count
     # bounds the total, so the exact sum is only taken when that bound fails.
-    if int(arr.max()) * arr.size > _INT64_MAX and sum(int(v) for v in arr.flat) > _INT64_MAX:
+    if (int(np.maximum.reduce(arr, None)) * arr.size > _INT64_MAX
+            and sum(int(v) for v in arr.flat) > _INT64_MAX):
         raise DataError("counts total exceeds the 64-bit integer range")
     return arr.astype(np.int64)
 
@@ -109,7 +110,7 @@ class ContingencyTable:
 
     def __post_init__(self) -> None:
         arr = _validated_counts(self.counts)
-        labels = tuple(str(l) for l in self.labels)
+        labels = tuple(map(str, self.labels))
         if len(labels) != arr.shape[0]:
             raise DataError(
                 f"got {len(labels)} labels for a {arr.shape[0]}x{arr.shape[0]} table"
@@ -124,22 +125,23 @@ class ContingencyTable:
     def k(self) -> int:
         return self.counts.shape[0]
 
+    # np.add.reduce is the sum ndarray.sum reaches through its Python wrapper.
     @cached_property
     def n(self) -> int:
         """Taken on first use and kept, since the counts are read-only."""
-        return int(self.counts.sum())
+        return int(np.add.reduce(self.counts, None))
 
     @cached_property
     def row_totals(self) -> np.ndarray:
         """Taken on first use and kept, read-only, as n is."""
-        totals = self.counts.sum(axis=1)
+        totals = np.add.reduce(self.counts, 1)
         totals.setflags(write=False)
         return totals
 
     @cached_property
     def col_totals(self) -> np.ndarray:
         """Taken on first use and kept, read-only, as n is."""
-        totals = self.counts.sum(axis=0)
+        totals = np.add.reduce(self.counts, 0)
         totals.setflags(write=False)
         return totals
 
@@ -157,29 +159,28 @@ class ContingencyTable:
     def _summary(self) -> "_TableSummary":
         """Built on first use and kept; raises DataError on a zero margin."""
         require_positive_margins(self)
-        rows, cols, n = self.row_totals, self.col_totals, self.n
-        d = np.diagonal(self.counts)
+        counts, rows, cols, n = self.counts, self.row_totals, self.col_totals, self.n
+        d = counts.diagonal()
         # One-vs-rest cells as fractions of n; the true negatives stay an
         # exact integer count until the division, as in dichotomize.
         tp, fp, fn, tn = d / n, (rows - d) / n, (cols - d) / n, (n - rows - cols + d) / n
         rp, rn, pp, pn = tp + fn, fp + tn, tp + fp, fn + tn
         recall, precision = tp / rp, tp / pp
         prevalence, bias = cols / n, rows / n
-        arrays = dict(
-            prevalence=prevalence, bias=bias, probs=self.counts / n,
-            expected=np.outer(bias, prevalence), recall=recall,
-            informedness=recall + tn / rn - 1.0,
-            markedness=precision + tn / pn - 1.0,
-            f1=2.0 * tp / (rp + pp),
-            g_measure=np.sqrt(recall * precision),
-        )
-        for arr in arrays.values():
+        probs, expected = counts / n, np.multiply.outer(bias, prevalence)
+        informedness, markedness = recall + tn / rn - 1.0, precision + tn / pn - 1.0
+        f1, g_measure = 2.0 * tp / (rp + pp), np.sqrt(recall * precision)
+        for arr in (prevalence, bias, probs, expected, recall, informedness, markedness,
+                    f1, g_measure):
             arr.setflags(write=False)
-        # np.add.reduce is the pairwise sum np.mean and np.sum reach through
-        # their Python wrappers; dividing by K afterwards is what np.mean does.
-        return _TableSummary(n=n, **arrays,
-                             mean_log_prevalence=float(np.add.reduce(np.log(prevalence))) / self.k,
-                             mean_log_bias=float(np.add.reduce(np.log(bias))) / self.k)
+        # Dividing the pairwise sum by K is what np.mean does.
+        k = len(d)
+        return _TableSummary(
+            n=n, prevalence=prevalence, bias=bias, probs=probs, expected=expected,
+            mean_log_prevalence=float(np.add.reduce(np.log(prevalence))) / k,
+            mean_log_bias=float(np.add.reduce(np.log(bias))) / k,
+            recall=recall, informedness=informedness, markedness=markedness,
+            f1=f1, g_measure=g_measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +192,8 @@ class _TableSummary:
     K), and at index i of each rate vector what binary_stats reports for
     dichotomize(t, i), computed the same way so the two agree bit for bit.
     The (B, M) pair of multiclass informedness and markedness, the
-    determinant, the mutual information and the nine evenness forms are
-    taken on first use and then shared by every reader."""
+    determinant, the positive cells, the mutual information and the nine
+    evenness forms are taken on first use and then shared by every reader."""
 
     n: int
     prevalence: np.ndarray
@@ -224,12 +225,21 @@ class _TableSummary:
         return _joint_det_slogdet(self.probs)
 
     @cached_property
+    def positive_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positive joint probabilities in row-major order and their flat
+        cell indices, selected once for the mutual information and the
+        conditional entropy (0 log 0 counts as 0 in both)."""
+        flat = (self.probs > 0.0).ravel().nonzero()[0]
+        return self.probs.take(flat), flat
+
+    @cached_property
     def mutual_information(self) -> float:
         """In nats; taken on first use, since both the multiclass record and
         the full-table log-likelihood statistic read it.  Never negative: at
         exact independence the sum leaves a rounding residue either side of 0,
         and a negative one would reach the G-statistic and Cramer's V."""
-        return max(0.0, _sum_p_log_ratio(self.probs, self.expected))
+        p, flat = self.positive_cells
+        return max(0.0, _sum_p_log_ratio(p, self.expected.take(flat)))
 
     @cached_property
     def evenness(self) -> "EvennessVariants":
@@ -239,16 +249,14 @@ class _TableSummary:
         so they stay finite and positive at any K instead of underflowing."""
         k = len(self.prevalence)
         r, p = self.prevalence * (1.0 - self.prevalence), self.bias * (1.0 - self.bias)
-        forms = {
-            "plus": (math.exp(2.0 * self.mean_log_prevalence), math.exp(2.0 * self.mean_log_bias)),
-            "minus": (float(np.add.reduce(r)) / k, float(np.add.reduce(p)) / k),
-            "hash": (k / float(np.add.reduce(1.0 / r)), k / float(np.add.reduce(1.0 / p))),
-        }
-        return EvennessVariants(**{
-            f"{side}_{form}": value
-            for form, (r_form, p_form) in forms.items()
-            for side, value in (("r", r_form), ("p", p_form), ("g", math.sqrt(r_form * p_form)))
-        })
+        r_plus = math.exp(2.0 * self.mean_log_prevalence)
+        p_plus = math.exp(2.0 * self.mean_log_bias)
+        r_minus, p_minus = float(np.add.reduce(r)) / k, float(np.add.reduce(p)) / k
+        r_hash, p_hash = k / float(np.add.reduce(1.0 / r)), k / float(np.add.reduce(1.0 / p))
+        return EvennessVariants(
+            r_plus=r_plus, p_plus=p_plus, g_plus=math.sqrt(r_plus * p_plus),
+            r_minus=r_minus, p_minus=p_minus, g_minus=math.sqrt(r_minus * p_minus),
+            r_hash=r_hash, p_hash=p_hash, g_hash=math.sqrt(r_hash * p_hash))
 
 
 @dataclass(frozen=True)
@@ -283,17 +291,10 @@ def _clamped_dot(weights: np.ndarray, values: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(weights, values))))
 
 
-def _sum_p_log_ratio(probs: np.ndarray, denominators: np.ndarray) -> float:
-    """Sum of p * log(p / d) over the positive cells (0 log 0 counts as 0),
-    d taken from a K x K array of one value per cell, or from a length-K
-    vector of one value per row."""
-    positive = probs > 0.0
-    p = probs[positive]
-    if denominators.ndim == 1:
-        d = denominators[positive.nonzero()[0]]
-    else:
-        d = denominators[positive]
-    return float(np.add.reduce(p * np.log(p / d)))
+def _sum_p_log_ratio(p: np.ndarray, d: np.ndarray) -> float:
+    """Sum of p * log(p / d) over matching cells of any shape, p positive
+    (see _TableSummary.positive_cells)."""
+    return float(np.add.reduce(p * np.log(p / d), None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,8 +368,14 @@ def from_counts(counts, labels: Sequence[str] | None = None) -> ContingencyTable
     """Build a table from a square count matrix, inventing labels if needed."""
     arr = np.asarray(counts)
     if labels is None:
-        labels = tuple(str(i) for i in range(arr.shape[0])) if arr.ndim == 2 else ()
+        labels = _index_labels(arr.shape[0]) if arr.ndim == 2 else ()
     return ContingencyTable(arr, labels)
+
+
+@lru_cache(maxsize=64)
+def _index_labels(k: int) -> tuple[str, ...]:
+    """The labels "0" .. str(k - 1), made once per K."""
+    return tuple(map(str, range(k)))
 
 
 def from_pairs(
@@ -433,6 +440,8 @@ def margins(t: ContingencyTable) -> Margins:
 def require_positive_margins(t: ContingencyTable) -> None:
     """Raise DataError naming the first zero margin, if any: columns first,
     then rows, each at its lowest index."""
+    if t.col_totals.all() and t.row_totals.all():
+        return
     for totals, kind in ((t.col_totals, "real-class margin (column)"),
                          (t.row_totals, "predicted margin (row)")):
         zeros = np.flatnonzero(totals == 0)

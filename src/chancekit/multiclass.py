@@ -101,8 +101,10 @@ def correlation_bmg(t: ContingencyTable) -> float:
     For K > 2 the two factors can take strictly opposite signs, in which
     case the correlation is undefined and nan is returned.
     """
-    b = bookmaker_informedness(t)
-    m = multiclass_markedness(t)
+    return _signed_geometric_mean(*t._summary.bm)
+
+
+def _signed_geometric_mean(b: float, m: float) -> float:
     if (b > 0.0 > m) or (b < 0.0 < m):
         return math.nan
     return math.copysign(math.sqrt(max(b * m, 0.0)), b)
@@ -117,7 +119,9 @@ def conditional_entropy(t: ContingencyTable) -> float:
     """Entropy of the real class left once the prediction is known, in nats,
     clamped at 0 as the mutual information is, so a perfect table reads 0.0, not -0.0."""
     s = t._summary
-    return max(0.0, -_sum_p_log_ratio(s.probs, s.bias))
+    p, flat = s.positive_cells
+    # flat // K is the row, so the bias, of each positive cell.
+    return max(0.0, -_sum_p_log_ratio(p, s.bias.take(flat // t.k)))
 
 
 def det_estimates(
@@ -158,7 +162,8 @@ def multiclass_kappa(t: ContingencyTable) -> float:
     """Chance-corrected agreement (observed vs margin-expected diagonal),
     clamped at 1 as bookmaker_informedness is: a perfect table can read one ulp above."""
     s = t._summary
-    po = float(np.trace(s.probs))
+    # np.trace's own sum, without its Python wrapper.
+    po = float(np.add.reduce(s.probs.diagonal()))
     pe = float(np.dot(s.bias, s.prevalence))
     return min(1.0, (po - pe) / (1.0 - pe))
 
@@ -172,21 +177,23 @@ def macro_averages(t: ContingencyTable) -> tuple[float, float, float]:
     """
     s = t._summary
     w = s.prevalence
-    # Python's left-to-right sum, not np.sum's pairwise one, so below 1 the
-    # last bit matches a sum over the one-vs-rest records.
-    return tuple(min(1.0, float(sum(w * v))) for v in (s.recall, s.g_measure, s.f1))
+    # A left-to-right sum, not np.sum's pairwise one, so below 1 the last bit
+    # matches a sum over the one-vs-rest records.
+    return tuple(min(1.0, float(np.add.accumulate(w * v)[-1]))
+                 for v in (s.recall, s.g_measure, s.f1))
 
 
 def multiclass_stats(t: ContingencyTable) -> MulticlassStats:
     """Bundle every multiclass measure of one table."""
     s = t._summary
+    b, m = s.bm
     wav, gav, fav = macro_averages(t)
     return MulticlassStats(
-        informedness=bookmaker_informedness(t),
-        markedness=multiclass_markedness(t),
-        correlation=correlation_bmg(t),
+        informedness=b,
+        markedness=m,
+        correlation=_signed_geometric_mean(b, m),
         kappa=multiclass_kappa(t),
-        mutual_information=mutual_information(t),
+        mutual_information=s.mutual_information,
         conditional_entropy=conditional_entropy(t),
         det=s.determinant[0],
         evenness=s.evenness,

@@ -58,11 +58,15 @@ __all__ = [
     "posthoc_calibration",
 ]
 
-FAMILY_KINDS = (
-    "kb", "km", "kbm",
-    "xb", "xm", "xbm",
-    "conv_b", "conv_m", "conv_bm",
-)
+# Each family kind: its statistic form, the places in (B, M) of the two
+# factors it multiplies, and the evenness form that scales their product
+# (see chi2_bookmaker_family; the conv forms take none).
+_FAMILY_FORMS = {
+    "kb": ("k", 0, 0, "r_minus"), "km": ("k", 1, 1, "p_minus"), "kbm": ("k", 0, 1, "g_minus"),
+    "xb": ("x", 0, 0, "r_minus"), "xm": ("x", 1, 1, "p_minus"), "xbm": ("x", 0, 1, "g_minus"),
+    "conv_b": ("conv", 0, 0, None), "conv_m": ("conv", 1, 1, None), "conv_bm": ("conv", 0, 1, None),
+}
+FAMILY_KINDS = tuple(_FAMILY_FORMS)
 
 _POSITIVE_TARGETS = ("predicted_positive", "real_positive")
 _WILLIAMS_MODES = ("goodness_of_fit", "independence")
@@ -186,11 +190,12 @@ def _report(kind: str, value: float, df: int, n: int, k: int,
             corrections: frozenset[str] = frozenset(), *,
             p_value: float | None = None) -> SignificanceReport:
     """p is the chi-squared tail of value (clamped at 0) unless a test gives it."""
+    value = float(value)
     return SignificanceReport(
         kind=kind,
-        value=float(value),
+        value=value,
         df=df,
-        p_value=chi2_sf(max(float(value), 0.0), df) if p_value is None else p_value,
+        p_value=chi2_sf(max(value, 0.0), df) if p_value is None else p_value,
         n=n,
         df_alpha=(k - 1) ** 2,
         df_beta=k - 1,
@@ -208,7 +213,9 @@ def _positive_cells(t: ContingencyTable, target: str):
     observed, expected = t.counts.astype(float), s.n * s.expected
     if target == "real_positive":
         observed, expected = observed.T, expected.T
-    return observed[0], expected[0], s.n
+    # As Python floats, which the callers' cell loops add faster than numpy
+    # scalars, with the same roundings.
+    return observed[0].tolist(), expected[0].tolist(), s.n
 
 
 def chi2_positive(
@@ -256,25 +263,23 @@ def chi2_bookmaker_family(t: ContingencyTable, kind: str) -> SignificanceReport:
     variants are (K-1) times larger and use df = (K-1)^2; the conv forms drop
     the evenness factor and use df = K-1.  The combined (b*m) statistics can
     go negative when informedness and markedness disagree in sign for K > 2;
-    the tail probability is then 1 by construction.
+    the tail probability is then 1 by construction.  kind is one of
+    FAMILY_KINDS in any case; any other value raises UsageError naming it.
     """
-    kind = kind.lower()
-    if kind not in FAMILY_KINDS:
-        raise UsageError(f"unknown family kind '{kind}'")
+    try:
+        kind = kind.lower()
+        scale, i, j, form = _FAMILY_FORMS[kind]
+    except (AttributeError, KeyError):
+        raise UsageError(f"unknown family kind '{kind}'") from None
     k = t.k
     s = t._summary
     n = s.n
-    b, m = s.bm
-    measure = kind[len("conv_"):] if kind.startswith("conv_") else kind[1:]
-    if measure == "b":
-        x, y, evenness = b, b, s.evenness.r_minus
-    elif measure == "m":
-        x, y, evenness = m, m, s.evenness.p_minus
-    else:
-        x, y, evenness = b, m, s.evenness.g_minus
-    if kind.startswith("conv_"):
+    bm = s.bm
+    x, y = bm[i], bm[j]
+    if scale == "conv":
         return _report(kind, (k - 1) * n * (x * y), k - 1, n, k)
-    if kind.startswith("x"):
+    evenness = getattr(s.evenness, form)
+    if scale == "x":
         return _report(kind, (k - 1) * k * n * (x * y * evenness), (k - 1) ** 2, n, k)
     return _report(kind, k * n * (x * y * evenness), k - 1, n, k)
 
@@ -289,7 +294,7 @@ def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, Significa
     s = t._summary
     n = s.n
     expected = n * s.expected
-    chi2_value = float(((t.counts - expected) ** 2 / expected).sum())
+    chi2_value = float(np.add.reduce((t.counts - expected) ** 2 / expected, None))
     g2_value = 2.0 * n * mutual_information(t)
     df = (t.k - 1) ** 2
     return (
@@ -414,7 +419,9 @@ def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | No
             return None
         # Term j is floored j times, so it is below its true value by less
         # than j units.  Once the ratio r to the next term is below 1, the
-        # rest is at most the current term times r / (1 - r).
+        # rest is at most the current term times r / (1 - r).  That test
+        # costs more than a term, so it is made at every 8th term: a stop up
+        # to 7 terms later gives a bound as valid and the same p.
         if step > 0:
             u1, u2, v1, v2, steps = rp - e, pp - e, e + 1, q + e + 1, hi - e
         else:
@@ -423,7 +430,7 @@ def _fisher_window(a: int, b: int, c: int, d: int, sidedness: str) -> float | No
         rest = j = 0
         for j in range(steps):
             num, den = (u1 - j) * (u2 - j), (v1 + j) * (v2 + j)
-            if num < den and (t + j) * num <= (s >> _WINDOW_BITS) * (den - num):
+            if not j & 7 and num < den and (t + j) * num <= (s >> _WINDOW_BITS) * (den - num):
                 rest = s >> _WINDOW_BITS
                 break
             t = t * num // den
@@ -526,7 +533,10 @@ def fisher_montecarlo_kxk(
     Tables are drawn by Patefield's algorithm, (K-1)^2 hypergeometric draws
     each whatever n is.  p = (hits + 1) / (samples + 1) (Phipson & Smyth
     2010) is never 0; a hit is a draw at most as probable as the observed
-    table (log scale, tie tolerance 1e-9).  Deterministic for a given seed."""
+    table (log scale, tie tolerance 1e-9).  Deterministic for a given seed.
+    Draws are taken in chunks of 2^16 // K tables, and a chunk holds only
+    O(K) of its cell vectors at once, so the sampler's working set stays a
+    small multiple of 2^16 values (512 KiB as int64) at any K."""
     if samples < 1_000:
         raise UsageError(f"need at least 1000 samples, got {samples}")
     n = t.n
@@ -545,10 +555,9 @@ def fisher_montecarlo_kxk(
         s_obs += log_factorials[c]
     rng = np.random.Generator(np.random.SFC64(int(seed) & ((1 << 128) - 1)))
     # _patefield_cells holds O(K) cell vectors of a chunk at once, not K^2,
-    # so 2^16 // K draws keep a chunk near 2^16 live values while each
-    # hypergeometric call stays wide at large K.  Up to K = 16 the 2^20 // K^2
-    # term is the larger, so those tables keep their chunks and seeded draws.
-    chunk = max((1 << 20) // (t.k * t.k), (1 << 16) // t.k)
+    # so 2^16 // K draws keep a chunk near 2^16 live values at every K while
+    # each hypergeometric call stays wide at large K.
+    chunk = (1 << 16) // t.k
     hits = 0
     for done in range(0, samples, chunk):
         s = 0.0

@@ -1,6 +1,7 @@
 """Test statistics, exact tests, corrections, and the survival function."""
 
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -167,6 +168,15 @@ def test_family_invariant_under_inverse():
 def test_unknown_family_is_usage_error():
     with pytest.raises(UsageError):
         chi2_bookmaker_family(table_a(), "zz")
+
+
+@pytest.mark.parametrize("kind, named", [("zz", "zz"), ("ZZ", "zz"), (None, "None"), (3, "3")])
+def test_family_kind_errors_name_the_kind(kind, named):
+    # Any kind that is not one of FAMILY_KINDS, in any case, is a usage
+    # error naming it, as the other selectors' errors do.
+    with pytest.raises(UsageError, match=re.escape(f"unknown family kind '{named}'")):
+        chi2_bookmaker_family(table_a(), kind)
+    assert chi2_bookmaker_family(table_a(), "KBM") == chi2_bookmaker_family(table_a(), "kbm")
 
 
 def test_full_table_tests_fixture():
@@ -446,14 +456,19 @@ def test_fisher_montecarlo_log_factorials_stop_at_largest_cell(monkeypatch):
 
 
 def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
-    # A chunk holds O(K) cell vectors at once, so at K = 40 it is 2^16 // 40
-    # = 1638 draws wide (not 2^20 // 40^2 = 655) and 1000 draws take one.
+    # A chunk holds O(K) cell vectors at once, so it is 2^16 // K draws wide
+    # at every K: at K = 40, 1638 draws (not 2^20 // 40^2 = 655), so 1000
+    # draws take one chunk; at K = 4, 16,384 (not 2^20 // 4^2 = 65,536), so
+    # 100,000 draws take six full chunks and the rest.
     chunks = []
     cells = significance._patefield_cells
     monkeypatch.setattr(significance, "_patefield_cells",
                         lambda t, m, rng: chunks.append(m) or cells(t, m, rng))
     fisher_montecarlo_kxk(from_counts(np.eye(40, dtype=int) + 1), samples=1000, seed=0)
     assert chunks == [1000]
+    chunks.clear()
+    fisher_montecarlo_kxk(from_counts(np.eye(4, dtype=int) + 1), samples=100_000, seed=0)
+    assert chunks == [16_384] * 6 + [100_000 - 6 * 16_384]
 
 
 # Goodness of fit of the fixed-margin sampler to the exact law, at level

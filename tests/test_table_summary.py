@@ -7,13 +7,15 @@ label loops and np.prod products of reference_stats to a stated relative
 tolerance."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_stats as ref
 from chancekit import contingency
 from chancekit.confidence import confidence_interval, evenness_factor
-from chancekit.contingency import dichotomize, from_counts, margins
+from chancekit.contingency import dichotomize, from_counts, margins, require_positive_margins
+from chancekit.errors import DataError
 from chancekit.dichotomous import binary_stats
 from chancekit.multiclass import (
     EXPONENT_RULES,
@@ -209,3 +211,32 @@ def test_mutual_information_never_negative_at_exact_independence():
         k = int(rng.integers(2, 6))
         counts = np.outer(rng.integers(1, 30, k), rng.integers(1, 30, k))
         assert mutual_information(from_counts(counts)) >= 0.0
+
+
+# Tables with zero rows and zero columns, and the margin each must name: a
+# column before any row, and the lowest index of its kind.
+ZERO_MARGIN_TABLES = (
+    ([[0, 0], [3, 0]], "zero real-class margin (column) for label 'b'"),
+    ([[2, 0], [0, 0]], "zero real-class margin (column) for label 'b'"),
+    ([[0, 0, 0], [1, 0, 2], [3, 0, 4]], "zero real-class margin (column) for label 'b'"),
+    ([[0, 0, 0], [5, 0, 0], [0, 0, 0]], "zero real-class margin (column) for label 'b'"),
+    ([[4, 1, 2], [0, 0, 0], [3, 2, 1]], "zero predicted margin (row) for label 'b'"),
+)
+
+
+@pytest.mark.parametrize("counts, text", ZERO_MARGIN_TABLES)
+def test_zero_margins_raise_the_margin_check_text(counts, text):
+    # Every battery entry point raises exactly require_positive_margins's
+    # error, each on a table of its own, so no summary is shared.
+    labels = "abc"[:len(counts)]
+    with pytest.raises(DataError) as checked:
+        require_positive_margins(from_counts(counts, labels))
+    assert str(checked.value) == text
+    entry_points = [multiclass_stats, full_table_tests, evenness_factor,
+                    *(lambda t, kind=kind: chi2_bookmaker_family(t, kind) for kind in FAMILY_KINDS)]
+    if len(counts) == 2:
+        entry_points.append(binary_stats)
+    for entry_point in entry_points:
+        with pytest.raises(DataError) as raised:
+            entry_point(from_counts(counts, labels))
+        assert str(raised.value) == text
