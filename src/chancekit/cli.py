@@ -45,6 +45,8 @@ _FAMILY_KIND_SETS = {
     "conv": ("conv_b", "conv_m", "conv_bm"),
 }
 _FAMILY_CHOICES = ("all", *_FAMILY_KIND_SETS, "full", "fisher")
+_FISHER_SAMPLES_HELP = ("most tables the sampled exact test of a K x K table draws (it stops "
+                        "sooner at its 100th hit); its smallest p is 1 / (this + 1)")
 
 # metric fields that are not probability-like; never shown as percents
 _NO_PERCENT = {
@@ -198,6 +200,8 @@ def _print_significance_text(doc: dict) -> None:
             f"{rep['kind']:<12}{rep['value']:>12.6f}{rep['df']:>4}"
             f"{rep['p_value']:>12.6f}  {'yes' if rep['significant'] else 'no':<12}{corrections}"
         )
+        if "draws" in rep:
+            print(f"{rep['kind']}: {rep['hits']:,} hits in {rep['draws']:,} draws")
     if "association" in doc:
         print()
         for key, value in doc["association"].items():
@@ -463,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     significance.add_argument("--williams", action="store_true",
                               help="apply the small-sample correction to log-likelihood statistics")
     significance.add_argument("--alpha", type=float, default=0.05)
-    significance.add_argument("--fisher-samples", type=int, default=100_000)
+    significance.add_argument("--fisher-samples", type=int, default=100_000,
+                              help=_FISHER_SAMPLES_HELP)
     significance.add_argument("--fisher-sided", choices=("one", "two"), default="two")
     significance.add_argument("--seed", type=int)
     significance.set_defaults(handler=_cmd_significance)
@@ -488,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--margin-dist", choices=MARGIN_DISTRIBUTIONS, default="binomial")
     simulate.add_argument("--x", type=float, default=1.96)
     simulate.add_argument("--alpha", type=float, default=0.05)
-    simulate.add_argument("--fisher-samples", type=int, default=10_000)
+    simulate.add_argument("--fisher-samples", type=int, default=10_000,
+                          help=_FISHER_SAMPLES_HELP)
     simulate.add_argument("--no-enforce-integer", action="store_true",
                           help="keep each rounded table's own total instead of forcing it to --n")
     simulate.add_argument("--out", required=True, help="output directory for runs.csv and summary.csv")

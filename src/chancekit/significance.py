@@ -17,16 +17,17 @@ the full-table statistic; for a 2x2 table the full statistic is exactly
 n * B * M.
 
 Exact inference (exact_test) comes from the 2x2 hypergeometric test and, for
-K x K tables, Patefield's fixed-margin sampler with p = (hits + 1) /
-(samples + 1) (Phipson & Smyth 2010).  The 2x2 p is the correctly rounded
-exact fraction: on supports of _WINDOW_MIN_WIDTH tables or more it comes
-from tail sums bounded in fixed-point integers around the mode, whose cost
-grows with |a - mode| plus sqrt(n), and the full integer sum over the
-support settles any p whose bounds straddle a rounding boundary.  Tail
-probabilities of the chi-squared family come from the regularized upper
-incomplete gamma function Q(r/2, x/2): erfc for one degree of freedom,
-otherwise its power series below x = a + 1 and its Lentz continued fraction
-above (Press et al., Numerical Recipes, section 6.2).
+K x K tables, Patefield's fixed-margin sampler, which stops at its 100th hit
+with p = 100 / draws (Besag & Clifford 1991) and otherwise gives p =
+(hits + 1) / (samples + 1) (Phipson & Smyth 2010).  The 2x2 p is the
+correctly rounded exact fraction: on supports of _WINDOW_MIN_WIDTH tables
+or more it comes from tail sums bounded in fixed-point integers around the
+mode, whose cost grows with |a - mode| plus sqrt(n), and the full integer
+sum over the support settles any p whose bounds straddle a rounding
+boundary.  Tail probabilities of the chi-squared family come from the
+regularized upper incomplete gamma function Q(r/2, x/2): erfc for one
+degree of freedom, otherwise its power series below x = a + 1 and its Lentz
+continued fraction above (Press et al., Numerical Recipes, section 6.2).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .multiclass import mutual_information
 
 __all__ = [
     "SignificanceReport",
+    "SampledReport",
     "PosthocCalibration",
     "FAMILY_KINDS",
     "chi2_sf",
@@ -90,6 +92,15 @@ class SignificanceReport:
     df_alpha: int
     df_beta: int
     corrections: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True, kw_only=True)
+class SampledReport(SignificanceReport):
+    """The report of a sampled test: its p rests on `draws` tables, `hits` of
+    them at most as probable as the observed one."""
+
+    draws: int
+    hits: int
 
 
 @dataclass(frozen=True)
@@ -525,18 +536,35 @@ def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
     yield from left
 
 
+# fisher_montecarlo_kxk stops at its _STOP_HITS-th hit, which gives a stopped
+# p a relative standard error of about 1 / sqrt(_STOP_HITS), 10%.  A first
+# chunk of _FIRST_CHUNK draws holds the stop of a table with a large p, and
+# costs a table that never stops one chunk's overhead more.  A table of
+# log(i!) costs time and memory in proportion to n; past _LOG_FACTORIAL_TABLE
+# entries lgamma is taken at each cell vector's distinct values instead, at
+# most K^2 calls a draw.
+_STOP_HITS = 100
+_FIRST_CHUNK = 1024
+_LOG_FACTORIAL_TABLE = 1 << 16
+
+
 def fisher_montecarlo_kxk(
     t: ContingencyTable, samples: int = 100_000, seed: int = 0
-) -> SignificanceReport:
+) -> SampledReport:
     """Monte Carlo estimate of the exact fixed-margin test for K x K tables.
 
     Tables are drawn by Patefield's algorithm, (K-1)^2 hypergeometric draws
-    each whatever n is.  p = (hits + 1) / (samples + 1) (Phipson & Smyth
-    2010) is never 0; a hit is a draw at most as probable as the observed
-    table (log scale, tie tolerance 1e-9).  Deterministic for a given seed.
-    Draws are taken in chunks of 2^16 // K tables, and a chunk holds only
-    O(K) of its cell vectors at once, so the sampler's working set stays a
-    small multiple of 2^16 values (512 KiB as int64) at any K."""
+    each whatever n is.  A hit is a draw at most as probable as the observed
+    table (log scale, tie tolerance 1e-9).  Drawing stops at the 100th hit,
+    the l-th draw, with p = 100 / l (Besag & Clifford 1991); a run that
+    reaches `samples` draws first gives p = (hits + 1) / (samples + 1)
+    (Phipson & Smyth 2010).  So samples caps the draws and sets the smallest
+    p, 1 / (samples + 1); a stopped p is at least 100 / samples.  Both are
+    valid p-values, and the report carries the draws and hits behind p.
+    Deterministic for a given seed.  Draws are taken in chunks, the first of
+    1,024 tables and the rest of 2^16 // K, and a chunk holds only O(K) of
+    its cell vectors at once, so the sampler's working set stays a small
+    multiple of 2^16 values (512 KiB as int64) at any K."""
     if samples < 1_000:
         raise UsageError(f"need at least 1000 samples, got {samples}")
     n = t.n
@@ -547,25 +575,46 @@ def fisher_montecarlo_kxk(
     # With fixed margins -sum(log(cell!)) orders the tables' probabilities; it
     # is added cell by cell in row-major order, so equal tables tie to the bit.
     # No cell of a table with these margins exceeds the smaller of the largest
-    # row and column totals, so the table of log(i!) stops there.
+    # row and column totals, so a table of log(i!) stops there.  Past
+    # _LOG_FACTORIAL_TABLE entries the same lgamma doubles are taken per
+    # vector and added in the same order, so p keeps its bits.
     top = int(min(t.row_totals.max(), t.col_totals.max()))
-    log_factorials = np.fromiter((math.lgamma(i + 1.0) for i in range(top + 1)), float, top + 1)
+    if top < _LOG_FACTORIAL_TABLE:
+        log_factorials = np.fromiter((math.lgamma(i + 1.0) for i in range(top + 1)),
+                                     float, top + 1).take
+    else:
+        def log_factorials(cells):
+            values, index = np.unique(cells, return_inverse=True)
+            return np.fromiter((math.lgamma(v + 1.0) for v in values.tolist()),
+                               float, values.size)[index]
     s_obs = 0.0
-    for c in t.counts.ravel():
-        s_obs += log_factorials[c]
+    for value in log_factorials(t.counts.ravel()).tolist():
+        s_obs += value
     rng = np.random.Generator(np.random.SFC64(int(seed) & ((1 << 128) - 1)))
     # _patefield_cells holds O(K) cell vectors of a chunk at once, not K^2,
     # so 2^16 // K draws keep a chunk near 2^16 live values at every K while
     # each hypergeometric call stays wide at large K.
-    chunk = (1 << 16) // t.k
-    hits = 0
-    for done in range(0, samples, chunk):
+    cap = (1 << 16) // t.k
+    chunk = min(_FIRST_CHUNK, cap)
+    hits = draws = 0
+    while draws < samples:
+        m = min(chunk, samples - draws)
         s = 0.0
-        for c in _patefield_cells(t, min(chunk, samples - done), rng):
-            s += log_factorials[c]
-        hits += int((s >= s_obs - 1e-9).sum())
-    p = (hits + 1) / (samples + 1)
-    return _report("fisher_mc", p, 1, n, t.k, p_value=p)
+        for c in _patefield_cells(t, m, rng):
+            s += log_factorials(c)
+        hit = s >= s_obs - 1e-9
+        found = int(np.count_nonzero(hit))
+        if hits + found >= _STOP_HITS:
+            # The chunk's draws after the last hit needed are discarded.
+            draws += int(np.flatnonzero(hit)[_STOP_HITS - hits - 1]) + 1
+            hits = _STOP_HITS
+            break
+        hits += found
+        draws += m
+        chunk = cap
+    p = hits / draws if hits == _STOP_HITS else (hits + 1) / (samples + 1)
+    report = _report("fisher_mc", p, 1, n, t.k, p_value=p)
+    return SampledReport(**vars(report), draws=draws, hits=hits)
 
 
 def exact_test(
@@ -573,9 +622,10 @@ def exact_test(
 ) -> SignificanceReport:
     """The exact fixed-margin test of t: the hypergeometric sum
     (fisher_exact_2x2, either side) for a 2x2 table, otherwise Patefield's
-    sampler (fisher_montecarlo_kxk) with samples draws from seed.  samples
-    and seed are read only by the sampler; the sampled test is two-sided, so
-    sidedness "one" on a larger table raises UsageError."""
+    sampler (fisher_montecarlo_kxk) from seed, which stops at its 100th hit
+    or after samples draws.  samples and seed are read only by the sampler;
+    the sampled test is two-sided, so sidedness "one" on a larger table
+    raises UsageError."""
     if t.k == 2:
         return fisher_exact_2x2(t, sidedness)
     if sidedness != "two":

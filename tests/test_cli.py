@@ -382,6 +382,27 @@ def test_significance_posthoc_from_sampled_fisher_p(tmp_path):
     assert doc["posthoc"] == dataclasses.asdict(posthoc_calibration(fisher["p_value"]))
 
 
+def test_significance_reports_sampler_draws_and_hits(tmp_path):
+    # The even table is its margins' most probable, so every draw is a hit
+    # and the sampler stops at its 100th; a strong diagonal never stops.
+    even, diagonal = tmp_path / "even.csv", tmp_path / "diagonal.csv"
+    even.write_text("3,3,3\n3,3,3\n3,3,3\n")
+    diagonal.write_text("9,1,1\n1,9,1\n1,1,9\n")
+    for path, draws, hits in ((even, 100, 100), (diagonal, 1000, 0)):
+        argv = ["significance", "--table", str(path), "--family", "fisher", "--seed", "3",
+                "--fisher-samples", "1000"]
+        (fisher,) = json.loads(main_output(*argv, "--format", "json"))["significance"]
+        assert (fisher["draws"], fisher["hits"]) == (draws, hits)
+        fields = dict(csv.reader(io.StringIO(main_output(*argv, "--format", "csv"))))
+        assert (fields["significance[0].draws"], fields["significance[0].hits"]) == (
+            str(draws), str(hits))
+        assert f"\nfisher_mc: {hits:,} hits in {draws:,} draws\n" in main_output(*argv)
+    # No other report carries them.
+    doc = json.loads(main_output("significance", "--table", str(even), "--format", "json",
+                                 "--family", "full"))
+    assert all("draws" not in report for report in doc["significance"])
+
+
 def test_significance_calibration_block_only_where_defined(tmp_path):
     # No Fisher report, or a Fisher p at or above 1/e: no block at all.
     doc = json.loads(main_output("significance", "--table", TABLE_A, "--family", "kb",

@@ -396,23 +396,89 @@ def test_exact_test_is_the_2x2_sum_or_the_sampler():
             exact_test(t, "one", 2000, 42)
 
 
+def _fixed_draw_hits(t, samples, seed):
+    """Hits among exactly `samples` draws of _patefield_cells, with the
+    sampler's ordering and tolerance but no stopping rule."""
+    rng = np.random.Generator(np.random.SFC64(seed))
+    log_factorials = np.array([math.lgamma(i + 1.0) for i in range(t.n + 1)])
+    s_obs = sum(log_factorials[c] for c in t.counts.ravel())
+    s = sum(log_factorials[c] for c in _patefield_cells(t, samples, rng))
+    return int((s >= s_obs - 1e-9).sum())
+
+
 def test_fisher_montecarlo_agrees_with_exact_2x2():
     t = table_a()
     exact = fisher_exact_2x2(t, "two").p_value
-    mc = fisher_montecarlo_kxk(t, samples=100_000, seed=5).p_value
+    # The sampler's law: its hit rate over a fixed 100,000 draws.
+    mc = (_fixed_draw_hits(t, 100_000, 5) + 1) / (100_000 + 1)
     se = math.sqrt(exact * (1 - exact) / 100_000)
     assert abs(mc - exact) < 3 * se
+    # The public call stops at its 100th hit with p = 100 / draws, whose
+    # standard error is about p sqrt((1 - p) / 100) (Besag & Clifford 1991).
+    report = fisher_montecarlo_kxk(t, samples=100_000, seed=5)
+    assert report.hits == significance._STOP_HITS
+    assert report.p_value == report.hits / report.draws
+    stopped_se = report.p_value * math.sqrt((1 - report.p_value) / report.hits)
+    assert abs(report.p_value - exact) < 3 * stopped_se
 
 
 def test_fisher_montecarlo_perfect_diagonal():
-    # No draw is as improbable as the diagonal, so p is (0 + 1) / (samples + 1).
+    # No draw is as improbable as the diagonal, so the run never stops and p
+    # is (0 + 1) / (samples + 1).
     t = from_counts(np.eye(4, dtype=int) * 10)
-    assert fisher_montecarlo_kxk(t, samples=2000, seed=1).p_value == 1 / 2001
+    report = fisher_montecarlo_kxk(t, samples=2000, seed=1)
+    assert report.p_value == 1 / 2001
+    assert (report.draws, report.hits) == (2000, 0)
 
 
 def test_fisher_montecarlo_independent_table():
+    # The even table is the most probable with its margins, so every draw is
+    # a hit and the run stops at the 100th draw with p = 1.
     t = from_counts(np.full((4, 4), 4))
-    assert fisher_montecarlo_kxk(t, samples=2000, seed=1).p_value > 0.5
+    report = fisher_montecarlo_kxk(t, samples=2000, seed=1)
+    assert report.p_value == 1.0
+    assert report.draws == report.hits == significance._STOP_HITS == 100
+
+
+def test_fisher_montecarlo_p_follows_its_stopping_rule():
+    # A stopped p is hits / draws, so never below 100 / samples; a full run's
+    # is (hits + 1) / (samples + 1), never below 1 / (samples + 1).
+    stopped = full = 0
+    for t in random_valid_tables(17, 40, k=3, cell_max=9):
+        report = fisher_montecarlo_kxk(t, samples=1000, seed=3)
+        assert report.p_value >= 1 / 1001
+        if report.hits == significance._STOP_HITS:
+            stopped += 1
+            assert report.draws <= 1000
+            assert report.p_value == 100 / report.draws >= 100 / 1000
+        else:
+            full += 1
+            assert report.hits < 100
+            assert report.draws == 1000
+            assert report.p_value == (report.hits + 1) / 1001
+    assert stopped and full
+
+
+# Three small margin sets, each given by one table that has them.
+NULL_MARGIN_TABLES = ([[2, 2, 1], [2, 2, 2], [2, 2, 3]],
+                      [[1, 1, 1, 1], [0, 1, 1, 2], [1, 0, 2, 1], [0, 1, 1, 2]],
+                      [[2, 1, 0], [3, 1, 1], [3, 0, 1]])
+NULL_DRAWS = 200
+
+
+def test_fisher_montecarlo_keeps_its_level_under_the_null():
+    # Tables drawn from the fixed-margin null are rejected at alpha = 0.05 at
+    # most alpha + 3 binomial standard errors of the time.
+    alpha, rejected, total = 0.05, 0, 0
+    for i, base in enumerate(NULL_MARGIN_TABLES):
+        t = from_counts(base)
+        rng = np.random.Generator(np.random.SFC64(100 + i))
+        cells = np.stack(list(_patefield_cells(t, NULL_DRAWS, rng)), axis=1)
+        for j, counts in enumerate(cells.reshape(NULL_DRAWS, t.k, t.k)):
+            report = fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=j)
+            rejected += report.p_value <= alpha
+            total += 1
+    assert rejected / total <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / total)
 
 
 def test_fisher_montecarlo_deterministic():
@@ -455,20 +521,74 @@ def test_fisher_montecarlo_log_factorials_stop_at_largest_cell(monkeypatch):
     assert len(calls) == 403
 
 
+def test_fisher_montecarlo_distinct_cell_log_factorials_keep_p(monkeypatch):
+    # Above the table's cap log(i!) is taken at each cell vector's distinct
+    # values: the same lgamma doubles added in the same order, so with the cap
+    # at 16 every report, stopped or not, keeps its bits.
+    tables = [[[20, 3, 4], [5, 18, 2], [1, 6, 25]],
+              [[9, 8, 9], [8, 9, 8], [9, 8, 9]],
+              [[12, 4, 3, 1], [2, 15, 2, 4], [3, 1, 17, 2], [5, 2, 1, 14]],
+              [[6, 5, 5, 4, 5], [5, 6, 4, 5, 5], [4, 5, 6, 5, 5], [5, 5, 5, 6, 4], [5, 4, 5, 5, 6]]]
+    before = [fisher_montecarlo_kxk(from_counts(c), samples=3000, seed=9) for c in tables]
+    assert {r.hits == 100 for r in before} == {True, False}
+    monkeypatch.setattr(significance, "_LOG_FACTORIAL_TABLE", 16)
+    after = [fisher_montecarlo_kxk(from_counts(c), samples=3000, seed=9) for c in tables]
+    assert after == before
+
+
+def test_fisher_montecarlo_log_factorials_bounded_at_large_n(monkeypatch):
+    # At n near 10^8 a table of log(i!) would take 3.3 * 10^7 lgamma calls
+    # and 267 MB; at each cell vector's distinct values it takes at most
+    # K^2 per draw, and K^2 for the observed table.
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    t = from_counts(np.eye(3, dtype=int) * 33_333_330 + 1)
+    assert 0.99e8 < t.n < 10**8
+    report = fisher_montecarlo_kxk(t, samples=1000, seed=0)
+    assert report.draws == 1000
+    assert 0 < len(calls) <= 9 * (1000 + 1)
+
+
+def test_fisher_montecarlo_runs_every_line():
+    # The bad-argument raises, both log(i!) paths, and runs that stop and
+    # that reach `samples`.
+    def run():
+        for samples, counts in ((10, [[1, 2], [3, 4]]), (1000, np.zeros((3, 3), int)),
+                                (1000, [[10**9, 0, 0], [0, 1, 0], [0, 0, 1]])):
+            with pytest.raises((UsageError, DataError)):
+                fisher_montecarlo_kxk(from_counts(counts), samples=samples)
+        for counts in (np.full((4, 4), 4), np.eye(4, dtype=int) * 10,
+                       np.eye(3, dtype=int) * 10**5 + 1):
+            fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=1)
+
+    assert unreached_lines(fisher_montecarlo_kxk, run) == []
+
+
 def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
-    # A chunk holds O(K) cell vectors at once, so it is 2^16 // K draws wide
-    # at every K: at K = 40, 1638 draws (not 2^20 // 40^2 = 655), so 1000
-    # draws take one chunk; at K = 4, 16,384 (not 2^20 // 4^2 = 65,536), so
-    # 100,000 draws take six full chunks and the rest.
+    # A chunk holds O(K) cell vectors at once, so no chunk is wider than
+    # 2^16 // K draws at any K.  The first chunk is 1,024 draws, the rest
+    # 2^16 // K: at K = 40, 1,638 (not 2^20 // 40^2 = 655); at K = 4, 16,384
+    # (not 2^20 // 4^2 = 65,536); at K = 100 the first is 655 as well.  A
+    # table that never stops draws exactly `samples`; one whose every draw
+    # is a hit stops within the first chunk.
     chunks = []
     cells = significance._patefield_cells
     monkeypatch.setattr(significance, "_patefield_cells",
                         lambda t, m, rng: chunks.append(m) or cells(t, m, rng))
-    fisher_montecarlo_kxk(from_counts(np.eye(40, dtype=int) + 1), samples=1000, seed=0)
-    assert chunks == [1000]
+    cases = [(np.eye(40, dtype=int) * 5, 5000, [1024, 1638, 1638, 700]),
+             (np.eye(4, dtype=int) * 10, 100_000, [1024] + [16_384] * 6 + [672]),
+             (np.eye(100, dtype=int) * 2, 1000, [655, 345])]
+    for counts, samples, schedule in cases:
+        chunks.clear()
+        report = fisher_montecarlo_kxk(from_counts(counts), samples=samples, seed=0)
+        assert chunks == schedule
+        assert max(chunks) <= (1 << 16) // len(counts)
+        assert (report.draws, report.hits) == (samples, 0)
     chunks.clear()
-    fisher_montecarlo_kxk(from_counts(np.eye(4, dtype=int) + 1), samples=100_000, seed=0)
-    assert chunks == [16_384] * 6 + [100_000 - 6 * 16_384]
+    report = fisher_montecarlo_kxk(from_counts(np.full((4, 4), 4)), samples=100_000, seed=0)
+    assert chunks == [1024]
+    assert report.draws == 100
 
 
 # Goodness of fit of the fixed-margin sampler to the exact law, at level
