@@ -35,16 +35,9 @@ from .errors import DataError, UsageError
 
 __all__ = ["main", "console_entry", "build_parser"]
 
-# --family values that run part of the evenness-scaled statistics, and which
-# kinds; "all" runs every kind, significance.FAMILY_KINDS.
-_FAMILY_KIND_SETS = {
-    "kb": ("kb",),
-    "km": ("km",),
-    "kbm": ("kbm",),
-    "x": ("xb", "xm", "xbm"),
-    "conv": ("conv_b", "conv_m", "conv_bm"),
-}
-_FAMILY_CHOICES = ("all", *_FAMILY_KIND_SETS, "full", "fisher")
+# significance.significance_reports' families, written out since the parser
+# is built before significance is imported.
+_FAMILY_CHOICES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
 _FISHER_SAMPLES_HELP = ("most tables the sampled exact test of a K x K table draws (it stops "
                         "sooner at its 100th hit); its smallest p is 1 / (this + 1)")
 
@@ -252,65 +245,33 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_significance(args) -> None:
-    from .significance import (
-        FAMILY_KINDS,
-        chi2_bookmaker_family,
-        chi2_positive,
-        cramers_v,
-        exact_test,
-        full_table_tests,
-        g2_positive,
-        posthoc_calibration,
-        williams_correction,
-    )
+    from .significance import cramers_v, posthoc_calibration, significance_reports
 
     if not (0.0 < args.alpha < 1.0):
         raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
     t, descriptor = _load_input(args)
     doc = _document("significance", descriptor)
     doc["alpha"] = args.alpha
-    reports = []
-    family = args.family
-    want_positive = family == "all" and t.k == 2
-    want_full = family in ("all", "full")
-    want_fisher = family in ("all", "fisher")
-
-    if want_positive:
-        reports.append(chi2_positive(t, "predicted_positive", yates=args.yates))
-        reports.append(chi2_positive(t, "real_positive", yates=args.yates))
-        g2_p = g2_positive(t, "predicted_positive")
-        g2_r = g2_positive(t, "real_positive")
-        if args.williams:
-            g2_p = williams_correction(g2_p, t, "goodness_of_fit")
-            g2_r = williams_correction(g2_r, t, "goodness_of_fit")
-        reports.extend([g2_p, g2_r])
-    kinds = FAMILY_KINDS if family == "all" else _FAMILY_KIND_SETS.get(family, ())
-    reports.extend(chi2_bookmaker_family(t, kind) for kind in kinds)
-    if want_full:
-        full_chi2, full_g2 = full_table_tests(t)
-        if args.williams:
-            full_g2 = williams_correction(full_g2, t, "independence")
-        reports.extend([full_chi2, full_g2])
-        doc["association"] = {
-            "cramers_v_chi2": cramers_v(full_chi2.value, t.n, t.k),
-            "cramers_v_g2": cramers_v(full_g2.value, t.n, t.k),
-        }
-    if want_fisher:
-        seed = args.seed if args.seed is not None else _fresh_seed()
-        fisher = exact_test(t, args.fisher_sided, args.fisher_samples, seed)
-        if fisher.kind == "fisher_mc":
-            doc["seed"] = seed
-        reports.append(fisher)
-
+    seed = args.seed if args.seed is not None else _fresh_seed()
+    reports = significance_reports(t, (args.family,), sided=args.fisher_sided,
+                                   samples=args.fisher_samples, seed=seed,
+                                   yates=args.yates, williams=args.williams)
+    by_kind = {rep.kind: rep for rep in reports}
+    if "full_chi2" in by_kind:
+        doc["association"] = {f"cramers_v_{stat}": cramers_v(by_kind[f"full_{stat}"].value, t.n, t.k)
+                              for stat in ("chi2", "g2")}
+    if "fisher_mc" in by_kind:
+        doc["seed"] = seed
     doc["significance"] = [_report_dict(rep, args.alpha) for rep in reports]
+    exact = next((rep for rep in reports if rep.kind.startswith("fisher")), None)
     # The calibration bound is defined only below p = 1/e.
-    if want_fisher and 0.0 < fisher.p_value < 1.0 / math.e:
-        doc["posthoc"] = dataclasses.asdict(posthoc_calibration(fisher.p_value))
+    if exact is not None and 0.0 < exact.p_value < 1.0 / math.e:
+        doc["posthoc"] = dataclasses.asdict(posthoc_calibration(exact.p_value))
     _emit(doc, args, lambda: _print_significance_text(doc))
 
 
 def _cmd_confidence(args) -> None:
-    from .confidence import confidence_interval, evenness_factor, normal_multiplier
+    from .confidence import CI_VARIANTS, confidence_interval, evenness_factor, normal_multiplier
     from .multiclass import bookmaker_informedness
 
     t, descriptor = _load_input(args)
@@ -320,17 +281,18 @@ def _cmd_confidence(args) -> None:
         x = args.x
     elif args.alpha is not None:
         x = normal_multiplier(args.alpha, two_tailed=not args.one_tailed)
+        if math.isinf(x):  # 1 - alpha/2 (one-tailed 1 - alpha) rounded to 1
+            smallest = math.nextafter(2.0 ** (-54 if args.one_tailed else -53), 1.0)
+            raise UsageError(f"--alpha{' with --one-tailed' if args.one_tailed else ''} must be "
+                             f"at least {smallest!r} for a finite multiplier, got {args.alpha}")
     elif args.one_tailed:
         x = normal_multiplier(0.05, two_tailed=False)
     else:
         x = 1.96
     b = bookmaker_informedness(t)
     evenness = evenness_factor(t)
-    intervals = [
-        confidence_interval(0.0, t.n, evenness, x, "null"),
-        confidence_interval(b, t.n, evenness, x, "empirical"),
-        confidence_interval(b, t.n, evenness, x, "full"),
-    ]
+    intervals = [confidence_interval(0.0 if variant == "null" else b, t.n, evenness, x, variant)
+                 for variant in CI_VARIANTS]
     doc = _document("confidence", descriptor)
     doc["informedness"] = b
     doc["evenness_factor"] = evenness

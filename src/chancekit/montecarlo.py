@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .confidence import ConfidenceInterval, confidence_interval, evenness_factor
+from .confidence import CI_VARIANTS, ConfidenceInterval, confidence_interval, evenness_factor
 from .contingency import (
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
@@ -35,13 +35,7 @@ from .contingency import (
 )
 from .errors import DataError, UsageError
 from .multiclass import MulticlassStats, multiclass_stats
-from .significance import (
-    SignificanceReport,
-    chi2_bookmaker_family,
-    cramers_v,
-    exact_test,
-    full_table_tests,
-)
+from .significance import SignificanceReport, cramers_v, significance_reports
 
 __all__ = [
     "MARGIN_DISTRIBUTIONS",
@@ -303,15 +297,13 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
         )
         sampler_seed = int(rng.integers(np.iinfo(np.int64).max))
         stats = multiclass_stats(table)
-        full_chi2, full_g2 = full_table_tests(table)
-        fisher = exact_test(table, "two", config.fisher_samples, sampler_seed)
-        kb = chi2_bookmaker_family(table, "kb")
-        km = chi2_bookmaker_family(table, "km")
-        kbm = chi2_bookmaker_family(table, "kbm")
+        kb, km, kbm, full_chi2, full_g2, fisher = significance_reports(
+            table, ("kb", "km", "kbm", "full", "fisher"),
+            samples=config.fisher_samples, seed=sampler_seed)
         evenness = evenness_factor(table)
-        ci_null = confidence_interval(level, table.n, evenness, config.x, "null")
-        ci_empirical = confidence_interval(level, table.n, evenness, config.x, "empirical")
-        ci_full = confidence_interval(level, table.n, evenness, config.x, "full")
+        ci_null, ci_empirical, ci_full = (
+            confidence_interval(level, table.n, evenness, config.x, variant)
+            for variant in CI_VARIANTS)
         within = ci_empirical.contains(stats.informedness)
         return SimRun(
             step=step, run=run, level=level, seed_stream=stream_id,

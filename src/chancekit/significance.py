@@ -57,6 +57,7 @@ __all__ = [
     "fisher_montecarlo_kxk",
     "exact_test",
     "williams_correction",
+    "significance_reports",
     "posthoc_calibration",
 ]
 
@@ -69,6 +70,8 @@ _FAMILY_FORMS = {
     "conv_b": ("conv", 0, 0, None), "conv_m": ("conv", 1, 1, None), "conv_bm": ("conv", 0, 1, None),
 }
 FAMILY_KINDS = tuple(_FAMILY_FORMS)
+# The families significance_reports takes, in `significance --family` order.
+_FAMILIES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
 
 _POSITIVE_TARGETS = ("predicted_positive", "real_positive")
 _WILLIAMS_MODES = ("goodness_of_fit", "independence")
@@ -661,6 +664,46 @@ def williams_correction(
     q = 1.0 + a2_minus_1 / (6.0 * n * r)
     return _report(report.kind, report.value / q, report.df, report.n, k,
                    report.corrections | {"williams"})
+
+
+def significance_reports(
+    t: ContingencyTable, families: tuple[str, ...] = ("all",), *, sided: str = "two",
+    samples: int = 100_000, seed: int = 0, yates: bool = False, williams: bool = False,
+) -> list[SignificanceReport]:
+    """The reports the named families select, each once, in the order
+    `chancekit significance` prints them.
+
+    "all" selects every report: on a 2x2 table first chi2_positive and then
+    g2_positive on each positive class, then chi2_bookmaker_family's kinds
+    in FAMILY_KINDS order, full_table_tests and exact_test (which reads
+    sided, samples and seed).  "kb", "km" and "kbm" select that kind, "x"
+    and "conv" the three kinds of that form, "full" and "fisher" the last
+    two.  yates corrects the single-margin chi-squared tests, and williams
+    the log-likelihood ones: single-margin for goodness of fit, full-table
+    for independence.  Any other family raises UsageError naming it.
+    """
+    for family in families:
+        if family not in _FAMILIES:
+            raise UsageError(f"unknown family '{family}'; expected one of {', '.join(_FAMILIES)}")
+    chosen = set(_FAMILIES if "all" in families else families)
+    reports = []
+    if "all" in chosen and t.k == 2:
+        reports.extend(chi2_positive(t, target, yates) for target in _POSITIVE_TARGETS)
+        for target in _POSITIVE_TARGETS:
+            g2 = g2_positive(t, target)
+            reports.append(williams_correction(g2, t, "goodness_of_fit") if williams else g2)
+    # Of the kind names only kb, km and kbm are families, and of the forms
+    # only x and conv.
+    reports.extend(chi2_bookmaker_family(t, kind) for kind, spec in _FAMILY_FORMS.items()
+                   if kind in chosen or spec[0] in chosen)
+    if "full" in chosen:
+        full_chi2, full_g2 = full_table_tests(t)
+        if williams:
+            full_g2 = williams_correction(full_g2, t, "independence")
+        reports += [full_chi2, full_g2]
+    if "fisher" in chosen:
+        reports.append(exact_test(t, sided, samples, seed))
+    return reports
 
 
 def posthoc_calibration(p: float) -> PosthocCalibration:

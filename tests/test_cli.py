@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from chancekit import cli
 from chancekit.cli import build_parser, main
+from chancekit import significance
 from chancekit.significance import posthoc_calibration
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -343,13 +344,39 @@ def test_significance_family_full_independent_table(tmp_path):
     assert chi2["p_value"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_significance_family_all_includes_positive_and_families():
-    doc = run_json("significance", "--table", TABLE_A)
-    kinds = {r["kind"] for r in doc["significance"]}
-    for expected in ("chi2_plus_p", "g2_plus_p", "kb", "km", "kbm",
-                     "xb", "xm", "xbm", "conv_b", "conv_m", "conv_bm",
-                     "full_chi2", "full_g2"):
-        assert expected in kinds
+# The kinds each --family value prints, on table2a.csv (2x2) and on
+# table4x4.csv, in print order.
+_FAMILY_ALL = ["kb", "km", "kbm", "xb", "xm", "xbm", "conv_b", "conv_m", "conv_bm",
+               "full_chi2", "full_g2"]
+_PRINTED_KINDS = {
+    "all": (["chi2_plus_p", "chi2_plus_r", "g2_plus_p", "g2_plus_r", *_FAMILY_ALL, "fisher_two"],
+            [*_FAMILY_ALL, "fisher_mc"]),
+    "kb": (["kb"], ["kb"]),
+    "km": (["km"], ["km"]),
+    "kbm": (["kbm"], ["kbm"]),
+    "x": (["xb", "xm", "xbm"], ["xb", "xm", "xbm"]),
+    "conv": (["conv_b", "conv_m", "conv_bm"], ["conv_b", "conv_m", "conv_bm"]),
+    "full": (["full_chi2", "full_g2"], ["full_chi2", "full_g2"]),
+    "fisher": (["fisher_two"], ["fisher_mc"]),
+}
+
+
+@pytest.mark.parametrize("family", cli._FAMILY_CHOICES)
+@pytest.mark.parametrize("table, extra", [("table2a.csv", []),
+                                          ("table4x4.csv", ["--seed", "7", "--fisher-samples", "2000"])],
+                         ids=["2x2", "4x4"])
+def test_significance_family_prints_its_kinds(family, table, extra):
+    doc = json.loads(main_output("significance", "--table", str(DATA / table), "--family", family,
+                                 *extra, "--format", "json"))
+    expected = _PRINTED_KINDS[family][table == "table4x4.csv"]
+    assert [report["kind"] for report in doc["significance"]] == expected
+
+
+def test_family_choices_are_the_library_families():
+    # The parser is built before significance is imported, so the CLI keeps
+    # its own copy of the names.
+    assert cli._FAMILY_CHOICES == significance._FAMILIES
+    assert set(_PRINTED_KINDS) == set(cli._FAMILY_CHOICES)
 
 
 def main_output(*args):
@@ -495,6 +522,20 @@ def test_confidence_alpha_and_x_are_exclusive():
     # --one-tailed alone takes alpha = 0.05.
     assert run_json("confidence", "--table", TABLE_A, "--one-tailed")["x"] == one["x"]
     assert one["x"] == 1.6448536269514715
+
+
+@pytest.mark.parametrize("extra, smallest", [([], 1.1102230246251568e-16),
+                                             (["--one-tailed"], 5.551115123125784e-17)])
+def test_confidence_alpha_below_a_finite_multiplier(extra, smallest):
+    # Below the smallest level 1 - alpha/2 (or 1 - alpha) rounds to 1, whose
+    # normal quantile is infinite; the error names the option and the level.
+    argv = ["confidence", "--table", TABLE_A, *extra]
+    for alpha in (1e-300, math.nextafter(smallest, 0.0)):
+        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+            assert main([*argv, "--alpha", repr(alpha)]) == 1
+        assert "--alpha" in err.getvalue() and repr(smallest) in err.getvalue()
+        assert "got inf" not in err.getvalue()
+    assert main_code(*argv, "--alpha", repr(smallest)) == 0
 
 
 def test_compare_command():

@@ -28,6 +28,7 @@ from chancekit.significance import (
     full_table_tests,
     g2_positive,
     posthoc_calibration,
+    significance_reports,
     williams_correction,
 )
 from helpers import random_valid_tables, table_a, table_b, unreached_lines
@@ -177,6 +178,34 @@ def test_family_kind_errors_name_the_kind(kind, named):
     with pytest.raises(UsageError, match=re.escape(f"unknown family kind '{named}'")):
         chi2_bookmaker_family(table_a(), kind)
     assert chi2_bookmaker_family(table_a(), "KBM") == chi2_bookmaker_family(table_a(), "kbm")
+
+
+@pytest.mark.parametrize("family", ["xb", "k", "", None, "KB", "xbm"])
+def test_significance_reports_rejects_unknown_families(family):
+    # Only the eight `significance --family` names select reports; a kind
+    # name outside kb, km and kbm, or a form name other than x and conv, is
+    # not one of them.
+    with pytest.raises(UsageError, match=re.escape(f"unknown family '{family}'")):
+        significance_reports(table_a(), ("kb", family))
+
+
+def test_significance_reports_compose_the_single_tests():
+    # Expected cells below 5, so Yates fires on this table.
+    t = from_counts([[6, 1], [2, 3]])
+    targets = ("predicted_positive", "real_positive")
+    full_chi2, full_g2 = full_table_tests(t)
+    expected = [
+        *(chi2_positive(t, target, yates=True) for target in targets),
+        *(williams_correction(g2_positive(t, target), t, "goodness_of_fit") for target in targets),
+        *(chi2_bookmaker_family(t, kind) for kind in significance.FAMILY_KINDS),
+        full_chi2, williams_correction(full_g2, t, "independence"),
+        exact_test(t, "one"),
+    ]
+    assert significance_reports(t, sided="one", yates=True, williams=True) == expected
+    # A family named twice, or also covered by "all", still gives each report once.
+    assert significance_reports(t, ("x", "all", "fisher", "x"), sided="one", yates=True,
+                                williams=True) == expected
+    assert significance_reports(t, ()) == []
 
 
 def test_full_table_tests_fixture():
