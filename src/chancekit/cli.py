@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .contingency import (
+    _FAMILIES,
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
     ContingencyTable,
@@ -35,9 +36,6 @@ from .errors import DataError, UsageError
 
 __all__ = ["main", "console_entry", "build_parser"]
 
-# significance.significance_reports' families, written out since the parser
-# is built before significance is imported.
-_FAMILY_CHOICES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
 _FISHER_SAMPLES_HELP = ("most tables the sampled exact test of a K x K table draws (it stops "
                         "sooner at its 100th hit); its smallest p is 1 / (this + 1)")
 
@@ -275,19 +273,17 @@ def _cmd_confidence(args) -> None:
     from .multiclass import bookmaker_informedness
 
     t, descriptor = _load_input(args)
-    if args.x is not None and (args.alpha is not None or args.one_tailed):
-        raise UsageError("--x sets the multiplier itself, so it takes neither --alpha nor --one-tailed")
-    if args.x is not None:
-        x = args.x
-    elif args.alpha is not None:
-        x = normal_multiplier(args.alpha, two_tailed=not args.one_tailed)
+    x = args.x
+    if args.alpha is not None or args.one_tailed:
+        if x is not None:
+            raise UsageError("--x sets the multiplier itself, so it takes neither --alpha nor --one-tailed")
+        alpha = 0.05 if args.alpha is None else args.alpha
+        x = normal_multiplier(alpha, two_tailed=not args.one_tailed)
         if math.isinf(x):  # 1 - alpha/2 (one-tailed 1 - alpha) rounded to 1
             smallest = math.nextafter(2.0 ** (-54 if args.one_tailed else -53), 1.0)
             raise UsageError(f"--alpha{' with --one-tailed' if args.one_tailed else ''} must be "
-                             f"at least {smallest!r} for a finite multiplier, got {args.alpha}")
-    elif args.one_tailed:
-        x = normal_multiplier(0.05, two_tailed=False)
-    else:
+                             f"at least {smallest!r} for a finite multiplier, got {alpha}")
+    elif x is None:
         x = 1.96
     b = bookmaker_informedness(t)
     evenness = evenness_factor(t)
@@ -322,24 +318,21 @@ def _cmd_compare(args) -> None:
     from .confidence import compare_systems, evenness_factor
     from .multiclass import bookmaker_informedness
 
-    t_a = load_table_csv(args.table_a)
-    t_b = load_table_csv(args.table_b)
-    if args.repair_margins:
-        t_a = repair_zero_margins(t_a)
-        t_b = repair_zero_margins(t_b)
-    sys_a = (bookmaker_informedness(t_a), t_a.n, evenness_factor(t_a))
-    sys_b = (bookmaker_informedness(t_b), t_b.n, evenness_factor(t_b))
-    result = compare_systems(sys_a, sys_b, x=args.x)
+    paths = {"a": args.table_a, "b": args.table_b}
+    tables = []
+    for path in paths.values():
+        t = load_table_csv(path)
+        tables.append(repair_zero_margins(t) if args.repair_margins else t)
+    result = compare_systems(*((bookmaker_informedness(t), t.n, evenness_factor(t)) for t in tables),
+                             x=args.x)
+    intervals = {"a": result.interval_a, "b": result.interval_b}
     doc = _document("compare")
     doc["x"] = args.x
     doc["systems"] = {
-        "a": {"path": str(args.table_a), "informedness": sys_a[0], "n": sys_a[1], "evenness": sys_a[2]},
-        "b": {"path": str(args.table_b), "informedness": sys_b[0], "n": sys_b[1], "evenness": sys_b[2]},
+        name: {"path": str(paths[name]), "informedness": ci.center, "n": ci.n, "evenness": ci.evenness}
+        for name, ci in intervals.items()
     }
-    doc["intervals"] = {
-        "a": _interval_dict(result.interval_a),
-        "b": _interval_dict(result.interval_b),
-    }
+    doc["intervals"] = {name: _interval_dict(ci) for name, ci in intervals.items()}
     doc["comparison"] = {
         "a_in_b": result.a_in_b,
         "b_in_a": result.b_in_a,
@@ -364,13 +357,14 @@ def _cmd_compare(args) -> None:
 def _cmd_simulate(args) -> None:
     from .montecarlo import SimConfig, coverage_report, run_grid, write_runs_csv, write_summary_csv
 
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    config = SimConfig(
-        k=args.k, n=args.n, steps=args.steps, runs_per_step=args.runs,
-        margin_distribution=args.margin_dist, cell_distribution=args.dist,
-        enforce_integer=not args.no_enforce_integer, seed=seed,
-        x=args.x, alpha=args.alpha, fisher_samples=args.fisher_samples,
-    )
+    # Each option's dest is its SimConfig field, and an option not given
+    # leaves no attribute, so SimConfig holds every default.
+    given = vars(args)
+    options = {f.name: given[f.name] for f in dataclasses.fields(SimConfig) if f.name in given}
+    if "seed" not in options:
+        options["seed"] = _fresh_seed()
+    config = SimConfig(**options)
+    seed = config.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = run_grid(config)
@@ -423,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     significance = commands.add_parser("significance", help="test statistics and p-values")
     _add_io_options(significance, pairs=False)
-    significance.add_argument("--family", choices=_FAMILY_CHOICES, default="all")
+    significance.add_argument("--family", choices=_FAMILIES, default="all")
     significance.add_argument("--yates", action="store_true",
                               help="continuity-correct cells with expectation below 5")
     significance.add_argument("--williams", action="store_true",
@@ -445,19 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--percent", action="store_true",
                          help="render probability-like values as percents in text mode")
 
-    simulate = commands.add_parser("simulate", help="Monte Carlo coverage grid to CSV")
+    simulate = commands.add_parser("simulate", help="Monte Carlo coverage grid to CSV",
+                                   argument_default=argparse.SUPPRESS)
     simulate.add_argument("--k", type=int, required=True)
     simulate.add_argument("--n", type=int, required=True)
-    simulate.add_argument("--steps", type=int, default=11)
-    simulate.add_argument("--runs", type=int, default=10)
+    simulate.add_argument("--steps", type=int)
+    simulate.add_argument("--runs", type=int, dest="runs_per_step", metavar="RUNS")
     simulate.add_argument("--seed", type=int)
-    simulate.add_argument("--dist", choices=CELL_DISTRIBUTIONS, default="absolute_shifted_normal")
-    simulate.add_argument("--margin-dist", choices=MARGIN_DISTRIBUTIONS, default="binomial")
-    simulate.add_argument("--x", type=float, default=1.96)
-    simulate.add_argument("--alpha", type=float, default=0.05)
-    simulate.add_argument("--fisher-samples", type=int, default=10_000,
-                          help=_FISHER_SAMPLES_HELP)
-    simulate.add_argument("--no-enforce-integer", action="store_true",
+    simulate.add_argument("--dist", choices=CELL_DISTRIBUTIONS, dest="cell_distribution")
+    simulate.add_argument("--margin-dist", choices=MARGIN_DISTRIBUTIONS, dest="margin_distribution")
+    simulate.add_argument("--x", type=float)
+    simulate.add_argument("--alpha", type=float)
+    simulate.add_argument("--fisher-samples", type=int, help=_FISHER_SAMPLES_HELP)
+    simulate.add_argument("--no-enforce-integer", action="store_false", dest="enforce_integer",
                           help="keep each rounded table's own total instead of forcing it to --n")
     simulate.add_argument("--out", required=True, help="output directory for runs.csv and summary.csv")
     simulate.add_argument("--format", choices=("json", "text"), default="text")

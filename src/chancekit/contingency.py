@@ -44,12 +44,14 @@ __all__ = [
 
 TRANSFORM_KINDS = ("inverse", "dual", "perverse_rows", "perverse_cols")
 
-# The Monte Carlo generator's margin and cell distributions, and the one
-# cell formatting of its CSV files and the CLI's csv output.  They live here
-# so the command-line parser and renderers need no montecarlo import;
-# montecarlo exports the two tuples.
+# The Monte Carlo generator's margin and cell distributions, the families
+# significance_reports takes (in `significance --family` order), and the one
+# cell formatting of montecarlo's CSV files and the CLI's csv output.  They
+# live here so the command-line parser and renderers import neither
+# montecarlo nor significance; montecarlo exports the two tuples.
 MARGIN_DISTRIBUTIONS = ("uniform", "binomial")
 CELL_DISTRIBUTIONS = ("uniform", "binomial_copula", "absolute_shifted_normal")
+_FAMILIES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
 
 
 def _fmt(value) -> str:

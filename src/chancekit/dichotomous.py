@@ -14,12 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .contingency import (
-    ContingencyTable,
-    CostModel,
-    repair_zero_margins,
-    require_positive_margins,
-)
+from .contingency import ContingencyTable, CostModel, require_positive_margins
 from .errors import UsageError
 
 __all__ = [
@@ -91,17 +86,15 @@ def _ratio_or_inf(num: float, den: float) -> float:
     return math.nan if num == 0.0 else math.inf
 
 
-def binary_stats(t: ContingencyTable, *, repair: bool = False) -> BinaryStats:
+def binary_stats(t: ContingencyTable) -> BinaryStats:
     """Compute every dichotomous measure of a 2x2 table.
 
-    Zero margins are rejected; pass repair=True to patch them with unit
-    counts first.  Likelihood ratios at a zero denominator come back as
-    inf (or nan for the indeterminate 0/0 case).
+    Zero margins are rejected, as by every measure; repair_zero_margins
+    patches them with unit counts first.  Likelihood ratios at a zero
+    denominator come back as inf (or nan for the indeterminate 0/0 case).
     """
     if t.k != 2:
         raise UsageError(f"binary_stats needs a 2x2 table, got {t.k}x{t.k}")
-    if repair:
-        t = repair_zero_margins(t)
     # The shared summary raises DataError on a zero margin and holds, at
     # label 0, the one-vs-rest rates below computed the same way.
     s = t._summary

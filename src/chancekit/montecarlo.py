@@ -359,7 +359,7 @@ class CoverageReport:
 
 
 # SimRun reports summarized as reject_<name>, and MulticlassStats fields
-# summarized as mean_<name> and std_<name>
+# summarized as mean_<name> and std_<name> (runs.csv's B, M, BMG and kappa)
 _TESTED_REPORTS = ("full_chi2", "full_g2", "fisher", "kb", "km", "kbm")
 _MOMENT_STATS = ("informedness", "markedness", "correlation", "kappa")
 
@@ -433,8 +433,7 @@ def write_runs_csv(runs: tuple[SimRun, ...] | list[SimRun], path: str | Path) ->
         for r in runs:
             writer.writerow([
                 r.step, r.run, _fmt(r.level), r.n_realized,
-                *(_fmt(_field(r.stats, name))
-                  for name in ("informedness", "markedness", "correlation", "kappa")),
+                *(_fmt(_field(r.stats, name)) for name in _MOMENT_STATS),
                 _fmt(_run_cramers_v(r, r.full_chi2)), _fmt(_run_cramers_v(r, r.full_g2)),
                 *(_fmt(_field(getattr(r, name), "p_value"))
                   for name in ("full_chi2", "full_g2", "fisher")),

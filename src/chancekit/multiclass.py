@@ -48,7 +48,9 @@ EXPONENT_RULES = ("two_over_k", "inverse_3k_minus_2")
 
 @dataclass(frozen=True)
 class MulticlassStats:
-    """Chance-corrected summary of a K x K table."""
+    """Chance-corrected summary of a K x K table.  det is a plain double,
+    so it underflows to 0.0 on large non-singular tables (log |det| near
+    -2540 at K = 300); det_estimates works from log |det| and its sign."""
 
     informedness: float
     markedness: float
@@ -184,7 +186,8 @@ def macro_averages(t: ContingencyTable) -> tuple[float, float, float]:
 
 
 def multiclass_stats(t: ContingencyTable) -> MulticlassStats:
-    """Bundle every multiclass measure of one table."""
+    """Bundle every multiclass measure of one table; its det underflows to
+    0.0 on large non-singular tables (see MulticlassStats)."""
     s = t._summary
     b, m = s.bm
     wav, gav, fav = macro_averages(t)

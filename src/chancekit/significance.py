@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable
+from .contingency import _FAMILIES, ContingencyTable
 from .errors import DataError, UsageError
 from .multiclass import mutual_information
 
@@ -70,8 +70,6 @@ _FAMILY_FORMS = {
     "conv_b": ("conv", 0, 0, None), "conv_m": ("conv", 1, 1, None), "conv_bm": ("conv", 0, 1, None),
 }
 FAMILY_KINDS = tuple(_FAMILY_FORMS)
-# The families significance_reports takes, in `significance --family` order.
-_FAMILIES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
 
 _POSITIVE_TARGETS = ("predicted_positive", "real_positive")
 _WILLIAMS_MODES = ("goodness_of_fit", "independence")
@@ -680,11 +678,17 @@ def significance_reports(
     and "conv" the three kinds of that form, "full" and "fisher" the last
     two.  yates corrects the single-margin chi-squared tests, and williams
     the log-likelihood ones: single-margin for goodness of fit, full-table
-    for independence.  Any other family raises UsageError naming it.
+    for independence.  Any other family, samples below 1000 or sided other
+    than "one" or "two" raises UsageError on every table; a one-sided test
+    of a table larger than 2x2 is refused only where exact_test runs.
     """
     for family in families:
         if family not in _FAMILIES:
             raise UsageError(f"unknown family '{family}'; expected one of {', '.join(_FAMILIES)}")
+    if samples < 1_000:
+        raise UsageError(f"need at least 1000 samples, got {samples}")
+    if sided not in ("one", "two"):
+        raise UsageError(f"sidedness must be 'one' or 'two', got '{sided}'")
     chosen = set(_FAMILIES if "all" in families else families)
     reports = []
     if "all" in chosen and t.k == 2:

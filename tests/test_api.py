@@ -125,6 +125,26 @@ def test_readme_count_table_is_the_quick_start_table():
     assert table.counts.tolist() == ast.literal_eval(quick_start)
 
 
+def test_no_module_keeps_an_unused_import():
+    # No linter runs over the package, so a top-level import that a module
+    # never reads (nor lists in __all__) is caught here.
+    for path in sorted(Path(chancekit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = {}, set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.partition(".")[0], node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                exported = set(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {name: line for name, line in imported.items()
+                  if name not in read and name not in exported}
+        assert not unused, f"{path.name} imports and never uses {unused}"
+
+
 _T2 = chancekit.from_counts([[5, 1], [2, 4]])
 _T3 = chancekit.from_counts([[5, 1, 2], [0, 7, 1], [2, 2, 9]])
 _ZERO3 = chancekit.from_counts([[0, 0, 0], [0, 0, 0], [0, 0, 0]])

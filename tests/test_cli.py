@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from chancekit import cli
 from chancekit.cli import build_parser, main
-from chancekit import significance
+from chancekit.contingency import _FAMILIES
+from chancekit.montecarlo import SimConfig
 from chancekit.significance import posthoc_calibration
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -361,7 +362,7 @@ _PRINTED_KINDS = {
 }
 
 
-@pytest.mark.parametrize("family", cli._FAMILY_CHOICES)
+@pytest.mark.parametrize("family", _FAMILIES)
 @pytest.mark.parametrize("table, extra", [("table2a.csv", []),
                                           ("table4x4.csv", ["--seed", "7", "--fisher-samples", "2000"])],
                          ids=["2x2", "4x4"])
@@ -373,10 +374,21 @@ def test_significance_family_prints_its_kinds(family, table, extra):
 
 
 def test_family_choices_are_the_library_families():
-    # The parser is built before significance is imported, so the CLI keeps
-    # its own copy of the names.
-    assert cli._FAMILY_CHOICES == significance._FAMILIES
-    assert set(_PRINTED_KINDS) == set(cli._FAMILY_CHOICES)
+    # --family offers _FAMILIES itself, so the test above runs every family
+    # once _PRINTED_KINDS names each one.
+    assert set(_PRINTED_KINDS) == set(_FAMILIES)
+
+
+def test_sampler_options_are_checked_whatever_the_table_and_family():
+    table4 = str(DATA / "table4x4.csv")
+    assert main_code("significance", "--table", TABLE_A, "--family", "fisher",
+                     "--fisher-samples", "5") == 1
+    assert main_code("significance", "--table", table4, "--family", "kb",
+                     "--fisher-samples", "5", "--fisher-sided", "one") == 1
+    # A one-sided test of a table larger than 2x2 is refused only where the
+    # sampled exact test runs (test_usage_errors_exit_1).
+    assert main_code("significance", "--table", table4, "--family", "kb",
+                     "--fisher-sided", "one") == 0
 
 
 def main_output(*args):
@@ -605,6 +617,22 @@ def test_simulate_counts_failed_runs(tmp_path):
                        "--runs", "2", "--seed", "1", "--fisher-samples", "1000",
                        "--out", str(tmp_path))
     assert "errors: 4\noverall coverage: nan\n" in text
+
+
+def test_simulate_config_takes_the_library_defaults(tmp_path):
+    argv = ["simulate", "--k", "3", "--n", "30", "--steps", "2", "--seed", "5",
+            "--out", str(tmp_path), "--format", "json"]
+    defaults = dataclasses.asdict(SimConfig(k=3, n=30, steps=2, runs_per_step=1, seed=5))
+    del defaults["seed"]
+    assert json.loads(main_output(*argv, "--runs", "1"))["config"] == defaults
+    # Every option set, each to a value other than its default.
+    given = {"runs_per_step": 2, "cell_distribution": "uniform", "margin_distribution": "uniform",
+             "x": 2.5, "alpha": 0.1, "fisher_samples": 2000, "enforce_integer": False}
+    config = json.loads(main_output(
+        *argv, "--runs", "2", "--dist", "uniform", "--margin-dist", "uniform", "--x", "2.5",
+        "--alpha", "0.1", "--fisher-samples", "2000", "--no-enforce-integer"))["config"]
+    assert config == {**defaults, **given}
+    assert all(defaults[name] != value for name, value in given.items())
 
 
 def test_simulate_json_format(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chancekit.contingency import CostModel, from_counts, transform
+from chancekit.contingency import CostModel, from_counts, repair_zero_margins, transform
 from chancekit.dichotomous import (
     auc_single_point,
     binary_stats,
@@ -83,7 +83,8 @@ def test_zero_margin_errors_name_the_margin():
 
 
 def test_repair_flag_allows_degenerate_input():
-    s = binary_stats(from_counts([[5, 0], [3, 0]]), repair=True)
+    # The CLI's --repair-margins: repair_zero_margins, then the measure.
+    s = binary_stats(repair_zero_margins(from_counts([[5, 0], [3, 0]])))
     assert math.isfinite(s.informedness)
 
 

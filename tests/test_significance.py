@@ -189,6 +189,14 @@ def test_significance_reports_rejects_unknown_families(family):
         significance_reports(table_a(), ("kb", family))
 
 
+def test_significance_reports_check_sampler_options_up_front():
+    # Checked for every table and family, not only where the sampler runs.
+    with pytest.raises(UsageError, match="need at least 1000 samples, got 5"):
+        significance_reports(table_a(), ("kb",), samples=5)
+    with pytest.raises(UsageError, match="sidedness must be 'one' or 'two', got 'both'"):
+        significance_reports(table_a(), ("kb",), sided="both")
+
+
 def test_significance_reports_compose_the_single_tests():
     # Expected cells below 5, so Yates fires on this table.
     t = from_counts([[6, 1], [2, 3]])
