@@ -23,7 +23,12 @@ from pathlib import Path
 
 from . import __version__
 from .contingency import (
+    _DEFAULT_ALPHA,
+    _DEFAULT_SAMPLES,
+    _DEFAULT_SIDED,
+    _DEFAULT_X,
     _FAMILIES,
+    _SIDES,
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
     ContingencyTable,
@@ -277,14 +282,14 @@ def _cmd_confidence(args) -> None:
     if args.alpha is not None or args.one_tailed:
         if x is not None:
             raise UsageError("--x sets the multiplier itself, so it takes neither --alpha nor --one-tailed")
-        alpha = 0.05 if args.alpha is None else args.alpha
+        alpha = _DEFAULT_ALPHA if args.alpha is None else args.alpha
         x = normal_multiplier(alpha, two_tailed=not args.one_tailed)
         if math.isinf(x):  # 1 - alpha/2 (one-tailed 1 - alpha) rounded to 1
             smallest = math.nextafter(2.0 ** (-54 if args.one_tailed else -53), 1.0)
             raise UsageError(f"--alpha{' with --one-tailed' if args.one_tailed else ''} must be "
                              f"at least {smallest!r} for a finite multiplier, got {alpha}")
     elif x is None:
-        x = 1.96
+        x = _DEFAULT_X
     b = bookmaker_informedness(t)
     evenness = evenness_factor(t)
     intervals = [confidence_interval(0.0 if variant == "null" else b, t.n, evenness, x, variant)
@@ -422,16 +427,17 @@ def build_parser() -> argparse.ArgumentParser:
                               help="continuity-correct cells with expectation below 5")
     significance.add_argument("--williams", action="store_true",
                               help="apply the small-sample correction to log-likelihood statistics")
-    significance.add_argument("--alpha", type=float, default=0.05)
-    significance.add_argument("--fisher-samples", type=int, default=100_000,
+    significance.add_argument("--alpha", type=float, default=_DEFAULT_ALPHA)
+    significance.add_argument("--fisher-samples", type=int, default=_DEFAULT_SAMPLES,
                               help=_FISHER_SAMPLES_HELP)
-    significance.add_argument("--fisher-sided", choices=("one", "two"), default="two")
+    significance.add_argument("--fisher-sided", choices=_SIDES, default=_DEFAULT_SIDED)
     significance.add_argument("--seed", type=int)
     significance.set_defaults(handler=_cmd_significance)
 
     confidence = commands.add_parser("confidence", help="evenness-scaled confidence intervals")
     _add_io_options(confidence, pairs=False)
-    confidence.add_argument("--x", type=float, help="normal multiplier (default 1.96 two-tailed)")
+    confidence.add_argument("--x", type=float,
+                            help=f"normal multiplier (default {_DEFAULT_X} two-tailed)")
     confidence.add_argument("--alpha", type=float, help="derive the multiplier from a level")
     confidence.add_argument("--one-tailed", action="store_true")
     confidence.set_defaults(handler=_cmd_confidence)
@@ -460,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = commands.add_parser("compare", help="interval overlap of two systems")
     compare.add_argument("--table-a", required=True)
     compare.add_argument("--table-b", required=True)
-    compare.add_argument("--x", type=float, default=1.96)
+    compare.add_argument("--x", type=float, default=_DEFAULT_X)
     compare.add_argument("--repair-margins", action="store_true")
     compare.add_argument("--format", choices=("json", "csv", "text"), default="text")
     compare.set_defaults(handler=_cmd_compare)

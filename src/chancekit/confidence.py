@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable
+from .contingency import _DEFAULT_X, ContingencyTable
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -123,7 +123,7 @@ def confidence_interval(
     center: float,
     n: int,
     evenness: float = 1.0,
-    x: float = 1.96,
+    x: float = _DEFAULT_X,
     variant: str = "empirical",
     rule: str | None = None,
 ) -> ConfidenceInterval:
@@ -163,7 +163,7 @@ class SystemComparison:
 def compare_systems(
     a: tuple[float, int, float],
     b: tuple[float, int, float],
-    x: float = 1.96,
+    x: float = _DEFAULT_X,
 ) -> SystemComparison:
     """Compare two systems given as (estimate, n, evenness) triples.
 

@@ -45,13 +45,20 @@ __all__ = [
 TRANSFORM_KINDS = ("inverse", "dual", "perverse_rows", "perverse_cols")
 
 # The Monte Carlo generator's margin and cell distributions, the families
-# significance_reports takes (in `significance --family` order), and the one
-# cell formatting of montecarlo's CSV files and the CLI's csv output.  They
-# live here so the command-line parser and renderers import neither
-# montecarlo nor significance; montecarlo exports the two tuples.
+# significance_reports takes (in `significance --family` order), the exact
+# test's sides and its default side and sampler budget, the default level and
+# normal multiplier (two-tailed 95%), and the one cell formatting of
+# montecarlo's CSV files and the CLI's csv output.  They live here so the
+# command-line parser and renderers import none of montecarlo, significance
+# and confidence; montecarlo exports the two tuples.
 MARGIN_DISTRIBUTIONS = ("uniform", "binomial")
 CELL_DISTRIBUTIONS = ("uniform", "binomial_copula", "absolute_shifted_normal")
 _FAMILIES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
+_SIDES = ("one", "two")
+_DEFAULT_SIDED = "two"
+_DEFAULT_SAMPLES = 100_000
+_DEFAULT_ALPHA = 0.05
+_DEFAULT_X = 1.96
 
 
 def _fmt(value) -> str:

@@ -26,6 +26,8 @@ import numpy as np
 
 from .confidence import CI_VARIANTS, ConfidenceInterval, confidence_interval, evenness_factor
 from .contingency import (
+    _DEFAULT_ALPHA,
+    _DEFAULT_X,
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
     ContingencyTable,
@@ -35,7 +37,7 @@ from .contingency import (
 )
 from .errors import DataError, UsageError
 from .multiclass import MulticlassStats, multiclass_stats
-from .significance import SignificanceReport, cramers_v, significance_reports
+from .significance import SignificanceReport, _check_samples, cramers_v, significance_reports
 
 __all__ = [
     "MARGIN_DISTRIBUTIONS",
@@ -74,8 +76,8 @@ class SimConfig:
     cell_distribution: str = "absolute_shifted_normal"
     enforce_integer: bool = True
     seed: int = 0
-    x: float = 1.96
-    alpha: float = 0.05
+    x: float = _DEFAULT_X
+    alpha: float = _DEFAULT_ALPHA
     fisher_samples: int = 10_000
 
     def __post_init__(self) -> None:
@@ -95,8 +97,7 @@ class SimConfig:
             raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (float(self.x) > 0.0) or not np.isfinite(self.x):
             raise UsageError(f"multiplier must be a positive finite number, got {self.x}")
-        if self.fisher_samples < 1_000:
-            raise UsageError(f"need at least 1000 sampler draws, got {self.fisher_samples}")
+        _check_samples(self.fisher_samples)
 
     def level(self, step: int) -> float:
         return step / (self.steps - 1)
@@ -409,7 +410,9 @@ def _summarize(step: int | None, level: float | None, runs: list[SimRun], alpha:
     )
 
 
-def coverage_report(runs: tuple[SimRun, ...] | list[SimRun], alpha: float = 0.05) -> CoverageReport:
+def coverage_report(
+    runs: tuple[SimRun, ...] | list[SimRun], alpha: float = _DEFAULT_ALPHA
+) -> CoverageReport:
     """Per-step and overall coverage, rejection rates, and moments."""
     if not runs:
         raise UsageError("cannot summarize an empty run sequence")

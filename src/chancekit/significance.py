@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import _FAMILIES, ContingencyTable
+from .contingency import _DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _SIDES, ContingencyTable
 from .errors import DataError, UsageError
 from .multiclass import mutual_information
 
@@ -324,7 +324,7 @@ def cramers_v(chi2_value: float, n: int, k: int) -> float:
     return math.sqrt(chi2_value / (n * (k - 1)))
 
 
-def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> SignificanceReport:
+def fisher_exact_2x2(t: ContingencyTable, sidedness: str = _DEFAULT_SIDED) -> SignificanceReport:
     """Exact fixed-margin test for a 2x2 table.
 
     One-sided sums the tables at least as associated in the observed
@@ -344,7 +344,7 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = "two") -> Significanc
     weight is added as it comes, so none is kept, and ties compare exactly.
     Either way p is the correctly rounded exact fraction.
     """
-    if sidedness not in ("one", "two"):
+    if sidedness not in _SIDES:
         raise UsageError(f"sidedness must be 'one' or 'two', got '{sidedness}'")
     if t.k != 2:
         raise UsageError("the exact 2x2 test needs a 2x2 table")
@@ -538,19 +538,32 @@ def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
 
 
 # fisher_montecarlo_kxk stops at its _STOP_HITS-th hit, which gives a stopped
-# p a relative standard error of about 1 / sqrt(_STOP_HITS), 10%.  A first
-# chunk of _FIRST_CHUNK draws holds the stop of a table with a large p, and
-# costs a table that never stops one chunk's overhead more.  A table of
-# log(i!) costs time and memory in proportion to n; past _LOG_FACTORIAL_TABLE
-# entries lgamma is taken at each cell vector's distinct values instead, at
-# most K^2 calls a draw.
+# p a relative standard error of about 1 / sqrt(_STOP_HITS), 10%.  Besides
+# its draws a chunk costs (K-1)^2 hypergeometric calls, whose array arguments
+# numpy checks for about 40 us each (0.4 ms a chunk at K = 4), so chunks are
+# as costly as draws.  A first chunk of _FIRST_CHUNK draws holds the stop of
+# a table with a large p; each later one is _CHUNK_MARGIN times the draws the
+# hits so far predict up to the stop, at least _FIRST_CHUNK, or the cap while
+# there is no hit.  So a table that stops pays for few draws past its stop,
+# and one that never stops for no more chunks than capped ones would take.
+# A table of log(i!) costs time and memory in proportion to n; past
+# _LOG_FACTORIAL_TABLE entries lgamma is taken at each cell vector's distinct
+# values instead, at most K^2 calls a draw.
 _STOP_HITS = 100
-_FIRST_CHUNK = 1024
+_FIRST_CHUNK = 256
+_CHUNK_MARGIN = 1.25
 _LOG_FACTORIAL_TABLE = 1 << 16
 
 
+def _check_samples(samples: int) -> None:
+    """Refuse a sampler budget below 1000 draws, in the same words wherever
+    a budget is taken."""
+    if samples < 1_000:
+        raise UsageError(f"need at least 1000 samples, got {samples}")
+
+
 def fisher_montecarlo_kxk(
-    t: ContingencyTable, samples: int = 100_000, seed: int = 0
+    t: ContingencyTable, samples: int = _DEFAULT_SAMPLES, seed: int = 0
 ) -> SampledReport:
     """Monte Carlo estimate of the exact fixed-margin test for K x K tables.
 
@@ -562,12 +575,15 @@ def fisher_montecarlo_kxk(
     (Phipson & Smyth 2010).  So samples caps the draws and sets the smallest
     p, 1 / (samples + 1); a stopped p is at least 100 / samples.  Both are
     valid p-values, and the report carries the draws and hits behind p.
-    Deterministic for a given seed.  Draws are taken in chunks, the first of
-    1,024 tables and the rest of 2^16 // K, and a chunk holds only O(K) of
-    its cell vectors at once, so the sampler's working set stays a small
-    multiple of 2^16 values (512 KiB as int64) at any K."""
-    if samples < 1_000:
-        raise UsageError(f"need at least 1000 samples, got {samples}")
+    Deterministic for a given seed.  Draws are taken in chunks of at most
+    2^16 // K tables: the first of 256, each later one 1.25 times the draws
+    the hits so far predict up to the 100th, but at least 256, and 2^16 // K
+    while there is no hit.  Each chunk costs (K-1)^2 numpy calls besides its
+    draws, so a table pays for few draws past its stop and few chunks.  A
+    chunk holds only O(K) of its cell vectors at once, so the sampler's
+    working set stays a small multiple of 2^16 values (512 KiB as int64) at
+    any K."""
+    _check_samples(samples)
     n = t.n
     if n == 0:
         raise DataError("cannot test an empty table")
@@ -596,7 +612,7 @@ def fisher_montecarlo_kxk(
     # so 2^16 // K draws keep a chunk near 2^16 live values at every K while
     # each hypergeometric call stays wide at large K.
     cap = (1 << 16) // t.k
-    chunk = min(_FIRST_CHUNK, cap)
+    first = chunk = min(_FIRST_CHUNK, cap)
     hits = draws = 0
     while draws < samples:
         m = min(chunk, samples - draws)
@@ -613,13 +629,17 @@ def fisher_montecarlo_kxk(
         hits += found
         draws += m
         chunk = cap
+        if hits:
+            wanted = _CHUNK_MARGIN * (_STOP_HITS - hits) * draws / hits
+            chunk = min(cap, max(first, math.ceil(wanted)))
     p = hits / draws if hits == _STOP_HITS else (hits + 1) / (samples + 1)
     report = _report("fisher_mc", p, 1, n, t.k, p_value=p)
     return SampledReport(**vars(report), draws=draws, hits=hits)
 
 
 def exact_test(
-    t: ContingencyTable, sidedness: str = "two", samples: int = 100_000, seed: int = 0
+    t: ContingencyTable, sidedness: str = _DEFAULT_SIDED, samples: int = _DEFAULT_SAMPLES,
+    seed: int = 0,
 ) -> SignificanceReport:
     """The exact fixed-margin test of t: the hypergeometric sum
     (fisher_exact_2x2, either side) for a 2x2 table, otherwise Patefield's
@@ -665,8 +685,8 @@ def williams_correction(
 
 
 def significance_reports(
-    t: ContingencyTable, families: tuple[str, ...] = ("all",), *, sided: str = "two",
-    samples: int = 100_000, seed: int = 0, yates: bool = False, williams: bool = False,
+    t: ContingencyTable, families: tuple[str, ...] = ("all",), *, sided: str = _DEFAULT_SIDED,
+    samples: int = _DEFAULT_SAMPLES, seed: int = 0, yates: bool = False, williams: bool = False,
 ) -> list[SignificanceReport]:
     """The reports the named families select, each once, in the order
     `chancekit significance` prints them.
@@ -685,9 +705,8 @@ def significance_reports(
     for family in families:
         if family not in _FAMILIES:
             raise UsageError(f"unknown family '{family}'; expected one of {', '.join(_FAMILIES)}")
-    if samples < 1_000:
-        raise UsageError(f"need at least 1000 samples, got {samples}")
-    if sided not in ("one", "two"):
+    _check_samples(samples)
+    if sided not in _SIDES:
         raise UsageError(f"sidedness must be 'one' or 'two', got '{sided}'")
     chosen = set(_FAMILIES if "all" in families else families)
     reports = []

@@ -379,10 +379,14 @@ def test_family_choices_are_the_library_families():
     assert set(_PRINTED_KINDS) == set(_FAMILIES)
 
 
-def test_sampler_options_are_checked_whatever_the_table_and_family():
+def test_sampler_options_are_checked_whatever_the_table_and_family(tmp_path):
     table4 = str(DATA / "table4x4.csv")
-    assert main_code("significance", "--table", TABLE_A, "--family", "fisher",
-                     "--fisher-samples", "5") == 1
+    # significance and simulate refuse a budget below 1000 in the same words.
+    for args in (("significance", "--table", TABLE_A, "--family", "fisher"),
+                 ("simulate", "--k", "3", "--n", "30", "--out", str(tmp_path))):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            assert main([*args, "--fisher-samples", "5"]) == 1
+        assert err.getvalue() == "usage error: need at least 1000 samples, got 5\n"
     assert main_code("significance", "--table", table4, "--family", "kb",
                      "--fisher-samples", "5", "--fisher-sided", "one") == 1
     # A one-sided test of a table larger than 2x2 is refused only where the

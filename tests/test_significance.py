@@ -588,14 +588,15 @@ def test_fisher_montecarlo_log_factorials_bounded_at_large_n(monkeypatch):
 
 
 def test_fisher_montecarlo_runs_every_line():
-    # The bad-argument raises, both log(i!) paths, and runs that stop and
-    # that reach `samples`.
+    # The bad-argument raises, both log(i!) paths, runs that stop and that
+    # reach `samples`, and a chunk sized from the hits so far.
     def run():
         for samples, counts in ((10, [[1, 2], [3, 4]]), (1000, np.zeros((3, 3), int)),
                                 (1000, [[10**9, 0, 0], [0, 1, 0], [0, 0, 1]])):
             with pytest.raises((UsageError, DataError)):
                 fisher_montecarlo_kxk(from_counts(counts), samples=samples)
         for counts in (np.full((4, 4), 4), np.eye(4, dtype=int) * 10,
+                       [[3, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]],
                        np.eye(3, dtype=int) * 10**5 + 1):
             fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=1)
 
@@ -604,18 +605,20 @@ def test_fisher_montecarlo_runs_every_line():
 
 def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
     # A chunk holds O(K) cell vectors at once, so no chunk is wider than
-    # 2^16 // K draws at any K.  The first chunk is 1,024 draws, the rest
-    # 2^16 // K: at K = 40, 1,638 (not 2^20 // 40^2 = 655); at K = 4, 16,384
-    # (not 2^20 // 4^2 = 65,536); at K = 100 the first is 655 as well.  A
-    # table that never stops draws exactly `samples`; one whose every draw
-    # is a hit stops within the first chunk.
+    # 2^16 // K draws at any K: at K = 40, 1,638 (not 2^20 // 40^2 = 655); at
+    # K = 4, 16,384 (not 2^20 // 4^2 = 65,536); at K = 100, 655.  The first
+    # chunk is 256 draws, and while no hit has come the rest are capped, so a
+    # table that never stops draws exactly `samples` in as many chunks as a
+    # fixed schedule would.  One whose every draw is a hit stops within the
+    # first chunk.
     chunks = []
     cells = significance._patefield_cells
     monkeypatch.setattr(significance, "_patefield_cells",
                         lambda t, m, rng: chunks.append(m) or cells(t, m, rng))
-    cases = [(np.eye(40, dtype=int) * 5, 5000, [1024, 1638, 1638, 700]),
-             (np.eye(4, dtype=int) * 10, 100_000, [1024] + [16_384] * 6 + [672]),
-             (np.eye(100, dtype=int) * 2, 1000, [655, 345])]
+    cases = [(np.eye(40, dtype=int) * 5, 5000, [256, 1638, 1638, 1468]),
+             (np.eye(4, dtype=int) * 10, 100_000, [256] + [16_384] * 6 + [1440]),
+             (np.eye(4, dtype=int) * 10, 10_000, [256, 9744]),
+             (np.eye(100, dtype=int) * 2, 1000, [256, 655, 89])]
     for counts, samples, schedule in cases:
         chunks.clear()
         report = fisher_montecarlo_kxk(from_counts(counts), samples=samples, seed=0)
@@ -624,8 +627,17 @@ def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
         assert (report.draws, report.hits) == (samples, 0)
     chunks.clear()
     report = fisher_montecarlo_kxk(from_counts(np.full((4, 4), 4)), samples=100_000, seed=0)
-    assert chunks == [1024]
+    assert chunks == [256]
     assert report.draws == 100
+    # After the first chunk each is sized from the hits so far, so a table
+    # that stops near draw 4,400 pays for about 4,900 draws, where capped
+    # chunks would have drawn all 10,000.
+    chunks.clear()
+    counts = [[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]]
+    report = fisher_montecarlo_kxk(from_counts(counts), samples=10_000, seed=0)
+    assert report.hits == 100 and 1024 < report.draws < 10_000
+    assert chunks == [256, 3236, 1379]
+    assert sum(chunks) < 1.2 * report.draws
 
 
 # Goodness of fit of the fixed-margin sampler to the exact law, at level
