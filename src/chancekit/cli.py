@@ -60,43 +60,33 @@ def _fresh_seed() -> int:
     return int.from_bytes(os.urandom(8), "little") >> 1
 
 
-def _parse_labels(raw: str | None) -> list[str] | None:
-    if raw is None:
-        return None
+def _parse_labels(raw: str) -> list[str]:
     labels = [token.strip() for token in raw.split(",")]
-    if any(not token for token in labels):
-        raise UsageError("labels must be a comma-separated list of non-empty tokens")
+    if not all(labels):
+        raise argparse.ArgumentTypeError("labels must be a comma-separated list of non-empty tokens")
     return labels
 
 
-def _load_input(args) -> tuple[ContingencyTable, dict]:
-    table_path = args.table
-    pairs_path = getattr(args, "pairs", None)
-    if (table_path is None) == (pairs_path is None):
-        if hasattr(args, "pairs"):
-            raise UsageError("provide exactly one of --table or --pairs")
-        raise UsageError("--table is required")
-    labels = _parse_labels(getattr(args, "labels", None))
-    if table_path is not None:
-        t = load_table_csv(table_path, labels=labels)
-        kind, path = "table", table_path
+def _load_input(table: str | None, pairs: str | None, labels: list[str] | None,
+                repair: bool) -> tuple[ContingencyTable, dict]:
+    """The table read from `table`, or else tallied from `pairs`, with the
+    descriptor every report carries as its input."""
+    if table is not None:
+        t = load_table_csv(table, labels=labels)
+        kind, path = "table", table
     else:
-        t = load_pairs(pairs_path, labels=labels)
-        kind, path = "pairs", pairs_path
-    repaired = False
-    if getattr(args, "repair_margins", False):
-        fixed = repair_zero_margins(t)
-        repaired = fixed is not t
-        t = fixed
+        t = load_pairs(pairs, labels=labels)
+        kind, path = "pairs", pairs
+    fixed = repair_zero_margins(t) if repair else t
     descriptor = {
         "path": str(path),
         "kind": kind,
-        "k": t.k,
-        "n": t.n,
-        "labels": list(t.labels),
-        "repaired": repaired,
+        "k": fixed.k,
+        "n": fixed.n,
+        "labels": list(fixed.labels),
+        "repaired": fixed is not t,
     }
-    return t, descriptor
+    return fixed, descriptor
 
 
 def _document(command: str, input_descriptor: dict | None = None) -> dict:
@@ -224,7 +214,7 @@ def _cmd_evaluate(args) -> None:
     from .dichotomous import binary_stats
     from .multiclass import multiclass_stats
 
-    t, descriptor = _load_input(args)
+    t, descriptor = _load_input(args.table, args.pairs, args.labels, args.repair_margins)
     doc = _document("evaluate", descriptor)
     stats = multiclass_stats(t)
     multiclass = dataclasses.asdict(stats)
@@ -248,11 +238,10 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_significance(args) -> None:
-    from .significance import cramers_v, posthoc_calibration, significance_reports
+    from .significance import _check_alpha, cramers_v, posthoc_calibration, significance_reports
 
-    if not (0.0 < args.alpha < 1.0):
-        raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
-    t, descriptor = _load_input(args)
+    _check_alpha(args.alpha)
+    t, descriptor = _load_input(args.table, None, args.labels, args.repair_margins)
     doc = _document("significance", descriptor)
     doc["alpha"] = args.alpha
     seed = args.seed if args.seed is not None else _fresh_seed()
@@ -277,7 +266,7 @@ def _cmd_confidence(args) -> None:
     from .confidence import CI_VARIANTS, confidence_interval, evenness_factor, normal_multiplier
     from .multiclass import bookmaker_informedness
 
-    t, descriptor = _load_input(args)
+    t, descriptor = _load_input(args.table, None, args.labels, args.repair_margins)
     x = args.x
     if args.alpha is not None or args.one_tailed:
         if x is not None:
@@ -324,10 +313,7 @@ def _cmd_compare(args) -> None:
     from .multiclass import bookmaker_informedness
 
     paths = {"a": args.table_a, "b": args.table_b}
-    tables = []
-    for path in paths.values():
-        t = load_table_csv(path)
-        tables.append(repair_zero_margins(t) if args.repair_margins else t)
+    tables = [_load_input(path, None, None, args.repair_margins)[0] for path in paths.values()]
     result = compare_systems(*((bookmaker_informedness(t), t.n, evenness_factor(t)) for t in tables),
                              x=args.x)
     intervals = {"a": result.interval_a, "b": result.interval_b}
@@ -401,10 +387,14 @@ def _cmd_simulate(args) -> None:
 # -------------------------------------------------------------------- parser
 
 def _add_io_options(sub, pairs: bool) -> None:
-    sub.add_argument("--table", help="CSV file with a K x K count table")
+    table_help = "CSV file with a K x K count table"
     if pairs:
-        sub.add_argument("--pairs", help="two-column (predicted, actual) CSV/TSV file")
-    sub.add_argument("--labels", help="comma-separated label order override")
+        source = sub.add_mutually_exclusive_group(required=True)
+        source.add_argument("--table", help=table_help)
+        source.add_argument("--pairs", help="two-column (predicted, actual) CSV/TSV file")
+    else:
+        sub.add_argument("--table", required=True, help=table_help)
+    sub.add_argument("--labels", type=_parse_labels, help="comma-separated label order override")
     sub.add_argument("--repair-margins", action="store_true",
                      help="place unit counts to remove zero margins before computing")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")

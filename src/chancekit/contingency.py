@@ -74,9 +74,14 @@ def _fmt(value) -> str:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _validated_cells(counts) -> np.ndarray:
-    """Counts as int64: finite, whole, non-negative, and a total that fits."""
+def _validated_counts(counts) -> np.ndarray:
+    """Counts as a K x K int64 matrix, K >= 2: finite, whole, non-negative,
+    and a total that fits."""
     arr = np.asarray(counts)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DataError(f"counts must form a square matrix, got shape {arr.shape}")
+    if arr.shape[0] < 2:
+        raise DataError("a contingency table needs at least 2 labels")
     if arr.dtype.kind not in "iu":
         as_float = np.asarray(arr, dtype=float)
         if not np.all(np.isfinite(as_float)):
@@ -85,8 +90,6 @@ def _validated_cells(counts) -> np.ndarray:
         if not np.array_equal(as_float, rounded):
             raise DataError("counts must be whole numbers")
         arr = rounded
-    if arr.size == 0:
-        return arr.astype(np.int64)
     if np.minimum.reduce(arr, None) < 0:
         raise DataError("counts must be non-negative")
     # An int64 sum wraps silently.  The largest cell times the cell count
@@ -95,15 +98,6 @@ def _validated_cells(counts) -> np.ndarray:
             and sum(int(v) for v in arr.flat) > _INT64_MAX):
         raise DataError("counts total exceeds the 64-bit integer range")
     return arr.astype(np.int64)
-
-
-def _validated_counts(counts) -> np.ndarray:
-    arr = np.asarray(counts)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DataError(f"counts must form a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DataError("a contingency table needs at least 2 labels")
-    return _validated_cells(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,7 +652,7 @@ def _read_table(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTabl
             if None in values:
                 raise DataError(f"non-numeric count '{row[values.index(None)]}' at data line {i}")
             matrix.append(values)
-        return _validated_cells(matrix)
+        return np.array(matrix)
 
     if _count_value(rows[0][0]) is not None:
         matrix = to_matrix(rows)

@@ -37,7 +37,7 @@ from .contingency import (
 )
 from .errors import DataError, UsageError
 from .multiclass import MulticlassStats, multiclass_stats
-from .significance import SignificanceReport, _check_samples, cramers_v, significance_reports
+from .significance import SignificanceReport, _check_alpha, _check_samples, cramers_v, significance_reports
 
 __all__ = [
     "MARGIN_DISTRIBUTIONS",
@@ -93,8 +93,7 @@ class SimConfig:
             raise UsageError(f"unknown margin distribution '{self.margin_distribution}'")
         if self.cell_distribution not in CELL_DISTRIBUTIONS:
             raise UsageError(f"unknown cell distribution '{self.cell_distribution}'")
-        if not (0.0 < self.alpha < 1.0):
-            raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (float(self.x) > 0.0) or not np.isfinite(self.x):
             raise UsageError(f"multiplier must be a positive finite number, got {self.x}")
         _check_samples(self.fisher_samples)
@@ -413,9 +412,11 @@ def _summarize(step: int | None, level: float | None, runs: list[SimRun], alpha:
 def coverage_report(
     runs: tuple[SimRun, ...] | list[SimRun], alpha: float = _DEFAULT_ALPHA
 ) -> CoverageReport:
-    """Per-step and overall coverage, rejection rates, and moments."""
+    """Per-step and overall coverage, rejection rates, and moments, with
+    each test rejecting below `alpha`, which must lie in (0, 1)."""
     if not runs:
         raise UsageError("cannot summarize an empty run sequence")
+    _check_alpha(alpha)
     by_step: dict[int, list[SimRun]] = {}
     for r in runs:
         by_step.setdefault(r.step, []).append(r)

@@ -73,6 +73,7 @@ FAMILY_KINDS = tuple(_FAMILY_FORMS)
 
 _POSITIVE_TARGETS = ("predicted_positive", "real_positive")
 _WILLIAMS_MODES = ("goodness_of_fit", "independence")
+_WILLIAMS_KINDS = ("g2_plus_p", "g2_plus_r", "full_g2")
 
 
 @dataclass(frozen=True)
@@ -319,7 +320,7 @@ def cramers_v(chi2_value: float, n: int, k: int) -> float:
     """Association strength sqrt(chi2 / (n (K-1))) on the 0..1 scale."""
     if n <= 0 or k < 2:
         raise UsageError(f"need n > 0 and k >= 2, got n={n}, k={k}")
-    if chi2_value < 0.0:
+    if not chi2_value >= 0.0:  # NaN included
         raise UsageError(f"chi-squared value must be non-negative, got {chi2_value}")
     return math.sqrt(chi2_value / (n * (k - 1)))
 
@@ -555,6 +556,12 @@ _CHUNK_MARGIN = 1.25
 _LOG_FACTORIAL_TABLE = 1 << 16
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a test level outside (0, 1), NaN included, in one wording."""
+    if not (0.0 < alpha < 1.0):
+        raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _check_samples(samples: int) -> None:
     """Refuse a sampler budget below 1000 draws, in the same words wherever
     a budget is taken."""
@@ -664,8 +671,11 @@ def williams_correction(
     Goodness-of-fit mode uses a = K over r = K - 1 degrees.  Independence
     mode derives a^2 - 1 = (K/prev_h - 1)(K/bias_h - 1) from the harmonic
     mean margins over r = (K-1)^2 degrees.  The corrected statistic is
-    re-tested at the report's own df.
+    re-tested at the report's own df.  A report of any other kind than
+    g2_plus_p, g2_plus_r or full_g2 raises UsageError.
     """
+    if report.kind not in _WILLIAMS_KINDS:
+        raise UsageError(f"Williams corrects {', '.join(_WILLIAMS_KINDS)} only, got '{report.kind}'")
     if mode not in _WILLIAMS_MODES:
         raise UsageError(f"unknown correction mode '{mode}'")
     s = t._summary
@@ -698,10 +708,13 @@ def significance_reports(
     and "conv" the three kinds of that form, "full" and "fisher" the last
     two.  yates corrects the single-margin chi-squared tests, and williams
     the log-likelihood ones: single-margin for goodness of fit, full-table
-    for independence.  Any other family, samples below 1000 or sided other
-    than "one" or "two" raises UsageError on every table; a one-sided test
-    of a table larger than 2x2 is refused only where exact_test runs.
+    for independence.  A bare string for families, any other family,
+    samples below 1000 or sided other than "one" or "two" raises UsageError
+    on every table; a one-sided test of a table larger than 2x2 is refused
+    only where exact_test runs.
     """
+    if isinstance(families, str):
+        raise UsageError(f"families is a tuple such as ('{families}',), not the string '{families}'")
     for family in families:
         if family not in _FAMILIES:
             raise UsageError(f"unknown family '{family}'; expected one of {', '.join(_FAMILIES)}")

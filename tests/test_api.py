@@ -167,11 +167,20 @@ INPUT_GUARDS = {
     "cramers_v_k": (lambda: chancekit.cramers_v(1.0, 10, 1), chancekit.UsageError, "got n=10, k=1"),
     "cramers_v_value": (lambda: chancekit.cramers_v(-1.0, 10, 2),
                         chancekit.UsageError, "must be non-negative, got -1.0"),
+    "cramers_v_nan": (lambda: chancekit.cramers_v(float("nan"), 10, 2),
+                      chancekit.UsageError, "must be non-negative, got nan"),
+    "coverage_report_alpha": (lambda: chancekit.coverage_report(
+        chancekit.run_grid(chancekit.SimConfig(k=2, n=16, steps=2, runs_per_step=2, seed=1)),
+        alpha=2.0), chancekit.UsageError, "alpha must lie in (0, 1), got 2.0"),
     "fisher_mc_empty": (lambda: chancekit.fisher_montecarlo_kxk(_ZERO3),
                         chancekit.DataError, "empty table"),
     "williams_mode": (lambda: chancekit.williams_correction(chancekit.full_table_tests(_T3)[1],
                                                             _T3, "both"),
                       chancekit.UsageError, "'both'"),
+    "williams_kind": (lambda: chancekit.williams_correction(chancekit.full_table_tests(_T3)[0], _T3),
+                      chancekit.UsageError, "got 'full_chi2'"),
+    "reports_bare_string": (lambda: chancekit.significance_reports(_T3, "all"),
+                            chancekit.UsageError, "such as ('all',), not the string 'all'"),
     "normalized_not_square": (lambda: chancekit.NormalizedTable([[0.5, 0.5]], ("a",)),
                               chancekit.DataError, "square"),
     "normalized_out_of_range": (lambda: chancekit.NormalizedTable([[1.5, -0.5], [0, 0]], ("a", "b")),

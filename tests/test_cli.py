@@ -161,11 +161,17 @@ def main_code(*args):
 def test_usage_errors_exit_1(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1,2\n3,4\n")
-    assert main_code("evaluate", "--table", str(p), "--pairs", str(p)) == 1
-    assert main_code("evaluate") == 1
+    # argparse refuses a missing or doubled source and a bad --labels, and
+    # its message names the options.
+    for args, named in ((["evaluate"], ("--table", "--pairs")),
+                        (["evaluate", "--table", str(p), "--pairs", str(p)], ("--table", "--pairs")),
+                        (["significance"], ("--table",)),
+                        (["confidence"], ("--table",)),
+                        (["evaluate", "--table", str(p), "--labels", "a,,b"], ("--labels",))):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            assert main(args) == 1
+        assert all(option in err.getvalue() for option in named), (args, err.getvalue())
     assert main_code("evaluate", "--table", str(p), "--frobnicate") == 1
-    assert main_code("evaluate", "--table", str(p), "--labels", "a,,b") == 1
-    assert main_code("significance") == 1
     assert main_code() == 1
     for x in ("nan", "inf"):
         assert main_code("confidence", "--table", str(p), "--x", x) == 1

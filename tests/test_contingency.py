@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chancekit.contingency import (
     NormalizedTable,
+    _validated_counts,
     dichotomize,
     expectation_delta,
     from_counts,
@@ -29,7 +30,7 @@ from chancekit.contingency import (
     transform,
 )
 from chancekit.errors import DataError, UsageError
-from helpers import random_valid_table
+from helpers import random_valid_table, unreached_lines
 import reference_pairs
 import reference_stats
 
@@ -75,6 +76,20 @@ def test_from_counts_rejects_int64_overflow():
         from_counts([[1e19, 0], [0, 0]])
     largest = 2**63 - 1
     assert from_counts([[largest - 2, 1], [1, 0]]).n == largest
+
+
+def test_validated_counts_runs_every_line():
+    # Each refusal, integer and float counts, and a total near the int64
+    # limit, both within it and past it.
+    def run():
+        for counts in ([[1, 2, 3], [4, 5, 6]], [[5]], [[1, np.inf], [0, 0]], [[1.5, 0], [0, 0]],
+                       [[1, -2], [3, 4]], [[2**62] * 2] * 2):
+            with pytest.raises(DataError):
+                _validated_counts(counts)
+        for counts in ([[3, 1], [2, 4]], [[3.0, 1.0], [2.0, 4.0]], [[2**63 - 3, 1], [1, 0]]):
+            _validated_counts(counts)
+
+    assert unreached_lines(_validated_counts, run) == []
 
 
 def test_counts_are_immutable():
