@@ -40,7 +40,6 @@ import numpy as np
 
 from .contingency import _DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _SIDES, ContingencyTable
 from .errors import DataError, UsageError
-from .multiclass import mutual_information
 
 __all__ = [
     "SignificanceReport",
@@ -72,7 +71,6 @@ _FAMILY_FORMS = {
 FAMILY_KINDS = tuple(_FAMILY_FORMS)
 
 _POSITIVE_TARGETS = ("predicted_positive", "real_positive")
-_WILLIAMS_MODES = ("goodness_of_fit", "independence")
 _WILLIAMS_KINDS = ("g2_plus_p", "g2_plus_r", "full_g2")
 
 
@@ -308,7 +306,7 @@ def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, Significa
     n = s.n
     expected = n * s.expected
     chi2_value = float(np.add.reduce((t.counts - expected) ** 2 / expected, None))
-    g2_value = 2.0 * n * mutual_information(t)
+    g2_value = 2.0 * n * s.mutual_information
     df = (t.k - 1) ** 2
     return (
         _report("full_chi2", chi2_value, df, n, t.k),
@@ -345,8 +343,7 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = _DEFAULT_SIDED) -> Si
     weight is added as it comes, so none is kept, and ties compare exactly.
     Either way p is the correctly rounded exact fraction.
     """
-    if sidedness not in _SIDES:
-        raise UsageError(f"sidedness must be 'one' or 'two', got '{sidedness}'")
+    _check_sided(sidedness)
     if t.k != 2:
         raise UsageError("the exact 2x2 test needs a 2x2 table")
     a, b, c, d = (int(x) for x in t.counts.ravel())
@@ -562,9 +559,17 @@ def _check_alpha(alpha: float) -> None:
         raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _check_sided(sidedness: str) -> None:
+    """Refuse a side other than "one" or "two" in one wording."""
+    if sidedness not in _SIDES:
+        raise UsageError(f"sidedness must be 'one' or 'two', got '{sidedness}'")
+
+
 def _check_samples(samples: int) -> None:
-    """Refuse a sampler budget below 1000 draws, in the same words wherever
-    a budget is taken."""
+    """Refuse a sampler budget that is not an integer of at least 1000
+    draws, in the same words wherever a budget is taken."""
+    if not isinstance(samples, (int, np.integer)):
+        raise UsageError(f"samples must be an integer, got {samples!r}")
     if samples < 1_000:
         raise UsageError(f"need at least 1000 samples, got {samples}")
 
@@ -653,35 +658,38 @@ def exact_test(
     sampler (fisher_montecarlo_kxk) from seed, which stops at its 100th hit
     or after samples draws.  samples and seed are read only by the sampler;
     the sampled test is two-sided, so sidedness "one" on a larger table
-    raises UsageError."""
+    raises UsageError, as any side other than "one" or "two" does."""
     if t.k == 2:
         return fisher_exact_2x2(t, sidedness)
+    _check_sided(sidedness)
     if sidedness != "two":
         raise UsageError(f"the sampled exact test of a {t.k}x{t.k} table is two-sided, "
                          f"got sidedness '{sidedness}'")
     return fisher_montecarlo_kxk(t, samples, seed)
 
 
-def williams_correction(
-    report: SignificanceReport, t: ContingencyTable, mode: str = "independence"
-) -> SignificanceReport:
-    """Shrink a log-likelihood statistic by the small-sample factor
-    q = 1 + (a^2 - 1) / (6 n r).
+def williams_correction(report: SignificanceReport, t: ContingencyTable) -> SignificanceReport:
+    """Shrink a log-likelihood statistic of t by Williams' (1976) factor
+    q = 1 + (a^2 - 1) / (6 n r), in the form the report's kind fixes.
 
-    Goodness-of-fit mode uses a = K over r = K - 1 degrees.  Independence
-    mode derives a^2 - 1 = (K/prev_h - 1)(K/bias_h - 1) from the harmonic
-    mean margins over r = (K-1)^2 degrees.  The corrected statistic is
-    re-tested at the report's own df.  A report of any other kind than
-    g2_plus_p, g2_plus_r or full_g2 raises UsageError.
+    The single-margin g2_plus_p and g2_plus_r test goodness of fit: a = K
+    over r = K - 1 degrees.  full_g2 tests independence: a^2 - 1 =
+    (K/prev_h - 1)(K/bias_h - 1) from the harmonic mean margins over
+    r = (K-1)^2 degrees.  The corrected statistic is re-tested at the
+    report's own df.  Any other kind, a report already corrected, or one of
+    a table with another n or K raises UsageError.
     """
     if report.kind not in _WILLIAMS_KINDS:
         raise UsageError(f"Williams corrects {', '.join(_WILLIAMS_KINDS)} only, got '{report.kind}'")
-    if mode not in _WILLIAMS_MODES:
-        raise UsageError(f"unknown correction mode '{mode}'")
+    if "williams" in report.corrections:
+        raise UsageError(f"the {report.kind} report is already Williams-corrected")
     s = t._summary
     k = t.k
     n = s.n
-    if mode == "goodness_of_fit":
+    if (report.n, report.df_beta) != (n, k - 1):
+        raise UsageError(f"the report is of a table with n={report.n}, K-1={report.df_beta}, "
+                         f"not of this one with n={n}, K-1={k - 1}")
+    if report.kind != "full_g2":
         a2_minus_1 = k * k - 1.0
         r = k - 1
     else:
@@ -706,12 +714,11 @@ def significance_reports(
     in FAMILY_KINDS order, full_table_tests and exact_test (which reads
     sided, samples and seed).  "kb", "km" and "kbm" select that kind, "x"
     and "conv" the three kinds of that form, "full" and "fisher" the last
-    two.  yates corrects the single-margin chi-squared tests, and williams
-    the log-likelihood ones: single-margin for goodness of fit, full-table
-    for independence.  A bare string for families, any other family,
-    samples below 1000 or sided other than "one" or "two" raises UsageError
-    on every table; a one-sided test of a table larger than 2x2 is refused
-    only where exact_test runs.
+    two.  yates corrects the single-margin chi-squared tests and williams the
+    log-likelihood ones (williams_correction).  A bare string for families,
+    any other family, samples not an integer of at least 1000 or sided other
+    than "one" or "two" raises UsageError on every table; a one-sided test of
+    a table larger than 2x2 is refused only where exact_test runs.
     """
     if isinstance(families, str):
         raise UsageError(f"families is a tuple such as ('{families}',), not the string '{families}'")
@@ -719,26 +726,22 @@ def significance_reports(
         if family not in _FAMILIES:
             raise UsageError(f"unknown family '{family}'; expected one of {', '.join(_FAMILIES)}")
     _check_samples(samples)
-    if sided not in _SIDES:
-        raise UsageError(f"sidedness must be 'one' or 'two', got '{sided}'")
+    _check_sided(sided)
     chosen = set(_FAMILIES if "all" in families else families)
     reports = []
     if "all" in chosen and t.k == 2:
         reports.extend(chi2_positive(t, target, yates) for target in _POSITIVE_TARGETS)
-        for target in _POSITIVE_TARGETS:
-            g2 = g2_positive(t, target)
-            reports.append(williams_correction(g2, t, "goodness_of_fit") if williams else g2)
+        reports.extend(g2_positive(t, target) for target in _POSITIVE_TARGETS)
     # Of the kind names only kb, km and kbm are families, and of the forms
     # only x and conv.
     reports.extend(chi2_bookmaker_family(t, kind) for kind, spec in _FAMILY_FORMS.items()
                    if kind in chosen or spec[0] in chosen)
     if "full" in chosen:
-        full_chi2, full_g2 = full_table_tests(t)
-        if williams:
-            full_g2 = williams_correction(full_g2, t, "independence")
-        reports += [full_chi2, full_g2]
+        reports.extend(full_table_tests(t))
     if "fisher" in chosen:
         reports.append(exact_test(t, sided, samples, seed))
+    if williams:
+        reports = [williams_correction(r, t) if r.kind in _WILLIAMS_KINDS else r for r in reports]
     return reports
 
 

@@ -174,9 +174,16 @@ INPUT_GUARDS = {
         alpha=2.0), chancekit.UsageError, "alpha must lie in (0, 1), got 2.0"),
     "fisher_mc_empty": (lambda: chancekit.fisher_montecarlo_kxk(_ZERO3),
                         chancekit.DataError, "empty table"),
-    "williams_mode": (lambda: chancekit.williams_correction(chancekit.full_table_tests(_T3)[1],
-                                                            _T3, "both"),
-                      chancekit.UsageError, "'both'"),
+    "williams_twice": (lambda: chancekit.williams_correction(
+        chancekit.significance_reports(_T3, ("full",), williams=True)[1], _T3),
+                       chancekit.UsageError, "full_g2 report is already Williams-corrected"),
+    "williams_other_table": (lambda: chancekit.williams_correction(
+        chancekit.full_table_tests(_T3)[1], _T2),
+                             chancekit.UsageError, "n=29, K-1=2, not of this one with n=12, K-1=1"),
+    "exact_test_side": (lambda: chancekit.exact_test(_T3, "both"), chancekit.UsageError,
+                        "sidedness must be 'one' or 'two', got 'both'"),
+    "samples_float": (lambda: chancekit.fisher_montecarlo_kxk(_T3, 2000.0), chancekit.UsageError,
+                      "samples must be an integer, got 2000.0"),
     "williams_kind": (lambda: chancekit.williams_correction(chancekit.full_table_tests(_T3)[0], _T3),
                       chancekit.UsageError, "got 'full_chi2'"),
     "reports_bare_string": (lambda: chancekit.significance_reports(_T3, "all"),

@@ -193,6 +193,8 @@ def test_significance_reports_check_sampler_options_up_front():
     # Checked for every table and family, not only where the sampler runs.
     with pytest.raises(UsageError, match="need at least 1000 samples, got 5"):
         significance_reports(table_a(), ("kb",), samples=5)
+    with pytest.raises(UsageError, match="samples must be an integer, got 2000.0"):
+        significance_reports(table_a(), ("kb",), samples=2000.0)
     with pytest.raises(UsageError, match="sidedness must be 'one' or 'two', got 'both'"):
         significance_reports(table_a(), ("kb",), sided="both")
 
@@ -204,9 +206,9 @@ def test_significance_reports_compose_the_single_tests():
     full_chi2, full_g2 = full_table_tests(t)
     expected = [
         *(chi2_positive(t, target, yates=True) for target in targets),
-        *(williams_correction(g2_positive(t, target), t, "goodness_of_fit") for target in targets),
+        *(williams_correction(g2_positive(t, target), t) for target in targets),
         *(chi2_bookmaker_family(t, kind) for kind in significance.FAMILY_KINDS),
-        full_chi2, williams_correction(full_g2, t, "independence"),
+        full_chi2, williams_correction(full_g2, t),
         exact_test(t, "one"),
     ]
     assert significance_reports(t, sided="one", yates=True, williams=True) == expected
@@ -214,6 +216,32 @@ def test_significance_reports_compose_the_single_tests():
     assert significance_reports(t, ("x", "all", "fisher", "x"), sided="one", yates=True,
                                 williams=True) == expected
     assert significance_reports(t, ()) == []
+
+
+def test_williams_and_significance_reports_run_every_line():
+    # A 2x2 and a 3x3 table with williams on and off, and every refusal.
+    t2, t3 = from_counts([[6, 1], [2, 3]]), from_counts([[5, 1, 2], [0, 7, 1], [2, 2, 9]])
+    full_chi2, full_g2 = full_table_tests(t3)
+    refused = [
+        lambda: williams_correction(full_chi2, t3),
+        lambda: williams_correction(williams_correction(full_g2, t3), t3),
+        lambda: williams_correction(full_g2, t2),
+        lambda: significance_reports(t2, "all"),
+        lambda: significance_reports(t2, ("none",)),
+        lambda: significance_reports(t2, samples=2000.0),
+        lambda: significance_reports(t2, sided="both"),
+    ]
+
+    def run():
+        for t in (t2, t3):
+            for williams in (False, True):
+                significance_reports(t, williams=williams)
+        for call in refused:
+            with pytest.raises(UsageError):
+                call()
+
+    assert unreached_lines(williams_correction, run) == []
+    assert unreached_lines(significance_reports, run) == []
 
 
 def test_full_table_tests_fixture():
@@ -694,7 +722,7 @@ def test_patefield_cells_fit_enumerated_law_3x3(counts):
 def test_williams_independence_even_margin_formula():
     t = from_counts([[30, 20], [20, 30]])
     _, g2 = full_table_tests(t)
-    corrected = williams_correction(g2, t, "independence")
+    corrected = williams_correction(g2, t)
     # harmonic-mean margins are 0.5, so a^2 - 1 = (4 - 1)(4 - 1) = 9
     q = 1 + 9 / (6 * 100 * 1)
     assert corrected.value == pytest.approx(g2.value / q, abs=1e-12)
@@ -705,7 +733,7 @@ def test_williams_independence_even_margin_formula():
 def test_williams_goodness_of_fit_formula():
     t = table_a()
     report = g2_positive(t)
-    corrected = williams_correction(report, t, "goodness_of_fit")
+    corrected = williams_correction(report, t)
     q = 1 + (2**2 - 1) / (6 * 100 * (2 - 1))
     assert corrected.value == pytest.approx(report.value / q, abs=1e-12)
     assert corrected.value == pytest.approx(1.162967, abs=1e-6)
@@ -715,7 +743,7 @@ def test_williams_vanishes_for_large_n():
     t = from_counts([[30, 20], [20, 30]])
     big = from_counts(t.counts * 10_000)
     _, g2 = full_table_tests(big)
-    corrected = williams_correction(g2, big, "independence")
+    corrected = williams_correction(g2, big)
     assert corrected.value / g2.value == pytest.approx(1.0, abs=1e-5)
 
 
