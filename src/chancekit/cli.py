@@ -32,6 +32,7 @@ from .contingency import (
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
     ContingencyTable,
+    _check_alpha,
     _fmt,
     load_pairs,
     load_table_csv,
@@ -238,7 +239,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_significance(args) -> None:
-    from .significance import _check_alpha, cramers_v, posthoc_calibration, significance_reports
+    from .significance import cramers_v, posthoc_calibration, significance_reports
 
     _check_alpha(args.alpha)
     t, descriptor = _load_input(args.table, None, args.labels, args.repair_margins)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import _DEFAULT_X, ContingencyTable
+from .contingency import (_DEFAULT_X, ContingencyTable, _check_alpha, _check_choice, _check_positive,
+                          _check_whole)
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -60,8 +61,7 @@ def sse_profile(b: float, rule: str) -> float:
     returns to 1 at both extremes; geometric = sqrt(|b| - b^2); harmonic =
     |b| - b^2.  All are symmetric in b and -b.
     """
-    if rule not in SSE_RULES:
-        raise UsageError(f"unknown sse rule '{rule}'")
+    _check_choice("sse rule", rule, SSE_RULES)
     a = abs(float(b))
     if not a <= 1.0:  # also rejects nan
         raise UsageError(f"center must lie in [-1, 1], got {b}")
@@ -90,8 +90,7 @@ def normal_multiplier(alpha: float, two_tailed: bool = True) -> float:
     # only this function reads it.
     from statistics import NormalDist
 
-    if not (0.0 < alpha < 1.0):
-        raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     q = 1.0 - alpha / 2.0 if two_tailed else 1.0 - alpha
     # Below an alpha of about 1e-16, q rounds to 1, whose quantile is infinite.
     return NormalDist().inv_cdf(q) if q < 1.0 else math.inf
@@ -133,14 +132,12 @@ def confidence_interval(
     the variant's default profile.  n counts observations, so n >= 2 is
     required for a finite width.
     """
-    if variant not in CI_VARIANTS:
-        raise UsageError(f"unknown variant '{variant}'")
+    _check_choice("variant", variant, CI_VARIANTS)
+    _check_whole("n", n)
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
-    if not (float(evenness) > 0.0) or not math.isfinite(evenness):
-        raise UsageError(f"evenness factor must be a positive finite number, got {evenness}")
-    if not (float(x) > 0.0) or not math.isfinite(x):
-        raise UsageError(f"multiplier must be a positive finite number, got {x}")
+    _check_positive("evenness factor", evenness)
+    _check_positive("multiplier", x)
     if rule is None:
         rule = _DEFAULT_RULES[variant]
     sse = sse_profile(center, rule)

@@ -46,19 +46,59 @@ TRANSFORM_KINDS = ("inverse", "dual", "perverse_rows", "perverse_cols")
 
 # The Monte Carlo generator's margin and cell distributions, the families
 # significance_reports takes (in `significance --family` order), the exact
-# test's sides and its default side and sampler budget, the default level and
-# normal multiplier (two-tailed 95%), and the one cell formatting of
-# montecarlo's CSV files and the CLI's csv output.  They live here so the
-# command-line parser and renderers import none of montecarlo, significance
-# and confidence; montecarlo exports the two tuples.
+# test's sides and its default side, its default and least sampler budget,
+# the default level and normal multiplier (two-tailed 95%), and the one cell
+# formatting of montecarlo's CSV files and the CLI's csv output.  They live
+# here so the command-line parser and renderers import none of montecarlo,
+# significance and confidence; montecarlo exports the two tuples.
 MARGIN_DISTRIBUTIONS = ("uniform", "binomial")
 CELL_DISTRIBUTIONS = ("uniform", "binomial_copula", "absolute_shifted_normal")
 _FAMILIES = ("all", "kb", "km", "kbm", "x", "conv", "full", "fisher")
 _SIDES = ("one", "two")
 _DEFAULT_SIDED = "two"
 _DEFAULT_SAMPLES = 100_000
+_LEAST_SAMPLES = 1_000
 _DEFAULT_ALPHA = 0.05
 _DEFAULT_X = 1.96
+
+# The five rules on caller arguments, each raised here only.  The battery
+# runs several per table, so types are tested against concrete classes, float
+# first, not the slower numbers.Real, and a bool is told apart by identity.
+_INTEGERS = (int, np.integer)
+_REALS = (float, int, np.floating, np.integer)
+
+
+def _check_choice(what: str, value, choices: tuple[str, ...]) -> None:
+    """Refuse a value that is not one of choices, naming them."""
+    if value not in choices:
+        raise UsageError(f"unknown {what} '{value}'; expected one of {', '.join(choices)}")
+
+
+def _check_whole(what: str, value, least: int | None = None) -> None:
+    """Refuse a bool, a float or any other non-integer, and an integer below least."""
+    if not isinstance(value, _INTEGERS) or value is True or value is False:
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise UsageError(f"need at least {least} {what}, got {value}")
+
+
+def _check_positive(what: str, value) -> None:
+    """Refuse anything but a positive finite int or float, so a bool, NaN
+    or string too (False fails the bound)."""
+    if not isinstance(value, _REALS) or value is True or not 0.0 < value < math.inf:
+        raise UsageError(f"{what} must be a positive finite number, got {value!r}")
+
+
+def _check_alpha(alpha) -> None:
+    """Refuse a test level that is not a number in (0, 1), NaN included."""
+    if not isinstance(alpha, _REALS) or not 0.0 < alpha < 1.0:
+        raise UsageError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _check_2x2(what: str, t: ContingencyTable) -> None:
+    """Refuse a table larger than 2x2 for measures defined on 2x2 tables."""
+    if t.k != 2:
+        raise UsageError(f"{what} are defined for 2x2 tables, got {t.k}x{t.k}")
 
 
 def _fmt(value) -> str:
@@ -348,9 +388,8 @@ class CostModel:
     cv: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, v in (("cs", self.cs), ("cv", self.cv)):
-            if not (float(v) > 0.0) or not np.isfinite(v):
-                raise UsageError(f"{name} must be a positive finite number, got {v}")
+        _check_positive("cs", self.cs)
+        _check_positive("cv", self.cv)
 
     @property
     def c(self) -> float:
@@ -358,8 +397,7 @@ class CostModel:
 
     @classmethod
     def from_table(cls, t: ContingencyTable, cv: float = 1.0) -> "CostModel":
-        if t.k != 2:
-            raise UsageError("table skew is defined for 2x2 tables only")
+        _check_2x2("class skews", t)
         m = margins(t)
         rp, rn = float(m.prevalence[0]), float(m.prevalence[1])
         if rp == 0.0:
@@ -454,6 +492,7 @@ def require_positive_margins(t: ContingencyTable) -> None:
 
 def dichotomize(t: ContingencyTable, label_index: int) -> ContingencyTable:
     """Collapse to 2x2 with the chosen label as positive, everything else merged."""
+    _check_whole("label index", label_index)
     k = t.k
     if not (0 <= label_index < k):
         raise UsageError(f"label index {label_index} out of range for a {k}x{k} table")
@@ -494,8 +533,7 @@ def transform(
     relabelings; pass `permutation` to pick another.  Labels are kept as-is:
     a transform re-routes counts between the same label slots.
     """
-    if kind not in TRANSFORM_KINDS:
-        raise UsageError(f"unknown transform kind '{kind}'")
+    _check_choice("transform kind", kind, TRANSFORM_KINDS)
     if kind == "dual":
         if permutation is not None:
             raise UsageError("dual takes no permutation")

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .contingency import ContingencyTable, CostModel, require_positive_margins
-from .errors import UsageError
+from .contingency import ContingencyTable, CostModel, _check_2x2, _check_positive, require_positive_margins
 
 __all__ = [
     "BinaryStats",
@@ -93,8 +92,7 @@ def binary_stats(t: ContingencyTable) -> BinaryStats:
     patches them with unit counts first.  Likelihood ratios at a zero
     denominator come back as inf (or nan for the indeterminate 0/0 case).
     """
-    if t.k != 2:
-        raise UsageError(f"binary_stats needs a 2x2 table, got {t.k}x{t.k}")
+    _check_2x2("binary statistics", t)
     # The shared summary raises DataError on a zero margin and holds, at
     # label 0, the one-vs-rest rates below computed the same way.
     s = t._summary
@@ -175,8 +173,7 @@ def wracc(s: BinaryStats, cost: CostModel | None = None) -> float:
     model with c = 1 removes the skew sensitivity and returns tpr - fpr.
     """
     c = s.skew if cost is None else cost.c
-    if not (c > 0.0) or not math.isfinite(c):
-        raise UsageError(f"skew must be positive and finite, got {c}")
+    _check_positive("skew", c)
     return 4.0 * c * (s.recall - s.fallout) / (1.0 + c) ** 2
 
 
@@ -188,8 +185,7 @@ def regression_coefficients(t: ContingencyTable) -> tuple[float, float, float]:
     mean slope).  These reproduce markedness, informedness, and the
     correlation, which the identity tests rely on.
     """
-    if t.k != 2:
-        raise UsageError(f"regression coefficients are defined for 2x2 tables, got {t.k}x{t.k}")
+    _check_2x2("regression coefficients", t)
     require_positive_margins(t)
     a, b, c, d = (float(x) for x in t.counts.ravel())
     det = a * d - b * c

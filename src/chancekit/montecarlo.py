@@ -28,16 +28,21 @@ from .confidence import CI_VARIANTS, ConfidenceInterval, confidence_interval, ev
 from .contingency import (
     _DEFAULT_ALPHA,
     _DEFAULT_X,
+    _LEAST_SAMPLES,
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
     ContingencyTable,
+    _check_alpha,
+    _check_choice,
+    _check_positive,
+    _check_whole,
     _fmt,
     from_counts,
     repair_zero_margins,
 )
 from .errors import DataError, UsageError
 from .multiclass import MulticlassStats, multiclass_stats
-from .significance import SignificanceReport, _check_alpha, _check_samples, cramers_v, significance_reports
+from .significance import SignificanceReport, cramers_v, significance_reports
 
 __all__ = [
     "MARGIN_DISTRIBUTIONS",
@@ -81,22 +86,18 @@ class SimConfig:
     fisher_samples: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise UsageError(f"need at least 2 classes, got {self.k}")
+        _check_whole("classes", self.k, 2)
+        _check_whole("n", self.n)
         if self.n < self.k:
             raise UsageError(f"need n >= k so margins can be positive, got n={self.n}, k={self.k}")
-        if self.steps < 2:
-            raise UsageError(f"need at least 2 steps, got {self.steps}")
-        if self.runs_per_step < 1:
-            raise UsageError(f"need at least 1 run per step, got {self.runs_per_step}")
-        if self.margin_distribution not in MARGIN_DISTRIBUTIONS:
-            raise UsageError(f"unknown margin distribution '{self.margin_distribution}'")
-        if self.cell_distribution not in CELL_DISTRIBUTIONS:
-            raise UsageError(f"unknown cell distribution '{self.cell_distribution}'")
+        _check_whole("steps", self.steps, 2)
+        _check_whole("runs per step", self.runs_per_step, 1)
+        _check_choice("margin distribution", self.margin_distribution, MARGIN_DISTRIBUTIONS)
+        _check_choice("cell distribution", self.cell_distribution, CELL_DISTRIBUTIONS)
+        _check_whole("seed", self.seed)
         _check_alpha(self.alpha)
-        if not (float(self.x) > 0.0) or not np.isfinite(self.x):
-            raise UsageError(f"multiplier must be a positive finite number, got {self.x}")
-        _check_samples(self.fisher_samples)
+        _check_positive("multiplier", self.x)
+        _check_whole("samples", self.fisher_samples, _LEAST_SAMPLES)
 
     def level(self, step: int) -> float:
         return step / (self.steps - 1)
@@ -184,10 +185,8 @@ def gen_chance(
     spread of the informedness estimate falls below what the evenness-scaled
     test statistics are calibrated for.
     """
-    if margin_distribution not in MARGIN_DISTRIBUTIONS:
-        raise UsageError(f"unknown margin distribution '{margin_distribution}'")
-    if cell_distribution not in CELL_DISTRIBUTIONS:
-        raise UsageError(f"unknown cell distribution '{cell_distribution}'")
+    _check_choice("margin distribution", margin_distribution, MARGIN_DISTRIBUTIONS)
+    _check_choice("cell distribution", cell_distribution, CELL_DISTRIBUTIONS)
     bias = _chance_margins(k, n, rng, margin_distribution)
     prevalence = _chance_margins(k, n, rng, margin_distribution)
     expected = n * np.outer(bias, prevalence)

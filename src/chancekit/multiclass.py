@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ContingencyTable, EvennessVariants, _clamped_dot, _sum_p_log_ratio
-from .errors import UsageError
+from .contingency import ContingencyTable, EvennessVariants, _check_choice, _clamped_dot, _sum_p_log_ratio
 
 __all__ = [
     "EXPONENT_RULES",
@@ -68,8 +67,7 @@ class MulticlassStats:
 
 
 def _weights(t: ContingencyTable, weights: str) -> np.ndarray:
-    if weights not in ("prevalence", "bias"):
-        raise UsageError(f"unknown weighting '{weights}'")
+    _check_choice("weighting", weights, ("prevalence", "bias"))
     s = t._summary
     return s.prevalence if weights == "prevalence" else s.bias
 
@@ -80,20 +78,14 @@ def bookmaker_informedness(t: ContingencyTable, *, weights: str = "prevalence") 
     weights="bias" switches to bias weighting, kept as an explicit variant
     because the two weightings coincide only when margins match.  Clamped to
     [-1, 1]: the weights can sum to one ulp above 1, which would put a perfect
-    table at 1.0000000000000002.  The default weighting is read from the
-    table summary's (B, M) pair, weighed once per table.
+    table at 1.0000000000000002.
     """
-    if weights == "prevalence":
-        return t._summary.bm[0]
     return _clamped_dot(_weights(t, weights), t._summary.informedness)
 
 
 def multiclass_markedness(t: ContingencyTable, *, weights: str = "bias") -> float:
     """Bias-weighted mean of the one-vs-rest markedness values, clamped to
-    [-1, 1] as bookmaker_informedness is.  The default weighting is read
-    from the table summary's (B, M) pair, weighed once per table."""
-    if weights == "bias":
-        return t._summary.bm[1]
+    [-1, 1] as bookmaker_informedness is."""
     return _clamped_dot(_weights(t, weights), t._summary.markedness)
 
 
@@ -142,8 +134,7 @@ def det_estimates(
     (log |det| minus the summed log-margins), so neither the determinant nor
     the margin product underflows at large K; a singular table gives 0.
     """
-    if exponent_rule not in EXPONENT_RULES:
-        raise UsageError(f"unknown exponent rule '{exponent_rule}'")
+    _check_choice("exponent rule", exponent_rule, EXPONENT_RULES)
     s = t._summary
     k = t.k
     e = 2.0 / k if exponent_rule == "two_over_k" else 4.0 / (3.0 * k - 2.0)

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import _DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _SIDES, ContingencyTable
+from .contingency import (_DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _LEAST_SAMPLES, _SIDES,
+                          ContingencyTable, _check_2x2, _check_choice, _check_whole)
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -119,8 +120,7 @@ def chi2_sf(x: float, r: int) -> float:
     Equals the regularized upper incomplete gamma function Q(r/2, x/2);
     absolute error stays below 1e-10 across the supported range.
     """
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise UsageError(f"degrees of freedom must be a positive integer, got {r!r}")
+    _check_whole("degrees of freedom", r, 1)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise UsageError(f"statistic must be finite and non-negative, got {x}")
@@ -216,10 +216,8 @@ def _report(kind: str, value: float, df: int, n: int, k: int,
 
 def _positive_cells(t: ContingencyTable, target: str):
     """Observed and expected counts along the positive row or column."""
-    if t.k != 2:
-        raise UsageError(f"single-margin statistics are defined for 2x2 tables, got {t.k}x{t.k}")
-    if target not in _POSITIVE_TARGETS:
-        raise UsageError(f"unknown target '{target}'")
+    _check_2x2("single-margin statistics", t)
+    _check_choice("target", target, _POSITIVE_TARGETS)
     s = t._summary
     observed, expected = t.counts.astype(float), s.n * s.expected
     if target == "real_positive":
@@ -277,11 +275,10 @@ def chi2_bookmaker_family(t: ContingencyTable, kind: str) -> SignificanceReport:
     the tail probability is then 1 by construction.  kind is one of
     FAMILY_KINDS in any case; any other value raises UsageError naming it.
     """
-    try:
+    if isinstance(kind, str):
         kind = kind.lower()
-        scale, i, j, form = _FAMILY_FORMS[kind]
-    except (AttributeError, KeyError):
-        raise UsageError(f"unknown family kind '{kind}'") from None
+    _check_choice("family kind", kind, FAMILY_KINDS)
+    scale, i, j, form = _FAMILY_FORMS[kind]
     k = t.k
     s = t._summary
     n = s.n
@@ -316,6 +313,8 @@ def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, Significa
 
 def cramers_v(chi2_value: float, n: int, k: int) -> float:
     """Association strength sqrt(chi2 / (n (K-1))) on the 0..1 scale."""
+    _check_whole("n", n)
+    _check_whole("k", k)
     if n <= 0 or k < 2:
         raise UsageError(f"need n > 0 and k >= 2, got n={n}, k={k}")
     if not chi2_value >= 0.0:  # NaN included
@@ -343,9 +342,8 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = _DEFAULT_SIDED) -> Si
     weight is added as it comes, so none is kept, and ties compare exactly.
     Either way p is the correctly rounded exact fraction.
     """
-    _check_sided(sidedness)
-    if t.k != 2:
-        raise UsageError("the exact 2x2 test needs a 2x2 table")
+    _check_choice("sidedness", sidedness, _SIDES)
+    _check_2x2("hypergeometric exact tests", t)
     a, b, c, d = (int(x) for x in t.counts.ravel())
     rp, rn = a + c, b + d
     pp = a + b
@@ -553,27 +551,6 @@ _CHUNK_MARGIN = 1.25
 _LOG_FACTORIAL_TABLE = 1 << 16
 
 
-def _check_alpha(alpha: float) -> None:
-    """Refuse a test level outside (0, 1), NaN included, in one wording."""
-    if not (0.0 < alpha < 1.0):
-        raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _check_sided(sidedness: str) -> None:
-    """Refuse a side other than "one" or "two" in one wording."""
-    if sidedness not in _SIDES:
-        raise UsageError(f"sidedness must be 'one' or 'two', got '{sidedness}'")
-
-
-def _check_samples(samples: int) -> None:
-    """Refuse a sampler budget that is not an integer of at least 1000
-    draws, in the same words wherever a budget is taken."""
-    if not isinstance(samples, (int, np.integer)):
-        raise UsageError(f"samples must be an integer, got {samples!r}")
-    if samples < 1_000:
-        raise UsageError(f"need at least 1000 samples, got {samples}")
-
-
 def fisher_montecarlo_kxk(
     t: ContingencyTable, samples: int = _DEFAULT_SAMPLES, seed: int = 0
 ) -> SampledReport:
@@ -595,7 +572,8 @@ def fisher_montecarlo_kxk(
     chunk holds only O(K) of its cell vectors at once, so the sampler's
     working set stays a small multiple of 2^16 values (512 KiB as int64) at
     any K."""
-    _check_samples(samples)
+    _check_whole("samples", samples, _LEAST_SAMPLES)
+    _check_whole("seed", seed)
     n = t.n
     if n == 0:
         raise DataError("cannot test an empty table")
@@ -661,7 +639,7 @@ def exact_test(
     raises UsageError, as any side other than "one" or "two" does."""
     if t.k == 2:
         return fisher_exact_2x2(t, sidedness)
-    _check_sided(sidedness)
+    _check_choice("sidedness", sidedness, _SIDES)
     if sidedness != "two":
         raise UsageError(f"the sampled exact test of a {t.k}x{t.k} table is two-sided, "
                          f"got sidedness '{sidedness}'")
@@ -723,10 +701,9 @@ def significance_reports(
     if isinstance(families, str):
         raise UsageError(f"families is a tuple such as ('{families}',), not the string '{families}'")
     for family in families:
-        if family not in _FAMILIES:
-            raise UsageError(f"unknown family '{family}'; expected one of {', '.join(_FAMILIES)}")
-    _check_samples(samples)
-    _check_sided(sided)
+        _check_choice("family", family, _FAMILIES)
+    _check_whole("samples", samples, _LEAST_SAMPLES)
+    _check_choice("sidedness", sided, _SIDES)
     chosen = set(_FAMILIES if "all" in families else families)
     reports = []
     if "all" in chosen and t.k == 2:

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import chancekit
+from chancekit import contingency
+from helpers import unreached_lines
 
 MODULES = ("errors", "contingency", "dichotomous", "multiclass", "significance", "confidence", "montecarlo")
 
@@ -154,6 +156,10 @@ def _rng():
     return chancekit.substream(0, 0)[0]
 
 
+def _runs():
+    return chancekit.run_grid(chancekit.SimConfig(k=2, n=16, steps=2, runs_per_step=2, seed=1))
+
+
 # Each public guard on caller input, the class it raises (UsageError exits 1
 # from the command line, DataError exits 2) and the text naming what was bad.
 INPUT_GUARDS = {
@@ -169,9 +175,10 @@ INPUT_GUARDS = {
                         chancekit.UsageError, "must be non-negative, got -1.0"),
     "cramers_v_nan": (lambda: chancekit.cramers_v(float("nan"), 10, 2),
                       chancekit.UsageError, "must be non-negative, got nan"),
-    "coverage_report_alpha": (lambda: chancekit.coverage_report(
-        chancekit.run_grid(chancekit.SimConfig(k=2, n=16, steps=2, runs_per_step=2, seed=1)),
-        alpha=2.0), chancekit.UsageError, "alpha must lie in (0, 1), got 2.0"),
+    "coverage_report_alpha": (lambda: chancekit.coverage_report(_runs(), alpha=2.0),
+                              chancekit.UsageError, "alpha must lie in (0, 1), got 2.0"),
+    "coverage_report_alpha_text": (lambda: chancekit.coverage_report(_runs(), alpha="0.1"),
+                                   chancekit.UsageError, "alpha must lie in (0, 1), got '0.1'"),
     "fisher_mc_empty": (lambda: chancekit.fisher_montecarlo_kxk(_ZERO3),
                         chancekit.DataError, "empty table"),
     "williams_twice": (lambda: chancekit.williams_correction(
@@ -181,7 +188,7 @@ INPUT_GUARDS = {
         chancekit.full_table_tests(_T3)[1], _T2),
                              chancekit.UsageError, "n=29, K-1=2, not of this one with n=12, K-1=1"),
     "exact_test_side": (lambda: chancekit.exact_test(_T3, "both"), chancekit.UsageError,
-                        "sidedness must be 'one' or 'two', got 'both'"),
+                        "unknown sidedness 'both'; expected one of one, two"),
     "samples_float": (lambda: chancekit.fisher_montecarlo_kxk(_T3, 2000.0), chancekit.UsageError,
                       "samples must be an integer, got 2000.0"),
     "williams_kind": (lambda: chancekit.williams_correction(chancekit.full_table_tests(_T3)[0], _T3),
@@ -215,6 +222,30 @@ INPUT_GUARDS = {
                              chancekit.UsageError, "'uniform'"),
     "det_exponent_rule": (lambda: chancekit.det_estimates(_T3, "square"),
                           chancekit.UsageError, "'square'"),
+    # Each of these was truncated, taken as another value or refused by a
+    # raw TypeError, ValueError or IndexError.
+    "config_k_float": (lambda: chancekit.SimConfig(k=2.0, n=16),
+                       chancekit.UsageError, "classes must be an integer, got 2.0"),
+    "config_n_float": (lambda: chancekit.SimConfig(k=2, n=16.0),
+                       chancekit.UsageError, "n must be an integer, got 16.0"),
+    "config_seed_float": (lambda: chancekit.SimConfig(k=2, n=16, seed=7.5),
+                          chancekit.UsageError, "seed must be an integer, got 7.5"),
+    "sampler_seed_float": (lambda: chancekit.fisher_montecarlo_kxk(_T3, 2000, 1.9),
+                           chancekit.UsageError, "seed must be an integer, got 1.9"),
+    "interval_n_float": (lambda: chancekit.confidence_interval(0.2, 2.5),
+                         chancekit.UsageError, "n must be an integer, got 2.5"),
+    "cramers_v_n_float": (lambda: chancekit.cramers_v(1.0, 0.5, 2),
+                          chancekit.UsageError, "n must be an integer, got 0.5"),
+    "chi2_sf_df_bool": (lambda: chancekit.chi2_sf(1.0, True),
+                        chancekit.UsageError, "degrees of freedom must be an integer, got True"),
+    "dichotomize_index_float": (lambda: chancekit.dichotomize(_T2, 0.5),
+                                chancekit.UsageError, "label index must be an integer, got 0.5"),
+    "config_x_text": (lambda: chancekit.SimConfig(k=2, n=16, x="2"),
+                      chancekit.UsageError, "multiplier must be a positive finite number, got '2'"),
+    "config_alpha_text": (lambda: chancekit.SimConfig(k=2, n=16, alpha="0.1"),
+                          chancekit.UsageError, "alpha must lie in (0, 1), got '0.1'"),
+    "cost_model_text": (lambda: chancekit.CostModel(cs="a"),
+                        chancekit.UsageError, "cs must be a positive finite number, got 'a'"),
 }
 
 
@@ -223,3 +254,41 @@ def test_public_input_guards_raise_documented_class(name):
     call, error, text = INPUT_GUARDS[name]
     with pytest.raises(error, match=re.escape(text)):
         call()
+
+
+# Each rule on caller arguments is raised by one check in contingency.py; a
+# UsageError elsewhere whose text carries one of these markers states a rule
+# again.
+_RULE_CHECKS = ("_check_choice", "_check_whole", "_check_positive", "_check_alpha", "_check_2x2")
+_RULE_MARKERS = ("unknown ", "2x2 table", "positive finite", "positive and finite",
+                 "must be an integer", "positive integer", "need at least", "alpha must lie")
+
+
+def test_each_argument_rule_is_raised_in_one_place():
+    restated = []
+    for path in sorted(Path(chancekit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "contingency.py":
+            checks = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name in _RULE_CHECKS]
+            assert sorted(node.name for node in checks) == sorted(_RULE_CHECKS)
+            assert sum(isinstance(node, ast.Raise) for check in checks for node in ast.walk(check)) == 6
+            tree.body = [node for node in tree.body if node not in checks]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func) == "UsageError"):
+                text = "".join(part.value for part in ast.walk(node.exc)
+                               if isinstance(part, ast.Constant) and isinstance(part.value, str))
+                if any(marker in text for marker in _RULE_MARKERS):
+                    restated.append(f"{path.name}:{node.lineno}")
+    assert not restated, f"argument rules raised outside the shared checks: {restated}"
+
+
+def test_input_guards_reach_every_line_of_the_shared_checks():
+    def run():
+        for call, error, _ in INPUT_GUARDS.values():
+            with contextlib.suppress(error):
+                call()
+
+    for name in _RULE_CHECKS:
+        assert unreached_lines(getattr(contingency, name), run) == [], name

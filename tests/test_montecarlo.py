@@ -37,7 +37,8 @@ def test_config_validation():
         dict(k=2, n=16, cell_distribution="cauchy"), dict(k=2, n=16, alpha=0.0),
         dict(k=2, n=16, x=-1.0), dict(k=2, n=16, x=float("nan")),
         dict(k=2, n=16, x=float("inf")), dict(k=2, n=16, fisher_samples=10),
-        dict(k=2, n=16, fisher_samples=2000.0),
+        dict(k=2, n=16, fisher_samples=2000.0), dict(k=2.0, n=16), dict(k=2, n=16.0),
+        dict(k=2, n=16, steps=11.0), dict(k=2, n=16, runs_per_step=10.0), dict(k=2, n=16, seed=7.5),
     ):
         with pytest.raises(UsageError):
             SimConfig(**bad)
