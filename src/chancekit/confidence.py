@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contingency import (_DEFAULT_X, ContingencyTable, _check_alpha, _check_choice, _check_positive,
-                          _check_whole)
-from .errors import DataError, UsageError
+                          _check_whole, _check_within)
+from .errors import DataError
 
 __all__ = [
     "SSE_RULES",
@@ -62,9 +62,8 @@ def sse_profile(b: float, rule: str) -> float:
     |b| - b^2.  All are symmetric in b and -b.
     """
     _check_choice("sse rule", rule, SSE_RULES)
+    _check_within("center", b, -1.0, 1.0)
     a = abs(float(b))
-    if not a <= 1.0:  # also rejects nan
-        raise UsageError(f"center must lie in [-1, 1], got {b}")
     if rule == "constant_one":
         return 1.0
     if rule == "one_minus_abs":

@@ -61,7 +61,7 @@ _LEAST_SAMPLES = 1_000
 _DEFAULT_ALPHA = 0.05
 _DEFAULT_X = 1.96
 
-# The five rules on caller arguments, each raised here only.  The battery
+# The six rules on caller arguments, each raised here only.  The battery
 # runs several per table, so types are tested against concrete classes, float
 # first, not the slower numbers.Real, and a bool is told apart by identity.
 _INTEGERS = (int, np.integer)
@@ -87,6 +87,14 @@ def _check_positive(what: str, value) -> None:
     or string too (False fails the bound)."""
     if not isinstance(value, _REALS) or value is True or not 0.0 < value < math.inf:
         raise UsageError(f"{what} must be a positive finite number, got {value!r}")
+
+
+def _check_within(what: str, value, low: float, high: float = math.inf) -> None:
+    """Refuse anything but a finite int or float in [low, high], so a bool,
+    a string, NaN and inf too; low is finite, high may be inf."""
+    if (not isinstance(value, _REALS) or value is True or value is False
+            or not low <= value <= high or value == math.inf):
+        raise UsageError(f"{what} must be a finite number in [{low:g}, {high:g}], got {value!r}")
 
 
 def _check_alpha(alpha) -> None:
@@ -201,55 +209,43 @@ class ContingencyTable:
     @cached_property
     def _summary(self) -> "_TableSummary":
         """Built on first use and kept; raises DataError on a zero margin."""
-        require_positive_margins(self)
-        counts, rows, cols, n = self.counts, self.row_totals, self.col_totals, self.n
-        d = counts.diagonal()
-        # One-vs-rest cells as fractions of n; the true negatives stay an
-        # exact integer count until the division, as in dichotomize.
-        tp, fp, fn, tn = d / n, (rows - d) / n, (cols - d) / n, (n - rows - cols + d) / n
-        rp, rn, pp, pn = tp + fn, fp + tn, tp + fp, fn + tn
-        recall, precision = tp / rp, tp / pp
-        prevalence, bias = cols / n, rows / n
-        probs, expected = counts / n, np.multiply.outer(bias, prevalence)
-        informedness, markedness = recall + tn / rn - 1.0, precision + tn / pn - 1.0
-        f1, g_measure = 2.0 * tp / (rp + pp), np.sqrt(recall * precision)
-        for arr in (prevalence, bias, probs, expected, recall, informedness, markedness,
-                    f1, g_measure):
-            arr.setflags(write=False)
-        # Dividing the pairwise sum by K is what np.mean does.
-        k = len(d)
-        return _TableSummary(
-            n=n, prevalence=prevalence, bias=bias, probs=probs, expected=expected,
-            mean_log_prevalence=float(np.add.reduce(np.log(prevalence))) / k,
-            mean_log_bias=float(np.add.reduce(np.log(bias))) / k,
-            recall=recall, informedness=informedness, markedness=markedness,
-            f1=f1, g_measure=g_measure)
+        return _TableSummary(self)
 
 
-@dataclass(frozen=True, eq=False)
 class _TableSummary:
     """What every chance-corrected measure reads from a table with positive
     margins, and the only place that reduces them: prevalence and bias as
     fractions of n, the joint probabilities and their independence
     expectation, the mean log-margins (so margin products stay finite at any
-    K), and at index i of each rate vector what binary_stats reports for
-    dichotomize(t, i), computed the same way so the two agree bit for bit.
-    The (B, M) pair of multiclass informedness and markedness, the
-    determinant, the positive cells, the mutual information and the nine
-    evenness forms are taken on first use and then shared by every reader."""
+    K), and at index i of each one-vs-rest vector the rate binary_stats
+    reports for dichotomize(t, i), which at K = 2 is read from index 0.
+    Every array is read-only.  The (B, M) pair of multiclass informedness and
+    markedness, the determinant, the positive cells, the mutual information
+    and the nine evenness forms are taken on first use and then shared by
+    every reader."""
 
-    n: int
-    prevalence: np.ndarray
-    bias: np.ndarray
-    probs: np.ndarray
-    expected: np.ndarray
-    mean_log_prevalence: float
-    mean_log_bias: float
-    recall: np.ndarray
-    informedness: np.ndarray
-    markedness: np.ndarray
-    f1: np.ndarray
-    g_measure: np.ndarray
+    def __init__(self, t: ContingencyTable) -> None:
+        require_positive_margins(t)
+        counts, rows, cols, n = t.counts, t.row_totals, t.col_totals, t.n
+        d = counts.diagonal()
+        self.n = n
+        # One-vs-rest cells as fractions of n; the true negatives stay an
+        # exact integer count until the division, as in dichotomize.
+        self.tp, self.fp, self.fn, self.tn = tp, fp, fn, tn = (
+            d / n, (rows - d) / n, (cols - d) / n, (n - rows - cols + d) / n)
+        self.rp, self.rn, self.pp, self.pn = rp, rn, pp, pn = tp + fn, fp + tn, tp + fp, fn + tn
+        self.recall, self.precision = recall, precision = tp / rp, tp / pp
+        self.prevalence, self.bias = prevalence, bias = cols / n, rows / n
+        self.probs, self.expected = counts / n, np.multiply.outer(bias, prevalence)
+        self.informedness, self.markedness = recall + tn / rn - 1.0, precision + tn / pn - 1.0
+        self.f1, self.g_measure = 2.0 * tp / (rp + pp), np.sqrt(recall * precision)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        # Dividing the pairwise sum by K is what np.mean does.
+        k = len(d)
+        self.mean_log_prevalence = float(np.add.reduce(np.log(prevalence))) / k
+        self.mean_log_bias = float(np.add.reduce(np.log(bias))) / k
 
     @cached_property
     def bm(self) -> tuple[float, float]:

@@ -93,22 +93,14 @@ def binary_stats(t: ContingencyTable) -> BinaryStats:
     denominator come back as inf (or nan for the indeterminate 0/0 case).
     """
     _check_2x2("binary statistics", t)
-    # The shared summary raises DataError on a zero margin and holds, at
-    # label 0, the one-vs-rest rates below computed the same way.
+    # The 2x2 record is the shared summary's first label, whose one-vs-rest
+    # cells are this table's own; the summary raises DataError on a zero margin.
     s = t._summary
-    recall, informedness, markedness, f1, g_measure = (
-        float(v[0]) for v in (s.recall, s.informedness, s.markedness, s.f1, s.g_measure))
-    n = t.n
-    a, b, c, d = (float(x) for x in t.counts.ravel())
-    tp, fp, fn, tn = a / n, b / n, c / n, d / n
-
-    rp = tp + fn
-    rn = fp + tn
-    pp = tp + fp
-    pn = fn + tn
+    tp, fp, fn, tn, rp, rn, pp, pn, precision, recall, informedness, markedness, f1, g_measure = (
+        float(v[0]) for v in (s.tp, s.fp, s.fn, s.tn, s.rp, s.rn, s.pp, s.pn, s.precision,
+                              s.recall, s.informedness, s.markedness, s.f1, s.g_measure))
 
     inverse_recall = tn / rn
-    precision = tp / pp
     inverse_precision = tn / pn
     fallout = fp / rn
     miss_rate = fn / rp

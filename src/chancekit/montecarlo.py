@@ -36,6 +36,7 @@ from .contingency import (
     _check_choice,
     _check_positive,
     _check_whole,
+    _check_within,
     _fmt,
     from_counts,
     repair_zero_margins,
@@ -138,7 +139,10 @@ def substream(seed: int, *path: int) -> tuple[np.random.Generator, str]:
     streams for distinct addresses are independent and platform-stable; the
     first 8 digest bytes serve as a printable stream id.
     """
-    payload = ",".join(str(int(p)) for p in (seed, *path)).encode("ascii")
+    address = (seed, *path)
+    for part in address:
+        _check_whole("stream address", part)
+    payload = ",".join(str(int(p)) for p in address).encode("ascii")
     digest = hashlib.sha256(payload).digest()
     key = int.from_bytes(digest[:16], "little")
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -148,6 +152,8 @@ def substream(seed: int, *path: int) -> tuple[np.random.Generator, str]:
 def gen_perfect(k: int, n: int, rng: np.random.Generator) -> ContingencyTable:
     """Diagonal table with each cell uniform on [0, 2n/k), so the expected
     total is n.  Margins may be zero; the mixing step repairs them."""
+    _check_whole("classes", k, 2)
+    _check_whole("n", n, 0)
     diag = np.rint(rng.uniform(0.0, 2.0 * n / k, size=k)).astype(np.int64)
     counts = np.zeros((k, k), dtype=np.int64)
     np.fill_diagonal(counts, diag)
@@ -185,6 +191,8 @@ def gen_chance(
     spread of the informedness estimate falls below what the evenness-scaled
     test statistics are calibrated for.
     """
+    _check_whole("classes", k, 2)
+    _check_whole("n", n, 0)
     _check_choice("margin distribution", margin_distribution, MARGIN_DISTRIBUTIONS)
     _check_choice("cell distribution", cell_distribution, CELL_DISTRIBUTIONS)
     bias = _chance_margins(k, n, rng, margin_distribution)
@@ -237,8 +245,8 @@ def mix_and_constrain(
     """
     if perfect.k != chance.k:
         raise UsageError(f"tables must have matching class counts, got {perfect.k} and {chance.k}")
-    if not (0.0 <= level <= 1.0):
-        raise UsageError(f"level must lie in [0, 1], got {level}")
+    _check_within("level", level, 0.0, 1.0)
+    _check_whole("n", n)
     k = perfect.k
     if enforce_total and n < k:
         raise UsageError(f"n must be at least K to keep every margin positive, got n={n}, K={k}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contingency import (_DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _LEAST_SAMPLES, _SIDES,
-                          ContingencyTable, _check_2x2, _check_choice, _check_whole)
+                          ContingencyTable, _check_2x2, _check_choice, _check_whole, _check_within)
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -121,9 +121,8 @@ def chi2_sf(x: float, r: int) -> float:
     absolute error stays below 1e-10 across the supported range.
     """
     _check_whole("degrees of freedom", r, 1)
+    _check_within("statistic", x, 0.0)
     x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise UsageError(f"statistic must be finite and non-negative, got {x}")
     if r == 1:
         return math.erfc(math.sqrt(x / 2.0))
     return _gamma_q(r / 2.0, x / 2.0)
@@ -313,12 +312,9 @@ def full_table_tests(t: ContingencyTable) -> tuple[SignificanceReport, Significa
 
 def cramers_v(chi2_value: float, n: int, k: int) -> float:
     """Association strength sqrt(chi2 / (n (K-1))) on the 0..1 scale."""
-    _check_whole("n", n)
-    _check_whole("k", k)
-    if n <= 0 or k < 2:
-        raise UsageError(f"need n > 0 and k >= 2, got n={n}, k={k}")
-    if not chi2_value >= 0.0:  # NaN included
-        raise UsageError(f"chi-squared value must be non-negative, got {chi2_value}")
+    _check_whole("n", n, 1)
+    _check_whole("classes", k, 2)
+    _check_within("chi-squared value", chi2_value, 0.0)
     return math.sqrt(chi2_value / (n * (k - 1)))
 
 

@@ -169,12 +169,14 @@ INPUT_GUARDS = {
                          "2x2 tables, got 3x3"),
     "chi2_positive_target": (lambda: chancekit.chi2_positive(_T2, "nowhere"),
                              chancekit.UsageError, "'nowhere'"),
-    "cramers_v_n": (lambda: chancekit.cramers_v(1.0, 0, 2), chancekit.UsageError, "got n=0, k=2"),
-    "cramers_v_k": (lambda: chancekit.cramers_v(1.0, 10, 1), chancekit.UsageError, "got n=10, k=1"),
-    "cramers_v_value": (lambda: chancekit.cramers_v(-1.0, 10, 2),
-                        chancekit.UsageError, "must be non-negative, got -1.0"),
+    "cramers_v_n": (lambda: chancekit.cramers_v(1.0, 0, 2), chancekit.UsageError,
+                    "need at least 1 n, got 0"),
+    "cramers_v_k": (lambda: chancekit.cramers_v(1.0, 10, 1), chancekit.UsageError,
+                    "need at least 2 classes, got 1"),
+    "cramers_v_value": (lambda: chancekit.cramers_v(-1.0, 10, 2), chancekit.UsageError,
+                        "chi-squared value must be a finite number in [0, inf], got -1.0"),
     "cramers_v_nan": (lambda: chancekit.cramers_v(float("nan"), 10, 2),
-                      chancekit.UsageError, "must be non-negative, got nan"),
+                      chancekit.UsageError, "in [0, inf], got nan"),
     "coverage_report_alpha": (lambda: chancekit.coverage_report(_runs(), alpha=2.0),
                               chancekit.UsageError, "alpha must lie in (0, 1), got 2.0"),
     "coverage_report_alpha_text": (lambda: chancekit.coverage_report(_runs(), alpha="0.1"),
@@ -246,6 +248,36 @@ INPUT_GUARDS = {
                           chancekit.UsageError, "alpha must lie in (0, 1), got '0.1'"),
     "cost_model_text": (lambda: chancekit.CostModel(cs="a"),
                         chancekit.UsageError, "cs must be a positive finite number, got 'a'"),
+    "chi2_sf_statistic_text": (lambda: chancekit.chi2_sf("3.0", 2), chancekit.UsageError,
+                               "statistic must be a finite number in [0, inf], got '3.0'"),
+    "chi2_sf_statistic_bool": (lambda: chancekit.chi2_sf(True, 2),
+                               chancekit.UsageError, "in [0, inf], got True"),
+    "cramers_v_value_bool": (lambda: chancekit.cramers_v(True, 10, 2),
+                             chancekit.UsageError, "in [0, inf], got True"),
+    "cramers_v_value_text": (lambda: chancekit.cramers_v("1", 10, 2),
+                             chancekit.UsageError, "in [0, inf], got '1'"),
+    "cramers_v_value_inf": (lambda: chancekit.cramers_v(float("inf"), 10, 2),
+                            chancekit.UsageError, "in [0, inf], got inf"),
+    "interval_center_text": (lambda: chancekit.confidence_interval("0.25", 100), chancekit.UsageError,
+                             "center must be a finite number in [-1, 1], got '0.25'"),
+    "interval_center_bool": (lambda: chancekit.confidence_interval(True, 100),
+                             chancekit.UsageError, "in [-1, 1], got True"),
+    "mix_level_bool": (lambda: chancekit.mix_and_constrain(_T2, _T2, True, 12, _rng()),
+                       chancekit.UsageError, "level must be a finite number in [0, 1], got True"),
+    "mix_level_text": (lambda: chancekit.mix_and_constrain(_T2, _T2, "0.5", 12, _rng()),
+                       chancekit.UsageError, "in [0, 1], got '0.5'"),
+    "mix_n_float": (lambda: chancekit.mix_and_constrain(_T2, _T2, 0.5, 12.5, _rng()),
+                    chancekit.UsageError, "n must be an integer, got 12.5"),
+    "substream_seed_float": (lambda: chancekit.substream(7.5, 0, 0),
+                             chancekit.UsageError, "stream address must be an integer, got 7.5"),
+    "gen_chance_k_float": (lambda: chancekit.gen_chance(3.0, 30, _rng()),
+                           chancekit.UsageError, "classes must be an integer, got 3.0"),
+    "gen_chance_n_negative": (lambda: chancekit.gen_chance(3, -5, _rng()),
+                              chancekit.UsageError, "need at least 0 n, got -5"),
+    "gen_perfect_n_float": (lambda: chancekit.gen_perfect(3, 30.5, _rng()),
+                            chancekit.UsageError, "n must be an integer, got 30.5"),
+    "gen_perfect_k_one": (lambda: chancekit.gen_perfect(1, 30, _rng()),
+                          chancekit.UsageError, "need at least 2 classes, got 1"),
 }
 
 
@@ -259,9 +291,11 @@ def test_public_input_guards_raise_documented_class(name):
 # Each rule on caller arguments is raised by one check in contingency.py; a
 # UsageError elsewhere whose text carries one of these markers states a rule
 # again.
-_RULE_CHECKS = ("_check_choice", "_check_whole", "_check_positive", "_check_alpha", "_check_2x2")
+_RULE_CHECKS = ("_check_choice", "_check_whole", "_check_positive", "_check_within", "_check_alpha",
+                "_check_2x2")
 _RULE_MARKERS = ("unknown ", "2x2 table", "positive finite", "positive and finite",
-                 "must be an integer", "positive integer", "need at least", "alpha must lie")
+                 "must be an integer", "positive integer", "need at least", "alpha must lie",
+                 "finite number", "non-negative", "must lie in [")
 
 
 def test_each_argument_rule_is_raised_in_one_place():
@@ -272,7 +306,7 @@ def test_each_argument_rule_is_raised_in_one_place():
             checks = [node for node in tree.body
                       if isinstance(node, ast.FunctionDef) and node.name in _RULE_CHECKS]
             assert sorted(node.name for node in checks) == sorted(_RULE_CHECKS)
-            assert sum(isinstance(node, ast.Raise) for check in checks for node in ast.walk(check)) == 6
+            assert sum(isinstance(node, ast.Raise) for check in checks for node in ast.walk(check)) == 7
             tree.body = [node for node in tree.body if node not in checks]
         for node in ast.walk(tree):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
@@ -282,6 +316,16 @@ def test_each_argument_rule_is_raised_in_one_place():
                 if any(marker in text for marker in _RULE_MARKERS):
                     restated.append(f"{path.name}:{node.lineno}")
     assert not restated, f"argument rules raised outside the shared checks: {restated}"
+
+
+def test_rule_markers_flag_a_restated_range_but_not_a_relation():
+    # The range texts each caller raised before _check_within stated them
+    # once, and SimConfig's relation between two arguments, which is no rule
+    # on one argument.
+    ranges = ("statistic must be finite and non-negative, got ", "chi-squared value must be "
+              "non-negative, got ", "center must lie in [-1, 1], got ", "level must lie in [0, 1], got ")
+    assert all(any(marker in text for marker in _RULE_MARKERS) for text in ranges)
+    assert not any(marker in "need n >= k so margins can be positive, got n=" for marker in _RULE_MARKERS)
 
 
 def test_input_guards_reach_every_line_of_the_shared_checks():

@@ -87,6 +87,22 @@ def test_summary_matches_one_vs_rest_records(t):
         assert chi2_bookmaker_family(t, "conv_" + measure).value == (k - 1) * n * conv[measure]
 
 
+_ONE_VS_REST = ("tp", "fp", "fn", "tn", "rp", "rn", "pp", "pn", "precision", "recall",
+                "informedness", "markedness", "f1", "g_measure")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=4, max_size=4))
+def test_binary_record_is_the_summary_first_label(cells):
+    t = from_counts(np.array(cells, dtype=np.int64).reshape(2, 2) + np.eye(2, dtype=np.int64))
+    stats, s = binary_stats(t), t._summary
+    for name in _ONE_VS_REST:
+        vector = getattr(s, name)
+        assert getattr(stats, name) == float(vector[0]), name
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
+
+
 def _close(got, want):
     return abs(got - want) <= 1e-12 * max(abs(want), 1e-3)
 
