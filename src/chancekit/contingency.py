@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -122,6 +123,18 @@ def _fmt(value) -> str:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _real_cells(what: str, values) -> np.ndarray:
+    """values as an array, refusing bool, complex, string and other non-real
+    cells, as the argument rules refuse a bool or a string, instead of
+    casting them; an object cell must be an int or a float."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        for value in arr.flat:
+            if not isinstance(value, _REALS) or value is True or value is False:
+                raise DataError(f"{what} must be real numbers, got {value!r}")
+    return arr
+
+
 def _validated_counts(counts) -> np.ndarray:
     """Counts as a K x K int64 matrix, K >= 2: finite, whole, non-negative,
     and a total that fits."""
@@ -131,7 +144,7 @@ def _validated_counts(counts) -> np.ndarray:
     if arr.shape[0] < 2:
         raise DataError("a contingency table needs at least 2 labels")
     if arr.dtype.kind not in "iu":
-        as_float = np.asarray(arr, dtype=float)
+        as_float = np.asarray(_real_cells("counts", arr), dtype=float)
         if not np.all(np.isfinite(as_float)):
             raise DataError("counts must be finite")
         rounded = np.rint(as_float)
@@ -220,9 +233,9 @@ class _TableSummary:
     K), and at index i of each one-vs-rest vector the rate binary_stats
     reports for dichotomize(t, i), which at K = 2 is read from index 0.
     Every array is read-only.  The (B, M) pair of multiclass informedness and
-    markedness, the determinant, the positive cells, the mutual information
-    and the nine evenness forms are taken on first use and then shared by
-    every reader."""
+    markedness, kappa, the determinant, the positive cells, the mutual
+    information and the nine evenness forms are taken on first use and then
+    shared by every reader.  The summary holds no reference to its table."""
 
     def __init__(self, t: ContingencyTable) -> None:
         require_positive_margins(t)
@@ -239,6 +252,7 @@ class _TableSummary:
         self.probs, self.expected = counts / n, np.multiply.outer(bias, prevalence)
         self.informedness, self.markedness = recall + tn / rn - 1.0, precision + tn / pn - 1.0
         self.f1, self.g_measure = 2.0 * tp / (rp + pp), np.sqrt(recall * precision)
+        self._diagonal, self._rows, self._cols = d, rows, cols
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -255,6 +269,14 @@ class _TableSummary:
         correlation_bmg and the evenness-scaled significance family."""
         return (_clamped_dot(self.prevalence, self.informedness),
                 _clamped_dot(self.bias, self.markedness))
+
+    @cached_property
+    def kappa(self) -> float:
+        """Cohen's kappa, (n sum(d) - sum(r c)) / (n^2 - sum(r c)) from the diagonal
+        and the totals in Python integers, rounded once: exactly 1.0 on a perfect
+        table, never above it, and its denominator is positive, as every margin is."""
+        n, chance = self.n, sum(map(operator.mul, self._rows.tolist(), self._cols.tolist()))
+        return (n * int(np.add.reduce(self._diagonal)) - chance) / (n * n - chance)
 
     @cached_property
     def determinant(self) -> tuple[float, float, float]:
@@ -287,7 +309,7 @@ class _TableSummary:
         significance family.  The plus forms come from the mean log-margins,
         so they stay finite and positive at any K instead of underflowing."""
         k = len(self.prevalence)
-        r, p = self.prevalence * (1.0 - self.prevalence), self.bias * (1.0 - self.bias)
+        r, p = self.prevalence * self.rn, self.bias * self.pn
         r_plus = math.exp(2.0 * self.mean_log_prevalence)
         p_plus = math.exp(2.0 * self.mean_log_bias)
         r_minus, p_minus = float(np.add.reduce(r)) / k, float(np.add.reduce(p)) / k
@@ -344,7 +366,7 @@ class NormalizedTable:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.asarray(_real_cells("cell probabilities", self.probs), dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise DataError("probabilities must form a square matrix")
         if not np.isfinite(probs).all():
@@ -833,7 +855,8 @@ def _read(
     surrogates as they are), and a file as its own bytes.  A csv error is a
     DataError.  A streaming decoder counts bytes from the start of its
     chunk, so on an undecodable byte `raw` is decoded again whole, to raise
-    the UnicodeDecodeError at the byte's offset in the stream.
+    the UnicodeDecodeError at the byte's offset in the stream.  The text
+    wrapper is detached on the way out, so the caller owns and closes `raw`.
     """
     handle = io.TextIOWrapper(raw, encoding=encoding, errors=errors, newline="")
     try:
@@ -844,6 +867,8 @@ def _read(
         raw.seek(0)
         raw.read().decode(handle.encoding, handle.errors)
         raise
+    finally:
+        handle.detach()
 
 
 def _load(

@@ -122,8 +122,6 @@ def binary_stats(t: ContingencyTable) -> BinaryStats:
     evenness_g = prev_g * bias_g
 
     correlation = math.copysign(math.sqrt(max(informedness * markedness, 0.0)), dtp)
-    pe = etp + etn
-    kappa = deltap / (1.0 - pe)
 
     lr = _ratio_or_inf(recall, fallout)
     nlr = _ratio_or_inf(miss_rate, inverse_recall)
@@ -143,7 +141,7 @@ def binary_stats(t: ContingencyTable) -> BinaryStats:
         rand_accuracy=rand_accuracy, ps_negative=ps_negative,
         lr=lr, nlr=nlr, wracc=wracc_value, auc=auc,
         informedness=informedness, markedness=markedness,
-        correlation=correlation, kappa=kappa,
+        correlation=correlation, kappa=s.kappa,
         etp=etp, etn=etn, dtp=dtp, deltap=deltap,
         rh=rh, ph=ph, prev_g=prev_g, bias_g=bias_g,
         evenness_r=evenness_r, evenness_p=evenness_p, evenness_g=evenness_g,

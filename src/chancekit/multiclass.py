@@ -152,13 +152,9 @@ def evenness_variants(t: ContingencyTable) -> EvennessVariants:
 
 
 def multiclass_kappa(t: ContingencyTable) -> float:
-    """Chance-corrected agreement (observed vs margin-expected diagonal),
-    clamped at 1 as bookmaker_informedness is: a perfect table can read one ulp above."""
-    s = t._summary
-    # np.trace's own sum, without its Python wrapper.
-    po = float(np.add.reduce(s.probs.diagonal()))
-    pe = float(np.dot(s.bias, s.prevalence))
-    return min(1.0, (po - pe) / (1.0 - pe))
+    """Chance-corrected agreement (observed vs margin-expected diagonal) from
+    the integer counts, rounded once, as the 2x2 record reads it."""
+    return t._summary.kappa
 
 
 def macro_averages(t: ContingencyTable) -> tuple[float, float, float]:

@@ -8,8 +8,10 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chancekit
@@ -197,12 +199,31 @@ INPUT_GUARDS = {
                       chancekit.UsageError, "got 'full_chi2'"),
     "reports_bare_string": (lambda: chancekit.significance_reports(_T3, "all"),
                             chancekit.UsageError, "such as ('all',), not the string 'all'"),
+    "normalized_text": (lambda: chancekit.NormalizedTable([["0.5", "0.5"], ["0", "0"]], ("a", "b")),
+                        chancekit.DataError, "cell probabilities must be real numbers, got np.str_('0.5')"),
+    "normalized_bool": (lambda: chancekit.NormalizedTable([[True, False], [False, False]], ("a", "b")),
+                        chancekit.DataError, "must be real numbers, got np.True_"),
+    "normalized_complex": (lambda: chancekit.NormalizedTable([[0.5 + 0j, 0.5], [0, 0]], ("a", "b")),
+                           chancekit.DataError, "must be real numbers, got np.complex128(0.5+0j)"),
     "normalized_not_square": (lambda: chancekit.NormalizedTable([[0.5, 0.5]], ("a",)),
                               chancekit.DataError, "square"),
     "normalized_out_of_range": (lambda: chancekit.NormalizedTable([[1.5, -0.5], [0, 0]], ("a", "b")),
                                 chancekit.DataError, "[0, 1]"),
     "normalized_sum": (lambda: chancekit.NormalizedTable([[0.5, 0.5], [0.5, 0.5]], ("a", "b")),
                        chancekit.DataError, "sum to 1"),
+    "counts_complex": (lambda: chancekit.from_counts([[1 + 2j, 1], [1, 1]]), chancekit.DataError,
+                       "counts must be real numbers, got np.complex128(1+2j)"),
+    "counts_text": (lambda: chancekit.from_counts([["1", "2"], ["3", "4"]]), chancekit.DataError,
+                    "counts must be real numbers, got np.str_('1')"),
+    "counts_bool": (lambda: chancekit.from_counts([[True, False], [False, True]]),
+                    chancekit.DataError, "counts must be real numbers, got np.True_"),
+    "counts_object_text": (lambda: chancekit.from_counts(np.array([[1, "2"], [3, 4]], dtype=object)),
+                           chancekit.DataError, "counts must be real numbers, got '2'"),
+    "counts_object_fraction": (lambda: chancekit.from_counts(
+        np.array([[Fraction(1), 2], [3, 4]], dtype=object)),
+                               chancekit.DataError, "counts must be real numbers, got Fraction(1, 1)"),
+    "labels_repeated": (lambda: chancekit.from_counts([[1, 2], [3, 4]], ("a", "a")),
+                        chancekit.DataError, "labels must be distinct"),
     "margins_all_zero": (lambda: chancekit.margins(_ZERO3), chancekit.DataError, "all-zero"),
     "transform_dual_permutation": (lambda: chancekit.transform(_T3, "dual", [2, 1, 0]),
                                    chancekit.UsageError, "dual takes no permutation"),

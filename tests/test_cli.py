@@ -204,6 +204,11 @@ def test_data_errors_exit_2(tmp_path):
     undecodable.write_bytes(b"\xff\xfe1\x002\x00\n\x00")
     for option in ("--table", "--pairs"):
         assert main_code("evaluate", option, str(undecodable)) == 2
+    # A repeated label in the override names no table.
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        assert main(["evaluate", "--pairs", str(DATA / "pairs3.csv"),
+                     "--labels", "cat,cat,dog,bird"]) == 2
+    assert "labels must be distinct" in err.getvalue()
     # A quoted cell over csv's 131,072-character limit: the pairs reader
     # meets it checking whether a quoted line is one record.
     quoted = tmp_path / "quoted.csv"
@@ -489,6 +494,20 @@ def test_perfect_table_confidence_and_compare_exit_0():
     doc = json.loads(main_output("evaluate", "--table", perfect, "--format", "json"))
     multiclass = doc["metrics"]["multiclass"]
     assert multiclass["informedness"] == multiclass["markedness"] == 1.0
+
+
+def test_perfect_table_with_a_tiny_class_exit_0(tmp_path):
+    # One class holds less than 1e-16 of n, so 1 - pe rounds to 0 in floats;
+    # kappa, taken from the integer counts, is exactly 1 in both records.
+    p = tmp_path / "tiny.csv"
+    p.write_text("1,0\n0,15187769027951647\n")
+    for command in ("evaluate", "significance", "confidence"):
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            assert main([command, "--table", str(p), "--format", "json"]) == 0
+        assert err.getvalue() == "", command
+        if command == "evaluate":
+            metrics = json.loads(out.getvalue())["metrics"]
+            assert metrics["dichotomous"]["kappa"] == metrics["multiclass"]["kappa"] == 1.0
 
 
 def test_readme_command_lines_parse():

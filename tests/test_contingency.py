@@ -1,10 +1,12 @@
 """Table construction, parsing, margins, transforms, and repair."""
 
 import csv
+import gc
 import io
 import os
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from chancekit.contingency import (
     NormalizedTable,
+    _real_cells,
     _validated_counts,
     dichotomize,
     expectation_delta,
@@ -83,13 +86,15 @@ def test_validated_counts_runs_every_line():
     # limit, both within it and past it.
     def run():
         for counts in ([[1, 2, 3], [4, 5, 6]], [[5]], [[1, np.inf], [0, 0]], [[1.5, 0], [0, 0]],
-                       [[1, -2], [3, 4]], [[2**62] * 2] * 2):
+                       [[1, -2], [3, 4]], [[2**62] * 2] * 2,
+                       np.array([[1, "2"], [3, 4]], dtype=object)):
             with pytest.raises(DataError):
                 _validated_counts(counts)
         for counts in ([[3, 1], [2, 4]], [[3.0, 1.0], [2.0, 4.0]], [[2**63 - 3, 1], [1, 0]]):
             _validated_counts(counts)
 
     assert unreached_lines(_validated_counts, run) == []
+    assert unreached_lines(_real_cells, run) == []
 
 
 def test_counts_are_immutable():
@@ -257,6 +262,17 @@ def test_load_keeps_decode_error_offset_absolute(tmp_path):
             _through_pipe(bytes(data), load)
         assert (str(from_pipe.value).partition(" is not valid ")[2]
                 == str(from_file.value).partition(" is not valid ")[2])
+
+
+def test_loads_leave_no_unclosed_file():
+    # The reader's text wrapper is detached, so each file is closed by the
+    # loader that opened it, not left to the garbage collector.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_table_csv(DATA / "table2a.csv")
+        load_pairs(DATA / "pairs3.csv")
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_pairs_quoted_cell_spanning_lines(tmp_path):

@@ -6,9 +6,12 @@ evenness forms and the log-space margin products must match the cell and
 label loops and np.prod products of reference_stats to a stated relative
 tolerance."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_stats as ref
@@ -34,6 +37,7 @@ from chancekit.significance import (
     chi2_bookmaker_family,
     cramers_v,
     full_table_tests,
+    significance_reports,
 )
 
 
@@ -101,6 +105,54 @@ def test_binary_record_is_the_summary_first_label(cells):
         assert getattr(stats, name) == float(vector[0]), name
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 0.0
+    assert stats.kappa == s.kappa == multiclass_kappa(t)
+
+
+@st.composite
+def dominated_tables(draw):
+    """K x K tables, K in 2..6, with every margin positive; in half of them
+    one cell holds all but a few counts of a total up to 2^62, so a class
+    can hold less than 1e-16 of n, where 1 - pe rounds to 0 in floats.  The
+    other cells stay below 1000, so the 2x2 exact test sums few terms."""
+    k = draw(st.integers(2, 6))
+    cells = draw(st.lists(st.integers(0, draw(st.sampled_from((3, 1000)))),
+                          min_size=k * k, max_size=k * k))
+    counts = [cells[i * k:(i + 1) * k] for i in range(k)]
+    for i, j in enumerate(draw(st.permutations(range(k)))):
+        counts[i][j] += 1
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        counts[i][j] += draw(st.integers(10**12, 2**62 - sum(map(sum, counts))))
+    return counts
+
+
+def _exact_kappa(counts) -> float:
+    """(po - pe) / (1 - pe) as a fraction of the raw cells, rounded once."""
+    n, k = sum(map(sum, counts)), len(counts)
+    po = Fraction(sum(counts[i][i] for i in range(k)), n)
+    pe = Fraction(sum(sum(row) * sum(col) for row, col in zip(counts, zip(*counts))), n * n)
+    return float((po - pe) / (1 - pe))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominated_tables())
+# A perfect table whose 1 - pe rounded to 0.0, so both kappas divided by zero.
+@example([[1, 0], [0, 15187769027951647]])
+def test_kappa_is_the_exact_ratio_rounded_once(counts):
+    # One kappa for both records, equal bit for bit to the exact ratio, and
+    # the battery neither raises nor warns however small a class is.
+    t = from_counts(counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = multiclass_stats(t)
+        assert multiclass_kappa(t) == stats.kappa == _exact_kappa(counts)
+        if t.k == 2:
+            assert binary_stats(t).kappa == stats.kappa
+        # Above 2x2 the sampled exact test refuses n >= 10^9, so it is left out.
+        significance_reports(t, ("all",) if t.k == 2 else ("kb", "km", "kbm", "x", "conv", "full"))
+        evenness_factor(t)
+        for rule in EXPONENT_RULES:
+            det_estimates(t, rule)
 
 
 def _close(got, want):
@@ -201,7 +253,8 @@ def test_determinant_factorised_once(monkeypatch):
 
 def test_informedness_and_markedness_never_exceed_one_on_a_perfect_table():
     # The prevalence weights of this diagonal table sum to one ulp above 1,
-    # and so, unclamped, would kappa and the three macro averages.
+    # and so, unclamped, would the three macro averages; kappa, taken from
+    # the integer counts, is exactly 1 without a clamp.
     t = from_counts(np.diag([298, 843, 57, 204, 13, 234, 44]))
     assert float(np.dot(t._summary.prevalence, t._summary.informedness)) > 1.0
     assert float(sum(t._summary.prevalence * t._summary.recall)) > 1.0
