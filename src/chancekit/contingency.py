@@ -121,6 +121,8 @@ def _fmt(value) -> str:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_NEGATIVE = "counts must be non-negative"
+_TOO_LARGE = "counts total exceeds the 64-bit integer range"
 
 
 def _real_cells(what: str, values) -> np.ndarray:
@@ -144,7 +146,14 @@ def _validated_counts(counts) -> np.ndarray:
     if arr.shape[0] < 2:
         raise DataError("a contingency table needs at least 2 labels")
     if arr.dtype.kind not in "iu":
-        as_float = np.asarray(_real_cells("counts", arr), dtype=float)
+        _real_cells("counts", arr)
+        # An int cell outside the int64 range, as a 401-digit one, is refused
+        # before the float cast, which it can overflow.
+        if arr.dtype == object:
+            wide = [v for v in arr.flat if isinstance(v, int) and not 0 <= v <= _INT64_MAX]
+            if wide:
+                raise DataError(_NEGATIVE if min(wide) < 0 else _TOO_LARGE)
+        as_float = arr.astype(float)
         if not np.all(np.isfinite(as_float)):
             raise DataError("counts must be finite")
         rounded = np.rint(as_float)
@@ -152,12 +161,12 @@ def _validated_counts(counts) -> np.ndarray:
             raise DataError("counts must be whole numbers")
         arr = rounded
     if np.minimum.reduce(arr, None) < 0:
-        raise DataError("counts must be non-negative")
+        raise DataError(_NEGATIVE)
     # An int64 sum wraps silently.  The largest cell times the cell count
     # bounds the total, so the exact sum is only taken when that bound fails.
     if (int(np.maximum.reduce(arr, None)) * arr.size > _INT64_MAX
             and sum(int(v) for v in arr.flat) > _INT64_MAX):
-        raise DataError("counts total exceeds the 64-bit integer range")
+        raise DataError(_TOO_LARGE)
     return arr.astype(np.int64)
 
 

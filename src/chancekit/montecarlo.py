@@ -67,8 +67,12 @@ __all__ = [
 RUNS_CSV_COLUMNS = (
     "step", "run", "l", "n_realized", "B", "M", "BMG", "kappa",
     "cramers_v_chi2", "cramers_v_g2", "p_chi2", "p_g2", "p_fisher",
+    "fisher_draws", "fisher_hits", "fisher_se", "fisher_level",
     "ci_lo", "ci_hi", "within_band", "seed_stream",
 )
+# The SampledReport fields runs.csv gives as fisher_<name>: what a sampled
+# p_fisher rests on, and the level it was decided at.
+_SAMPLED_FIELDS = ("draws", "hits", "se", "level")
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -286,7 +290,10 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
 
     The stream is consumed in a fixed order (perfect table, chance table,
     constraint loop, sampler seed) so results are reproducible regardless of
-    which statistics get computed.  A DataError from any stage, and the
+    which statistics get computed.  A K x K table's sampled exact test stops
+    once its decision at config.alpha is settled, the level its rejection
+    rates are read at, so a decided p_fisher is an upper bound below alpha
+    (SampledReport.level says which are).  A DataError from any stage, and the
     RuntimeError chi2_sf raises when its incomplete gamma continued fraction
     does not converge, come back as the error field rather than raising.
     """
@@ -306,7 +313,7 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
         stats = multiclass_stats(table)
         kb, km, kbm, full_chi2, full_g2, fisher = significance_reports(
             table, ("kb", "km", "kbm", "full", "fisher"),
-            samples=config.fisher_samples, seed=sampler_seed)
+            samples=config.fisher_samples, seed=sampler_seed, alpha=config.alpha)
         evenness = evenness_factor(table)
         ci_null, ci_empirical, ci_full = (
             confidence_interval(level, table.n, evenness, config.x, variant)
@@ -437,7 +444,10 @@ def coverage_report(
 
 def write_runs_csv(runs: tuple[SimRun, ...] | list[SimRun], path: str | Path) -> None:
     """One row per run; a missing record, as in an error run, leaves its
-    columns empty.  Floats use shortest round-trip formatting."""
+    columns empty, as the 2x2 exact sum leaves the sampler's fisher_draws,
+    fisher_hits, fisher_se and fisher_level, and fisher_level is empty for a
+    sampled p not decided at a level.  Floats use shortest round-trip
+    formatting."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RUNS_CSV_COLUMNS)
@@ -448,6 +458,7 @@ def write_runs_csv(runs: tuple[SimRun, ...] | list[SimRun], path: str | Path) ->
                 _fmt(_run_cramers_v(r, r.full_chi2)), _fmt(_run_cramers_v(r, r.full_g2)),
                 *(_fmt(_field(getattr(r, name), "p_value"))
                   for name in ("full_chi2", "full_g2", "fisher")),
+                *(_fmt(getattr(r.fisher, name, None)) for name in _SAMPLED_FIELDS),
                 _fmt(_field(r.ci_empirical, "lo")), _fmt(_field(r.ci_empirical, "hi")),
                 _fmt(r.within_band), r.seed_stream,
             ])

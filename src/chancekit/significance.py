@@ -18,7 +18,8 @@ n * B * M.
 
 Exact inference (exact_test) comes from the 2x2 hypergeometric test and, for
 K x K tables, Patefield's fixed-margin sampler, which stops at its 100th hit
-with p = 100 / draws (Besag & Clifford 1991) and otherwise gives p =
+with p = 100 / draws (Besag & Clifford 1991), stops once its hits settle
+p < alpha with p its Clopper-Pearson upper bound, and otherwise gives p =
 (hits + 1) / (samples + 1) (Phipson & Smyth 2010).  The 2x2 p is the
 correctly rounded exact fraction: on supports of _WINDOW_MIN_WIDTH tables
 or more it comes from tail sums bounded in fixed-point integers around the
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import (_DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _LEAST_SAMPLES, _SIDES,
-                          ContingencyTable, _check_2x2, _check_choice, _check_whole, _check_within)
+from .contingency import (_DEFAULT_ALPHA, _DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _LEAST_SAMPLES,
+                          _SIDES, ContingencyTable, _check_2x2, _check_alpha, _check_choice, _check_whole,
+                          _check_within)
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -98,10 +100,18 @@ class SignificanceReport:
 @dataclass(frozen=True, kw_only=True)
 class SampledReport(SignificanceReport):
     """The report of a sampled test: its p rests on `draws` tables, `hits` of
-    them at most as probable as the observed one."""
+    them at most as probable as the observed one.
+
+    se is the standard error of the hit rate, sqrt(q (1 - q) / draws) with
+    q = (hits + 1) / (draws + 2), so never 0.  level is the alpha at which
+    the run stopped with its decision p < level settled, p then being an
+    upper bound; it is None for a run stopped at its 100th hit or by its
+    budget, whose p estimates the exact one."""
 
     draws: int
     hits: int
+    se: float
+    level: float | None
 
 
 @dataclass(frozen=True)
@@ -538,17 +548,58 @@ def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
 # hits so far predict up to the stop, at least _FIRST_CHUNK, or the cap while
 # there is no hit.  So a table that stops pays for few draws past its stop,
 # and one that never stops for no more chunks than capped ones would take.
+# With a level alpha the run also stops at the end of its i-th chunk once
+# P(Bin(draws, alpha) <= hits) < _DECISION_RISK 2^-i.  These bounds sum to
+# _DECISION_RISK, so a table whose exact p is alpha or more is decided below
+# alpha with at most that chance, however many chunks the run takes.  Its
+# first chunk is then large enough for a run with no hit to stop there, and
+# no later chunk exceeds the draws so far, so a run has O(log samples)
+# checkpoints.
 # A table of log(i!) costs time and memory in proportion to n; past
 # _LOG_FACTORIAL_TABLE entries lgamma is taken at each cell vector's distinct
 # values instead, at most K^2 calls a draw.
 _STOP_HITS = 100
 _FIRST_CHUNK = 256
 _CHUNK_MARGIN = 1.25
+_DECISION_RISK = 1e-3
 _LOG_FACTORIAL_TABLE = 1 << 16
 
 
+def _binomial_cdf(log_binomials: list[float], draws: int, p: float) -> float:
+    """P(Bin(draws, p) <= hits) for 0 < p < 1, given log C(draws, j) for
+    j = 0..hits: the sum of its terms, each taken whole in log space."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return sum(math.exp(c + j * log_p + (draws - j) * log_q) for j, c in enumerate(log_binomials))
+
+
+def _log_binomials(hits: int, draws: int) -> list[float]:
+    """log C(draws, j) for j = 0..hits, each from the exact integer."""
+    out, c = [], 1
+    for j in range(hits + 1):
+        out.append(math.log(c))
+        c = c * (draws - j) // (j + 1)
+    return out
+
+
+def _clopper_pearson_upper(log_binomials: list[float], draws: int, risk: float, hi: float) -> float:
+    """The Clopper-Pearson upper bound on a hit rate at one-sided risk `risk`:
+    the p where P(Bin(draws, p) <= hits) falls to risk, found by bisection on
+    (0, hi], whose end hi has a tail below risk, down to adjacent doubles.
+    The upper end is returned, so its tail is at most risk."""
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _binomial_cdf(log_binomials, draws, mid) <= risk:
+            hi = mid
+        else:
+            lo = mid
+
+
 def fisher_montecarlo_kxk(
-    t: ContingencyTable, samples: int = _DEFAULT_SAMPLES, seed: int = 0
+    t: ContingencyTable, samples: int = _DEFAULT_SAMPLES, seed: int = 0,
+    alpha: float | None = _DEFAULT_ALPHA,
 ) -> SampledReport:
     """Monte Carlo estimate of the exact fixed-margin test for K x K tables.
 
@@ -559,17 +610,33 @@ def fisher_montecarlo_kxk(
     reaches `samples` draws first gives p = (hits + 1) / (samples + 1)
     (Phipson & Smyth 2010).  So samples caps the draws and sets the smallest
     p, 1 / (samples + 1); a stopped p is at least 100 / samples.  Both are
-    valid p-values, and the report carries the draws and hits behind p.
-    Deterministic for a given seed.  Draws are taken in chunks of at most
-    2^16 // K tables: the first of 256, each later one 1.25 times the draws
-    the hits so far predict up to the 100th, but at least 256, and 2^16 // K
-    while there is no hit.  Each chunk costs (K-1)^2 numpy calls besides its
-    draws, so a table pays for few draws past its stop and few chunks.  A
-    chunk holds only O(K) of its cell vectors at once, so the sampler's
-    working set stays a small multiple of 2^16 values (512 KiB as int64) at
-    any K."""
+    valid p-values, and the report carries the draws and hits behind p and
+    the standard error of their hit rate.  Deterministic for a given seed.
+
+    With a level alpha in (0, 1) the run also stops at the end of its i-th
+    chunk once P(Bin(draws, alpha) <= hits) < 10^-3 2^-i, so a table whose p
+    lies far below alpha is settled in a few hundred draws.  p is then the
+    Clopper-Pearson upper bound on the hit rate at that risk, below alpha and
+    above 1 / (draws + 1), and the report's level is alpha.  Summed over
+    every checkpoint, the chance that a table whose exact p is alpha or more
+    is decided below it is at most 10^-3 (a sequential Monte Carlo test in
+    the sense of Gandy 2009, checked at chunk ends only).  alpha=None turns
+    the boundary off.
+
+    Draws are taken in chunks of at most 2^16 // K tables: the first of 256,
+    each later one 1.25 times the draws the hits so far predict up to the
+    100th, but at least 256, and 2^16 // K while there is no hit.  With a
+    level the first chunk is at least ceil(log(5 10^-4) / log(1 - alpha))
+    draws, enough to settle a run with no hit (149 at alpha = 0.05, 757 at
+    0.01), and no later chunk exceeds the draws so far.  Each chunk costs
+    (K-1)^2 numpy calls besides its draws, so a table pays for few draws
+    past its stop and few chunks.  A chunk holds only O(K) of its cell
+    vectors at once, so the sampler's working set stays a small multiple of
+    2^16 values (512 KiB as int64) at any K."""
     _check_whole("samples", samples, _LEAST_SAMPLES)
     _check_whole("seed", seed)
+    if alpha is not None:
+        _check_alpha(alpha)
     n = t.n
     if n == 0:
         raise DataError("cannot test an empty table")
@@ -598,8 +665,13 @@ def fisher_montecarlo_kxk(
     # so 2^16 // K draws keep a chunk near 2^16 live values at every K while
     # each hypergeometric call stays wide at large K.
     cap = (1 << 16) // t.k
-    first = chunk = min(_FIRST_CHUNK, cap)
+    first = _FIRST_CHUNK
+    if alpha is not None:
+        # Capped before ceil: at a subnormal alpha the quotient is inf.
+        first = max(first, math.ceil(min(cap, math.log(_DECISION_RISK / 2) / math.log1p(-alpha))))
+    first = chunk = min(first, cap)
     hits = draws = 0
+    risk, level = _DECISION_RISK, None
     while draws < samples:
         m = min(chunk, samples - draws)
         s = 0.0
@@ -618,28 +690,43 @@ def fisher_montecarlo_kxk(
         if hits:
             wanted = _CHUNK_MARGIN * (_STOP_HITS - hits) * draws / hits
             chunk = min(cap, max(first, math.ceil(wanted)))
-    p = hits / draws if hits == _STOP_HITS else (hits + 1) / (samples + 1)
+        if alpha is not None:
+            risk /= 2
+            # At or above its mean alpha draws the binomial tail is at least 1/2.
+            if hits < alpha * draws and _binomial_cdf(_log_binomials(hits, draws), draws, alpha) < risk:
+                level = alpha
+                break
+            chunk = min(chunk, draws)
+    if level is not None:
+        p = _clopper_pearson_upper(_log_binomials(hits, draws), draws, risk, alpha)
+    else:
+        p = hits / draws if hits == _STOP_HITS else (hits + 1) / (samples + 1)
+    q = (hits + 1) / (draws + 2)
     report = _report("fisher_mc", p, 1, n, t.k, p_value=p)
-    return SampledReport(**vars(report), draws=draws, hits=hits)
+    return SampledReport(**vars(report), draws=draws, hits=hits, se=math.sqrt(q * (1 - q) / draws),
+                         level=level)
 
 
 def exact_test(
     t: ContingencyTable, sidedness: str = _DEFAULT_SIDED, samples: int = _DEFAULT_SAMPLES,
-    seed: int = 0,
+    seed: int = 0, alpha: float | None = _DEFAULT_ALPHA,
 ) -> SignificanceReport:
     """The exact fixed-margin test of t: the hypergeometric sum
     (fisher_exact_2x2, either side) for a 2x2 table, otherwise Patefield's
-    sampler (fisher_montecarlo_kxk) from seed, which stops at its 100th hit
-    or after samples draws.  samples and seed are read only by the sampler;
-    the sampled test is two-sided, so sidedness "one" on a larger table
-    raises UsageError, as any side other than "one" or "two" does."""
+    sampler (fisher_montecarlo_kxk) from seed, which stops at its 100th hit,
+    once its decision at level alpha is settled (its p then an upper bound
+    below alpha), or after samples draws; alpha=None leaves only the 100th
+    hit and the budget, so p is an estimate.  samples, seed and alpha are
+    read only by the sampler; the sampled test is two-sided, so sidedness
+    "one" on a larger table raises UsageError, as any side other than "one"
+    or "two" does."""
     if t.k == 2:
         return fisher_exact_2x2(t, sidedness)
     _check_choice("sidedness", sidedness, _SIDES)
     if sidedness != "two":
         raise UsageError(f"the sampled exact test of a {t.k}x{t.k} table is two-sided, "
                          f"got sidedness '{sidedness}'")
-    return fisher_montecarlo_kxk(t, samples, seed)
+    return fisher_montecarlo_kxk(t, samples, seed, alpha)
 
 
 def williams_correction(report: SignificanceReport, t: ContingencyTable) -> SignificanceReport:
@@ -678,7 +765,8 @@ def williams_correction(report: SignificanceReport, t: ContingencyTable) -> Sign
 
 def significance_reports(
     t: ContingencyTable, families: tuple[str, ...] = ("all",), *, sided: str = _DEFAULT_SIDED,
-    samples: int = _DEFAULT_SAMPLES, seed: int = 0, yates: bool = False, williams: bool = False,
+    samples: int = _DEFAULT_SAMPLES, seed: int = 0, alpha: float | None = _DEFAULT_ALPHA,
+    yates: bool = False, williams: bool = False,
 ) -> list[SignificanceReport]:
     """The reports the named families select, each once, in the order
     `chancekit significance` prints them.
@@ -686,19 +774,24 @@ def significance_reports(
     "all" selects every report: on a 2x2 table first chi2_positive and then
     g2_positive on each positive class, then chi2_bookmaker_family's kinds
     in FAMILY_KINDS order, full_table_tests and exact_test (which reads
-    sided, samples and seed).  "kb", "km" and "kbm" select that kind, "x"
-    and "conv" the three kinds of that form, "full" and "fisher" the last
-    two.  yates corrects the single-margin chi-squared tests and williams the
+    sided, samples, seed and alpha: a K x K sampler stops once its decision
+    at alpha is settled, and alpha=None draws to its 100th hit or its
+    budget).  "kb", "km" and "kbm" select that kind, "x" and "conv" the
+    three kinds of that form, "full" and "fisher" the last two.  yates
+    corrects the single-margin chi-squared tests and williams the
     log-likelihood ones (williams_correction).  A bare string for families,
-    any other family, samples not an integer of at least 1000 or sided other
-    than "one" or "two" raises UsageError on every table; a one-sided test of
-    a table larger than 2x2 is refused only where exact_test runs.
+    any other family, samples not an integer of at least 1000, alpha neither
+    None nor in (0, 1), or sided other than "one" or "two" raises UsageError
+    on every table; a one-sided test of a table larger than 2x2 is refused
+    only where exact_test runs.
     """
     if isinstance(families, str):
         raise UsageError(f"families is a tuple such as ('{families}',), not the string '{families}'")
     for family in families:
         _check_choice("family", family, _FAMILIES)
     _check_whole("samples", samples, _LEAST_SAMPLES)
+    if alpha is not None:
+        _check_alpha(alpha)
     _check_choice("sidedness", sided, _SIDES)
     chosen = set(_FAMILIES if "all" in families else families)
     reports = []
@@ -712,7 +805,7 @@ def significance_reports(
     if "full" in chosen:
         reports.extend(full_table_tests(t))
     if "fisher" in chosen:
-        reports.append(exact_test(t, sided, samples, seed))
+        reports.append(exact_test(t, sided, samples, seed, alpha))
     if williams:
         reports = [williams_correction(r, t) if r.kind in _WILLIAMS_KINDS else r for r in reports]
     return reports

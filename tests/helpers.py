@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 
+from chancekit import significance
 from chancekit.contingency import ContingencyTable, from_counts
 
 TABLE_A_COUNTS = ((56, 20), (12, 12))
@@ -31,6 +32,15 @@ def random_valid_table(rng: np.random.Generator, k: int = 2, cell_max: int = 60)
 def random_valid_tables(seed: int, count: int, k: int = 2, cell_max: int = 60) -> list[ContingencyTable]:
     rng = np.random.default_rng(seed)
     return [random_valid_table(rng, k, cell_max) for _ in range(count)]
+
+
+def record_chunks(monkeypatch) -> list[int]:
+    """The list to which each later sampler chunk appends its draws."""
+    chunks = []
+    cells = significance._patefield_cells
+    monkeypatch.setattr(significance, "_patefield_cells",
+                        lambda t, m, rng: chunks.append(m) or cells(t, m, rng))
+    return chunks
 
 
 def unreached_lines(func, run) -> list[int]:

@@ -222,6 +222,8 @@ INPUT_GUARDS = {
     "counts_object_fraction": (lambda: chancekit.from_counts(
         np.array([[Fraction(1), 2], [3, 4]], dtype=object)),
                                chancekit.DataError, "counts must be real numbers, got Fraction(1, 1)"),
+    "counts_int_past_float": (lambda: chancekit.from_counts(np.array([[10**400, 1], [1, 1]], dtype=object)),
+                              chancekit.DataError, "counts total exceeds the 64-bit integer range"),
     "labels_repeated": (lambda: chancekit.from_counts([[1, 2], [3, 4]], ("a", "a")),
                         chancekit.DataError, "labels must be distinct"),
     "margins_all_zero": (lambda: chancekit.margins(_ZERO3), chancekit.DataError, "all-zero"),

@@ -219,6 +219,18 @@ def test_data_errors_exit_2(tmp_path):
         assert "malformed delimited text" in err.getvalue()
 
 
+def test_int_cell_past_float_range_exits_2(tmp_path):
+    # A 401-digit cell overflowed the float cast ahead of the 64-bit total
+    # check, and the command exited 3 with "int too large to convert to float".
+    for sign, text in (("", "counts total exceeds the 64-bit integer range"),
+                       ("-", "counts must be non-negative")):
+        p = tmp_path / f"huge{sign}.csv"
+        p.write_text(f"{sign}{'9' * 401},1\n1,1\n")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            assert main(["evaluate", "--table", str(p)]) == 2
+        assert err.getvalue() == f"data error: {text}\n"
+
+
 def test_unexpected_failure_exit_3(monkeypatch):
     def broken(args):
         raise KeyError("boom")
@@ -439,19 +451,24 @@ def test_significance_posthoc_from_sampled_fisher_p(tmp_path):
 
 def test_significance_reports_sampler_draws_and_hits(tmp_path):
     # The even table is its margins' most probable, so every draw is a hit
-    # and the sampler stops at its 100th; a strong diagonal never stops.
+    # and the sampler stops at its 100th; a strong diagonal has no hit in
+    # its first chunk, which settles p < --alpha.
     even, diagonal = tmp_path / "even.csv", tmp_path / "diagonal.csv"
     even.write_text("3,3,3\n3,3,3\n3,3,3\n")
     diagonal.write_text("9,1,1\n1,9,1\n1,1,9\n")
-    for path, draws, hits in ((even, 100, 100), (diagonal, 1000, 0)):
+    for path, draws, hits, level, text in (
+            (even, 100, 100, None, "100 hits in 100 draws (se 0.009853)"),
+            (diagonal, 256, 0, 0.05, "0 hits in 256 draws, decided p < 0.05 (se 0.003884)")):
         argv = ["significance", "--table", str(path), "--family", "fisher", "--seed", "3",
                 "--fisher-samples", "1000"]
         (fisher,) = json.loads(main_output(*argv, "--format", "json"))["significance"]
-        assert (fisher["draws"], fisher["hits"]) == (draws, hits)
+        assert (fisher["draws"], fisher["hits"], fisher["level"]) == (draws, hits, level)
+        q = (hits + 1) / (draws + 2)
+        assert fisher["se"] == math.sqrt(q * (1 - q) / draws)
         fields = dict(csv.reader(io.StringIO(main_output(*argv, "--format", "csv"))))
-        assert (fields["significance[0].draws"], fields["significance[0].hits"]) == (
-            str(draws), str(hits))
-        assert f"\nfisher_mc: {hits:,} hits in {draws:,} draws\n" in main_output(*argv)
+        assert [fields[f"significance[0].{name}"] for name in ("draws", "hits", "se", "level")] == [
+            str(draws), str(hits), repr(fisher["se"]), "" if level is None else repr(level)]
+        assert f"\nfisher_mc: {text}\n" in main_output(*argv)
     # No other report carries them.
     doc = json.loads(main_output("significance", "--table", str(even), "--format", "json",
                                  "--family", "full"))

@@ -82,15 +82,18 @@ def test_from_counts_rejects_int64_overflow():
 
 
 def test_validated_counts_runs_every_line():
-    # Each refusal, integer and float counts, and a total near the int64
-    # limit, both within it and past it.
+    # Each refusal, integer and float counts, int cells past the int64 range
+    # either way, and a total near the int64 limit, both within it and past it.
     def run():
         for counts in ([[1, 2, 3], [4, 5, 6]], [[5]], [[1, np.inf], [0, 0]], [[1.5, 0], [0, 0]],
                        [[1, -2], [3, 4]], [[2**62] * 2] * 2,
-                       np.array([[1, "2"], [3, 4]], dtype=object)):
+                       np.array([[1, "2"], [3, 4]], dtype=object),
+                       np.array([[10**400, 1], [1, 1]], dtype=object),
+                       np.array([[-10**400, 1.5], [1, 1]], dtype=object)):
             with pytest.raises(DataError):
                 _validated_counts(counts)
-        for counts in ([[3, 1], [2, 4]], [[3.0, 1.0], [2.0, 4.0]], [[2**63 - 3, 1], [1, 0]]):
+        for counts in ([[3, 1], [2, 4]], [[3.0, 1.0], [2.0, 4.0]], [[2**63 - 3, 1], [1, 0]],
+                       np.array([[3, 1.0], [2**40, 0]], dtype=object)):
             _validated_counts(counts)
 
     assert unreached_lines(_validated_counts, run) == []

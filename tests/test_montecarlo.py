@@ -280,6 +280,21 @@ def test_csv_layouts_follow_records(tmp_path):
     blank = ("B", "M", "BMG", "kappa", "cramers_v_chi2", "p_chi2", "ci_lo", "ci_hi")
     assert all(by_name[1][name] == "" for name in blank)
     assert by_name[1]["p_g2"] != "" and by_name[1]["cramers_v_g2"] != ""
+    # The sampler's draws, hits, standard error and decided level follow
+    # p_fisher on a K x K row; the 2x2 exact sum leaves them empty.
+    sampled = ("fisher_draws", "fisher_hits", "fisher_se", "fisher_level")
+    assert all(row[name] == "" for row in by_name for name in sampled)
+    assert all(row[RUNS_CSV_COLUMNS.index(name)] == "" for row in rows[1:] for name in sampled)
+    k3 = run_grid(SimConfig(k=3, n=24, steps=3, runs_per_step=2, seed=8, fisher_samples=1000))
+    write_runs_csv(k3, runs_path)
+    levels = set()
+    for r, row in zip(k3, csv.DictReader(runs_path.open(newline=""))):
+        f = r.fisher
+        assert [row[name] for name in sampled] == [
+            str(f.draws), str(f.hits), repr(f.se), "" if f.level is None else repr(f.level)]
+        assert row["p_fisher"] == repr(f.p_value)
+        levels.add(f.level)
+    assert levels == {None, config.alpha}
 
     report = coverage_report(runs)
     summary_path = tmp_path / "summary.csv"

@@ -3,7 +3,8 @@
 chancekit computes the chi-squared tail and the normal quantile itself;
 these tests hold each to the scipy function it replaced, on grids wider
 than the tables chancekit meets in practice.  scipy's binomial law also
-checks the cells the binomial_copula generator draws.
+checks the cells the binomial_copula generator draws, and its binomial and
+beta laws the sampled exact test's decision boundary.
 """
 
 import math
@@ -15,8 +16,10 @@ scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from chancekit.confidence import normal_multiplier
-from chancekit import montecarlo
-from chancekit.significance import chi2_sf
+from chancekit.contingency import from_counts
+from chancekit import montecarlo, significance
+from chancekit.significance import _patefield_cells, chi2_sf, fisher_montecarlo_kxk
+from helpers import random_valid_tables, record_chunks
 
 
 def test_chi2_sf_matches_gammaincc():
@@ -79,3 +82,54 @@ def test_binomial_copula_cells_follow_binom(monkeypatch, n, seed):
     for i in range(3):
         for j in range(3):
             assert _binomial_gof_p(tables[:, i, j], n, cell_p[i, j]) >= 0.001, (n, i, j)
+
+
+def _checkpoints(t, chunks, seed):
+    """(draws, hits) at the end of each chunk of a sampler run from seed,
+    replayed through _patefield_cells with the sampler's hit rule."""
+    rng = np.random.Generator(np.random.SFC64(seed))
+    log_factorials = np.array([math.lgamma(i + 1.0) for i in range(t.n + 1)])
+    s_obs = sum(log_factorials[c] for c in t.counts.ravel())
+    draws = hits = 0
+    out = []
+    for m in chunks:
+        s = sum(log_factorials[c] for c in _patefield_cells(t, m, rng))
+        draws, hits = draws + m, hits + int((s >= s_obs - 1e-9).sum())
+        out.append((draws, hits))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_sampler_boundary_matches_binom_and_beta(monkeypatch, alpha):
+    # A run stops at the end of chunk i once binom.cdf(hits, draws, alpha) is
+    # below 10^-3 2^-i, and at no earlier chunk end; its p is then the
+    # Clopper-Pearson upper bound beta.ppf(1 - 10^-3 2^-i, hits + 1,
+    # draws - hits), below alpha and at least 1 / (draws + 1).  A run not
+    # decided crosses the boundary at none of the chunk ends it reaches.
+    chunks = record_chunks(monkeypatch)
+    risk = significance._DECISION_RISK
+    outcomes = set()
+    tables = [from_counts(t.counts + np.eye(4, dtype=int) * (i % 6))
+              for i, t in enumerate(random_valid_tables(8, 60, k=4, cell_max=5))]
+    for seed, t in enumerate(tables):
+        chunks.clear()
+        report = fisher_montecarlo_kxk(t, samples=1000, seed=seed, alpha=alpha)
+        ends = _checkpoints(t, chunks, seed)
+        stopped = report.hits == significance._STOP_HITS
+        # The replay ends where the run did, except that a run stopped at its
+        # 100th hit drops the rest of its last chunk and checks no boundary there.
+        if not stopped:
+            assert ends[-1] == (report.draws, report.hits)
+        if report.level is not None:
+            assert report.level == alpha
+            i = len(ends)
+            assert scipy_stats.binom.cdf(report.hits, report.draws, alpha) < math.ldexp(risk, -i)
+            bound = scipy_stats.beta.ppf(1 - math.ldexp(risk, -i), report.hits + 1,
+                                         report.draws - report.hits)
+            assert report.p_value == pytest.approx(bound, rel=1e-12, abs=0)
+            assert 1 / (report.draws + 1) <= report.p_value < alpha
+        outcomes.add("decided" if report.level else "stopped" if stopped else "budget")
+        reached = ends[:-1] if stopped or report.level else ends
+        for j, (draws, hits) in enumerate(reached, 1):
+            assert not scipy_stats.binom.cdf(hits, draws, alpha) < math.ldexp(risk, -j)
+    assert outcomes == {"stopped", "budget", "decided"}

@@ -31,7 +31,7 @@ from chancekit.significance import (
     significance_reports,
     williams_correction,
 )
-from helpers import random_valid_tables, table_a, table_b, unreached_lines
+from helpers import random_valid_tables, record_chunks, table_a, table_b, unreached_lines
 import reference_stats
 
 INDEP = from_counts([[8, 2], [8, 2]])
@@ -491,7 +491,7 @@ def test_fisher_montecarlo_perfect_diagonal():
     # No draw is as improbable as the diagonal, so the run never stops and p
     # is (0 + 1) / (samples + 1).
     t = from_counts(np.eye(4, dtype=int) * 10)
-    report = fisher_montecarlo_kxk(t, samples=2000, seed=1)
+    report = fisher_montecarlo_kxk(t, samples=2000, seed=1, alpha=None)
     assert report.p_value == 1 / 2001
     assert (report.draws, report.hits) == (2000, 0)
 
@@ -510,7 +510,7 @@ def test_fisher_montecarlo_p_follows_its_stopping_rule():
     # is (hits + 1) / (samples + 1), never below 1 / (samples + 1).
     stopped = full = 0
     for t in random_valid_tables(17, 40, k=3, cell_max=9):
-        report = fisher_montecarlo_kxk(t, samples=1000, seed=3)
+        report = fisher_montecarlo_kxk(t, samples=1000, seed=3, alpha=None)
         assert report.p_value >= 1 / 1001
         if report.hits == significance._STOP_HITS:
             stopped += 1
@@ -544,6 +544,100 @@ def test_fisher_montecarlo_keeps_its_level_under_the_null():
             rejected += report.p_value <= alpha
             total += 1
     assert rejected / total <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / total)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_fisher_montecarlo_decided_at_a_level_keeps_it_under_the_null(alpha):
+    # On the null tables above, the test with its boundary at alpha rejects
+    # at most alpha + 3 binomial standard errors of the time (0.048 at 0.05,
+    # 0.008 at 0.01), and each decided p is an upper bound below alpha.
+    rejected = total = 0
+    for i, base in enumerate(NULL_MARGIN_TABLES):
+        t = from_counts(base)
+        rng = np.random.Generator(np.random.SFC64(100 + i))
+        cells = np.stack(list(_patefield_cells(t, NULL_DRAWS, rng)), axis=1)
+        for j, counts in enumerate(cells.reshape(NULL_DRAWS, t.k, t.k)):
+            report = fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=j, alpha=alpha)
+            if report.level is not None:
+                assert report.level == alpha and 1 / (report.draws + 1) <= report.p_value < alpha
+            rejected += report.p_value <= alpha
+            total += 1
+    assert rejected / total <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / total)
+
+
+# Runs with the level off, each (p_value, draws, hits) and chunk list pinned
+# from the sampler as it was before the boundary: a Besag-Clifford stop, a
+# full-budget run, a schedule sized from the hits, and the lgamma path past
+# _LOG_FACTORIAL_TABLE.
+LEVEL_OFF_RUNS = [
+    ([[3, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]], 10_000, 0,
+     (0.08210180623973727, 1218, 100), [256, 960, 256]),
+    (np.eye(4, dtype=int) * 10, 10_000, 0, (1 / 10_001, 10_000, 0), [256, 9744]),
+    ([[6, 1, 2, 0], [1, 5, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]], 5000, 2,
+     (0.0003999200159968006, 5000, 1), [256, 4744]),
+    ([[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]], 10_000, 0,
+     (0.022482014388489208, 4448, 100), [256, 3236, 1379]),
+    ([[30250, 30000, 29750], [30000, 30000, 30000], [29750, 30000, 30250]], 5000, 5,
+     (0.08361204013377926, 1196, 100), [256, 1814]),
+]
+
+
+def test_fisher_montecarlo_level_off_keeps_its_draws(monkeypatch):
+    chunks = record_chunks(monkeypatch)
+    for counts, samples, seed, pinned, schedule in LEVEL_OFF_RUNS:
+        chunks.clear()
+        t = from_counts(counts)
+        report = fisher_montecarlo_kxk(t, samples, seed, alpha=None)
+        assert (report.p_value, report.draws, report.hits) == pinned
+        assert chunks == schedule
+        assert report.level is None
+        assert exact_test(t, "two", samples, seed, alpha=None) == report
+    assert max(from_counts(LEVEL_OFF_RUNS[-1][0]).row_totals) > significance._LOG_FACTORIAL_TABLE
+
+
+def test_fisher_montecarlo_standard_error_is_never_zero():
+    # se = sqrt(q (1 - q) / draws) with q = (hits + 1) / (draws + 2): positive
+    # when every draw is a hit and when none is.
+    for counts, alpha in ((np.full((4, 4), 4), 0.05), (np.eye(4, dtype=int) * 10, None),
+                          (np.eye(4, dtype=int) * 10, 0.05)):
+        report = fisher_montecarlo_kxk(from_counts(counts), samples=2000, seed=1, alpha=alpha)
+        q = (report.hits + 1) / (report.draws + 2)
+        assert report.se == math.sqrt(q * (1 - q) / report.draws) > 0
+
+
+def test_fisher_montecarlo_settles_a_small_p_in_one_chunk(monkeypatch):
+    # The first chunk with a level is long enough for a run with no hit to
+    # stop there: 256 draws at alpha = 0.05, ceil(log(5e-4) / log(0.99)) = 757
+    # at 0.01.  Later chunks at most double the draws, and a large p still
+    # stops at its 100th hit.
+    chunks = record_chunks(monkeypatch)
+    diagonal = from_counts(np.eye(4, dtype=int) * 10)
+    for alpha, first in ((0.05, 256), (0.01, 757)):
+        chunks.clear()
+        report = fisher_montecarlo_kxk(diagonal, samples=100_000, seed=0, alpha=alpha)
+        assert chunks == [first]
+        assert (report.draws, report.hits, report.level) == (first, 0, alpha)
+        assert report.p_value < alpha
+    chunks.clear()
+    t = from_counts([[3, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]])
+    report = fisher_montecarlo_kxk(t, samples=10_000, seed=0)
+    assert (report.hits, report.level) == (100, None)
+    assert all(m <= sum(chunks[:i]) for i, m in enumerate(chunks) if i)
+
+
+def test_fisher_montecarlo_checks_its_level():
+    t = from_counts(np.eye(3, dtype=int) * 5 + 1)
+    for alpha in (0.0, 1.0, "0.05", True, float("nan")):
+        for call in (lambda: fisher_montecarlo_kxk(t, 1000, 0, alpha),
+                     lambda: exact_test(t, "two", 1000, 0, alpha),
+                     lambda: significance_reports(table_a(), ("kb",), alpha=alpha)):
+            with pytest.raises(UsageError, match="alpha must lie in"):
+                call()
+    # Every level in (0, 1) runs, the smallest double included, whose first
+    # chunk would be inf draws were it not capped first.
+    for alpha in (5e-324, 1e-300, 1 - 2**-53):
+        report = fisher_montecarlo_kxk(t, 1000, 0, alpha)
+        assert report.level is None or report.p_value < alpha
 
 
 def test_fisher_montecarlo_deterministic():
@@ -610,14 +704,15 @@ def test_fisher_montecarlo_log_factorials_bounded_at_large_n(monkeypatch):
     monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
     t = from_counts(np.eye(3, dtype=int) * 33_333_330 + 1)
     assert 0.99e8 < t.n < 10**8
-    report = fisher_montecarlo_kxk(t, samples=1000, seed=0)
+    report = fisher_montecarlo_kxk(t, samples=1000, seed=0, alpha=None)
     assert report.draws == 1000
     assert 0 < len(calls) <= 9 * (1000 + 1)
 
 
 def test_fisher_montecarlo_runs_every_line():
     # The bad-argument raises, both log(i!) paths, runs that stop and that
-    # reach `samples`, and a chunk sized from the hits so far.
+    # reach `samples`, and a chunk sized from the hits so far, each with the
+    # level on and off.
     def run():
         for samples, counts in ((10, [[1, 2], [3, 4]]), (1000, np.zeros((3, 3), int)),
                                 (1000, [[10**9, 0, 0], [0, 1, 0], [0, 0, 1]])):
@@ -626,7 +721,8 @@ def test_fisher_montecarlo_runs_every_line():
         for counts in (np.full((4, 4), 4), np.eye(4, dtype=int) * 10,
                        [[3, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]],
                        np.eye(3, dtype=int) * 10**5 + 1):
-            fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=1)
+            for alpha in (0.05, None):
+                fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=1, alpha=alpha)
 
     assert unreached_lines(fisher_montecarlo_kxk, run) == []
 
@@ -639,22 +735,19 @@ def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
     # table that never stops draws exactly `samples` in as many chunks as a
     # fixed schedule would.  One whose every draw is a hit stops within the
     # first chunk.
-    chunks = []
-    cells = significance._patefield_cells
-    monkeypatch.setattr(significance, "_patefield_cells",
-                        lambda t, m, rng: chunks.append(m) or cells(t, m, rng))
+    chunks = record_chunks(monkeypatch)
     cases = [(np.eye(40, dtype=int) * 5, 5000, [256, 1638, 1638, 1468]),
              (np.eye(4, dtype=int) * 10, 100_000, [256] + [16_384] * 6 + [1440]),
              (np.eye(4, dtype=int) * 10, 10_000, [256, 9744]),
              (np.eye(100, dtype=int) * 2, 1000, [256, 655, 89])]
     for counts, samples, schedule in cases:
         chunks.clear()
-        report = fisher_montecarlo_kxk(from_counts(counts), samples=samples, seed=0)
+        report = fisher_montecarlo_kxk(from_counts(counts), samples=samples, seed=0, alpha=None)
         assert chunks == schedule
         assert max(chunks) <= (1 << 16) // len(counts)
         assert (report.draws, report.hits) == (samples, 0)
     chunks.clear()
-    report = fisher_montecarlo_kxk(from_counts(np.full((4, 4), 4)), samples=100_000, seed=0)
+    report = fisher_montecarlo_kxk(from_counts(np.full((4, 4), 4)), samples=100_000, seed=0, alpha=None)
     assert chunks == [256]
     assert report.draws == 100
     # After the first chunk each is sized from the hits so far, so a table
@@ -662,7 +755,7 @@ def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
     # chunks would have drawn all 10,000.
     chunks.clear()
     counts = [[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]]
-    report = fisher_montecarlo_kxk(from_counts(counts), samples=10_000, seed=0)
+    report = fisher_montecarlo_kxk(from_counts(counts), samples=10_000, seed=0, alpha=None)
     assert report.hits == 100 and 1024 < report.draws < 10_000
     assert chunks == [256, 3236, 1379]
     assert sum(chunks) < 1.2 * report.draws
