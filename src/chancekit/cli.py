@@ -43,8 +43,7 @@ from .errors import DataError, UsageError
 __all__ = ["main", "console_entry", "build_parser"]
 
 _FISHER_SAMPLES_HELP = ("most tables the sampled exact test of a K x K table draws (it stops "
-                        "sooner at its 100th hit, or once p < --alpha is settled); its smallest "
-                        "p is 1 / (this + 1)")
+                        "sooner at its 100th hit); its smallest p is 1 / (this + 1)")
 
 # metric fields that are not probability-like; never shown as percents
 _NO_PERCENT = {
@@ -189,9 +188,7 @@ def _print_significance_text(doc: dict) -> None:
             f"{rep['p_value']:>12.6f}  {'yes' if rep['significant'] else 'no':<12}{corrections}"
         )
         if "draws" in rep:
-            decided = "" if rep["level"] is None else f", decided p < {rep['level']}"
-            print(f"{rep['kind']}: {rep['hits']:,} hits in {rep['draws']:,} draws{decided}"
-                  f" (se {rep['se']:.6f})")
+            print(f"{rep['kind']}: {rep['hits']:,} hits in {rep['draws']:,} draws (se {rep['se']:.6f})")
     if "association" in doc:
         print()
         for key, value in doc["association"].items():
@@ -249,8 +246,11 @@ def _cmd_significance(args) -> None:
     doc = _document("significance", descriptor)
     doc["alpha"] = args.alpha
     seed = args.seed if args.seed is not None else _fresh_seed()
+    # The sampler runs with no level, so its p estimates the exact one: the
+    # posthoc block calibrates that p, and a p decided at --alpha is no
+    # estimate of it.
     reports = significance_reports(t, (args.family,), sided=args.fisher_sided,
-                                   samples=args.fisher_samples, seed=seed, alpha=args.alpha,
+                                   samples=args.fisher_samples, seed=seed, alpha=None,
                                    yates=args.yates, williams=args.williams)
     by_kind = {rep.kind: rep for rep in reports}
     if "full_chi2" in by_kind:

@@ -292,7 +292,7 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
     constraint loop, sampler seed) so results are reproducible regardless of
     which statistics get computed.  A K x K table's sampled exact test stops
     once its decision at config.alpha is settled, the level its rejection
-    rates are read at, so a decided p_fisher is an upper bound below alpha
+    rates are read at, so a decided p_fisher is read at that level alone
     (SampledReport.level says which are).  A DataError from any stage, and the
     RuntimeError chi2_sf raises when its incomplete gamma continued fraction
     does not converge, come back as the error field rather than raising.
@@ -427,10 +427,16 @@ def coverage_report(
     runs: tuple[SimRun, ...] | list[SimRun], alpha: float = _DEFAULT_ALPHA
 ) -> CoverageReport:
     """Per-step and overall coverage, rejection rates, and moments, with
-    each test rejecting below `alpha`, which must lie in (0, 1)."""
+    each test rejecting below `alpha`, which must lie in (0, 1).  A sampled
+    exact test decided at another level (SampledReport.level) raises
+    UsageError: its p says only on which side of that level it lies."""
     if not runs:
         raise UsageError("cannot summarize an empty run sequence")
     _check_alpha(alpha)
+    other = {getattr(r.fisher, "level", None) for r in runs} - {None, alpha}
+    if other:
+        raise UsageError(f"runs whose sampled exact test was decided at alpha {min(other)} "
+                         f"cannot be summarized at alpha {alpha}")
     by_step: dict[int, list[SimRun]] = {}
     for r in runs:
         by_step.setdefault(r.step, []).append(r)

@@ -18,9 +18,9 @@ n * B * M.
 
 Exact inference (exact_test) comes from the 2x2 hypergeometric test and, for
 K x K tables, Patefield's fixed-margin sampler, which stops at its 100th hit
-with p = 100 / draws (Besag & Clifford 1991), stops once its hits settle
-p < alpha with p its Clopper-Pearson upper bound, and otherwise gives p =
-(hits + 1) / (samples + 1) (Phipson & Smyth 2010).  The 2x2 p is the
+with p = 100 / draws (Besag & Clifford 1991), otherwise gives p =
+(hits + 1) / (draws + 1) (Phipson & Smyth 2010), and with a level alpha
+also stops once its hits settle p < alpha.  The 2x2 p is the
 correctly rounded exact fraction: on supports of _WINDOW_MIN_WIDTH tables
 or more it comes from tail sums bounded in fixed-point integers around the
 mode, whose cost grows with |a - mode| plus sqrt(n), and the full integer
@@ -104,9 +104,9 @@ class SampledReport(SignificanceReport):
 
     se is the standard error of the hit rate, sqrt(q (1 - q) / draws) with
     q = (hits + 1) / (draws + 2), so never 0.  level is the alpha at which
-    the run stopped with its decision p < level settled, p then being an
-    upper bound; it is None for a run stopped at its 100th hit or by its
-    budget, whose p estimates the exact one."""
+    the run stopped with its decision p < level settled; it is None for a
+    run stopped at its 100th hit or by its budget.  Only such a p estimates
+    the exact one: a decided p is read at its level alone."""
 
     draws: int
     hits: int
@@ -565,36 +565,15 @@ _DECISION_RISK = 1e-3
 _LOG_FACTORIAL_TABLE = 1 << 16
 
 
-def _binomial_cdf(log_binomials: list[float], draws: int, p: float) -> float:
-    """P(Bin(draws, p) <= hits) for 0 < p < 1, given log C(draws, j) for
-    j = 0..hits: the sum of its terms, each taken whole in log space."""
+def _binomial_cdf(hits: int, draws: int, p: float) -> float:
+    """P(Bin(draws, p) <= hits) for 0 < p < 1: the sum of its terms, each
+    taken whole in log space from the exact integer C(draws, j)."""
     log_p, log_q = math.log(p), math.log1p(-p)
-    return sum(math.exp(c + j * log_p + (draws - j) * log_q) for j, c in enumerate(log_binomials))
-
-
-def _log_binomials(hits: int, draws: int) -> list[float]:
-    """log C(draws, j) for j = 0..hits, each from the exact integer."""
-    out, c = [], 1
+    total, c = 0.0, 1
     for j in range(hits + 1):
-        out.append(math.log(c))
+        total += math.exp(math.log(c) + j * log_p + (draws - j) * log_q)
         c = c * (draws - j) // (j + 1)
-    return out
-
-
-def _clopper_pearson_upper(log_binomials: list[float], draws: int, risk: float, hi: float) -> float:
-    """The Clopper-Pearson upper bound on a hit rate at one-sided risk `risk`:
-    the p where P(Bin(draws, p) <= hits) falls to risk, found by bisection on
-    (0, hi], whose end hi has a tail below risk, down to adjacent doubles.
-    The upper end is returned, so its tail is at most risk."""
-    lo = 0.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return hi
-        if _binomial_cdf(log_binomials, draws, mid) <= risk:
-            hi = mid
-        else:
-            lo = mid
+    return total
 
 
 def fisher_montecarlo_kxk(
@@ -607,7 +586,7 @@ def fisher_montecarlo_kxk(
     each whatever n is.  A hit is a draw at most as probable as the observed
     table (log scale, tie tolerance 1e-9).  Drawing stops at the 100th hit,
     the l-th draw, with p = 100 / l (Besag & Clifford 1991); a run that
-    reaches `samples` draws first gives p = (hits + 1) / (samples + 1)
+    reaches `samples` draws first gives p = (hits + 1) / (draws + 1)
     (Phipson & Smyth 2010).  So samples caps the draws and sets the smallest
     p, 1 / (samples + 1); a stopped p is at least 100 / samples.  Both are
     valid p-values, and the report carries the draws and hits behind p and
@@ -615,13 +594,15 @@ def fisher_montecarlo_kxk(
 
     With a level alpha in (0, 1) the run also stops at the end of its i-th
     chunk once P(Bin(draws, alpha) <= hits) < 10^-3 2^-i, so a table whose p
-    lies far below alpha is settled in a few hundred draws.  p is then the
-    Clopper-Pearson upper bound on the hit rate at that risk, below alpha and
-    above 1 / (draws + 1), and the report's level is alpha.  Summed over
-    every checkpoint, the chance that a table whose exact p is alpha or more
-    is decided below it is at most 10^-3 (a sequential Monte Carlo test in
-    the sense of Gandy 2009, checked at chunk ends only).  alpha=None turns
-    the boundary off.
+    lies far below alpha is settled in a few hundred draws.  p is then
+    (hits + 1) / (draws + 1), below alpha, and the report's level is alpha:
+    drawn by a run stopped for its few hits, that p records the decision at
+    alpha and estimates the exact p no better than its hits allow, so it is
+    not one to calibrate or to read at another level.  Summed over every
+    checkpoint, the chance that a table whose exact p is alpha or more is
+    decided below it is at most 10^-3 (a sequential Monte Carlo test in the
+    sense of Gandy 2009, checked at chunk ends only).  alpha=None turns the
+    boundary off, for a p that estimates the exact one.
 
     Draws are taken in chunks of at most 2^16 // K tables: the first of 256,
     each later one 1.25 times the draws the hits so far predict up to the
@@ -692,15 +673,15 @@ def fisher_montecarlo_kxk(
             chunk = min(cap, max(first, math.ceil(wanted)))
         if alpha is not None:
             risk /= 2
-            # At or above its mean alpha draws the binomial tail is at least 1/2.
-            if hits < alpha * draws and _binomial_cdf(_log_binomials(hits, draws), draws, alpha) < risk:
+            # The first test keeps a decided p below alpha and skips the tail
+            # sum: a binomial is at most its mean with chance above 1/4
+            # (Greenberg & Mohri 2014), so its tail falls below the risk only
+            # where hits + 1 <= alpha draws already.
+            if (hits + 1) / (draws + 1) < alpha and _binomial_cdf(hits, draws, alpha) < risk:
                 level = alpha
                 break
             chunk = min(chunk, draws)
-    if level is not None:
-        p = _clopper_pearson_upper(_log_binomials(hits, draws), draws, risk, alpha)
-    else:
-        p = hits / draws if hits == _STOP_HITS else (hits + 1) / (samples + 1)
+    p = hits / draws if hits == _STOP_HITS else (hits + 1) / (draws + 1)
     q = (hits + 1) / (draws + 2)
     report = _report("fisher_mc", p, 1, n, t.k, p_value=p)
     return SampledReport(**vars(report), draws=draws, hits=hits, se=math.sqrt(q * (1 - q) / draws),
@@ -714,9 +695,9 @@ def exact_test(
     """The exact fixed-margin test of t: the hypergeometric sum
     (fisher_exact_2x2, either side) for a 2x2 table, otherwise Patefield's
     sampler (fisher_montecarlo_kxk) from seed, which stops at its 100th hit,
-    once its decision at level alpha is settled (its p then an upper bound
-    below alpha), or after samples draws; alpha=None leaves only the 100th
-    hit and the budget, so p is an estimate.  samples, seed and alpha are
+    once its decision at level alpha is settled (its p then read at alpha
+    alone), or after samples draws; alpha=None leaves only the 100th hit and
+    the budget, so p estimates the exact one.  samples, seed and alpha are
     read only by the sampler; the sampled test is two-sided, so sidedness
     "one" on a larger table raises UsageError, as any side other than "one"
     or "two" does."""

@@ -446,28 +446,29 @@ def test_significance_posthoc_from_sampled_fisher_p(tmp_path):
                                  "--fisher-samples", "1000", "--seed", "3", "--format", "json"))
     (fisher,) = doc["significance"]
     assert fisher["kind"] == "fisher_mc"
+    # The sampler runs with no level, so the p calibrated estimates the exact
+    # one: this diagonal, decided at 0.05 within 256 draws, draws all 1000.
+    assert (fisher["draws"], fisher["level"]) == (1000, None)
     assert doc["posthoc"] == dataclasses.asdict(posthoc_calibration(fisher["p_value"]))
 
 
 def test_significance_reports_sampler_draws_and_hits(tmp_path):
     # The even table is its margins' most probable, so every draw is a hit
-    # and the sampler stops at its 100th; a strong diagonal has no hit in
-    # its first chunk, which settles p < --alpha.
+    # and the sampler stops at its 100th; a strong diagonal never stops.
     even, diagonal = tmp_path / "even.csv", tmp_path / "diagonal.csv"
     even.write_text("3,3,3\n3,3,3\n3,3,3\n")
     diagonal.write_text("9,1,1\n1,9,1\n1,1,9\n")
-    for path, draws, hits, level, text in (
-            (even, 100, 100, None, "100 hits in 100 draws (se 0.009853)"),
-            (diagonal, 256, 0, 0.05, "0 hits in 256 draws, decided p < 0.05 (se 0.003884)")):
+    for path, draws, hits, text in ((even, 100, 100, "100 hits in 100 draws (se 0.009853)"),
+                                    (diagonal, 1000, 0, "0 hits in 1,000 draws (se 0.000999)")):
         argv = ["significance", "--table", str(path), "--family", "fisher", "--seed", "3",
                 "--fisher-samples", "1000"]
         (fisher,) = json.loads(main_output(*argv, "--format", "json"))["significance"]
-        assert (fisher["draws"], fisher["hits"], fisher["level"]) == (draws, hits, level)
+        assert (fisher["draws"], fisher["hits"], fisher["level"]) == (draws, hits, None)
         q = (hits + 1) / (draws + 2)
         assert fisher["se"] == math.sqrt(q * (1 - q) / draws)
         fields = dict(csv.reader(io.StringIO(main_output(*argv, "--format", "csv"))))
         assert [fields[f"significance[0].{name}"] for name in ("draws", "hits", "se", "level")] == [
-            str(draws), str(hits), repr(fisher["se"]), "" if level is None else repr(level)]
+            str(draws), str(hits), repr(fisher["se"]), ""]
         assert f"\nfisher_mc: {text}\n" in main_output(*argv)
     # No other report carries them.
     doc = json.loads(main_output("significance", "--table", str(even), "--format", "json",

@@ -216,6 +216,22 @@ def test_coverage_report_empty_is_usage_error():
         coverage_report([])
 
 
+def test_coverage_report_reads_decided_runs_at_their_level():
+    # A K x K run decided at 0.05 holds a p that says only that it lies below
+    # 0.05, so the runs are summarized at that level and no other.
+    runs = run_grid(SimConfig(k=3, n=24, steps=3, runs_per_step=2, seed=8, fisher_samples=1000))
+    assert {r.fisher.level for r in runs} == {None, 0.05}
+    assert coverage_report(runs, alpha=0.05).overall.reject_fisher > 0
+    with pytest.raises(UsageError, match="decided at alpha 0.05 cannot be summarized at alpha 0.01"):
+        coverage_report(runs, alpha=0.01)
+    strict = run_grid(SimConfig(k=3, n=24, steps=3, runs_per_step=2, seed=8, fisher_samples=1000,
+                                alpha=0.01))
+    assert {r.fisher.level for r in strict} == {None, 0.01}
+    coverage_report(strict, alpha=0.01)
+    # A 2x2 exact sum is decided at no level, so it reads at any.
+    coverage_report(run_grid(SimConfig(k=2, n=32, steps=2, runs_per_step=2, seed=8)), alpha=0.01)
+
+
 def test_small_n_warning_flag():
     small = coverage_report(run_grid(SimConfig(k=2, n=8, steps=2, runs_per_step=2, seed=1)))
     assert small.overall.small_n_warning is True

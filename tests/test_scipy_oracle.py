@@ -3,8 +3,8 @@
 chancekit computes the chi-squared tail and the normal quantile itself;
 these tests hold each to the scipy function it replaced, on grids wider
 than the tables chancekit meets in practice.  scipy's binomial law also
-checks the cells the binomial_copula generator draws, and its binomial and
-beta laws the sampled exact test's decision boundary.
+checks the cells the binomial_copula generator draws and the sampled exact
+test's decision boundary.
 """
 
 import math
@@ -100,12 +100,11 @@ def _checkpoints(t, chunks, seed):
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.01])
-def test_sampler_boundary_matches_binom_and_beta(monkeypatch, alpha):
+def test_sampler_boundary_matches_binom(monkeypatch, alpha):
     # A run stops at the end of chunk i once binom.cdf(hits, draws, alpha) is
-    # below 10^-3 2^-i, and at no earlier chunk end; its p is then the
-    # Clopper-Pearson upper bound beta.ppf(1 - 10^-3 2^-i, hits + 1,
-    # draws - hits), below alpha and at least 1 / (draws + 1).  A run not
-    # decided crosses the boundary at none of the chunk ends it reaches.
+    # below 10^-3 2^-i, and at no earlier chunk end; its p is then
+    # (hits + 1) / (draws + 1), below alpha.  A run not decided crosses the
+    # boundary at none of the chunk ends it reaches.
     chunks = record_chunks(monkeypatch)
     risk = significance._DECISION_RISK
     outcomes = set()
@@ -124,12 +123,23 @@ def test_sampler_boundary_matches_binom_and_beta(monkeypatch, alpha):
             assert report.level == alpha
             i = len(ends)
             assert scipy_stats.binom.cdf(report.hits, report.draws, alpha) < math.ldexp(risk, -i)
-            bound = scipy_stats.beta.ppf(1 - math.ldexp(risk, -i), report.hits + 1,
-                                         report.draws - report.hits)
-            assert report.p_value == pytest.approx(bound, rel=1e-12, abs=0)
-            assert 1 / (report.draws + 1) <= report.p_value < alpha
+            assert report.p_value == (report.hits + 1) / (report.draws + 1) < alpha
         outcomes.add("decided" if report.level else "stopped" if stopped else "budget")
         reached = ends[:-1] if stopped or report.level else ends
         for j, (draws, hits) in enumerate(reached, 1):
             assert not scipy_stats.binom.cdf(hits, draws, alpha) < math.ldexp(risk, -j)
     assert outcomes == {"stopped", "budget", "decided"}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01, 0.001])
+def test_sampler_boundary_lies_below_alpha(alpha):
+    # Wherever binom.cdf(hits, draws, alpha) falls below the first and
+    # largest risk, 10^-3 / 2, (hits + 1) / (draws + 1) is already below
+    # alpha, so the sampler's test of that p before the tail sum never holds
+    # back a stop.  binom.ppf gives the fewest hits whose tail reaches the
+    # risk, one more than the most hits that stop.
+    draws = np.arange(1, 50_001)
+    fewest = scipy_stats.binom.ppf(significance._DECISION_RISK / 2, draws, alpha)
+    crossing = fewest > 0
+    assert crossing.any()
+    assert np.all(fewest[crossing] / (draws[crossing] + 1) < alpha)

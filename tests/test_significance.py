@@ -550,7 +550,7 @@ def test_fisher_montecarlo_keeps_its_level_under_the_null():
 def test_fisher_montecarlo_decided_at_a_level_keeps_it_under_the_null(alpha):
     # On the null tables above, the test with its boundary at alpha rejects
     # at most alpha + 3 binomial standard errors of the time (0.048 at 0.05,
-    # 0.008 at 0.01), and each decided p is an upper bound below alpha.
+    # 0.008 at 0.01), and each decided p is (hits + 1) / (draws + 1) < alpha.
     rejected = total = 0
     for i, base in enumerate(NULL_MARGIN_TABLES):
         t = from_counts(base)
@@ -559,7 +559,8 @@ def test_fisher_montecarlo_decided_at_a_level_keeps_it_under_the_null(alpha):
         for j, counts in enumerate(cells.reshape(NULL_DRAWS, t.k, t.k)):
             report = fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=j, alpha=alpha)
             if report.level is not None:
-                assert report.level == alpha and 1 / (report.draws + 1) <= report.p_value < alpha
+                assert report.level == alpha
+                assert report.p_value == (report.hits + 1) / (report.draws + 1) < alpha
             rejected += report.p_value <= alpha
             total += 1
     assert rejected / total <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / total)
@@ -617,7 +618,7 @@ def test_fisher_montecarlo_settles_a_small_p_in_one_chunk(monkeypatch):
         report = fisher_montecarlo_kxk(diagonal, samples=100_000, seed=0, alpha=alpha)
         assert chunks == [first]
         assert (report.draws, report.hits, report.level) == (first, 0, alpha)
-        assert report.p_value < alpha
+        assert report.p_value == 1 / (first + 1)
     chunks.clear()
     t = from_counts([[3, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]])
     report = fisher_montecarlo_kxk(t, samples=10_000, seed=0)
