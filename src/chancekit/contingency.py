@@ -137,6 +137,17 @@ def _real_cells(what: str, values) -> np.ndarray:
     return arr
 
 
+def _whole_floats(values: np.ndarray) -> np.ndarray:
+    """Float counts rounded to whole numbers, refused unless finite and
+    whole already."""
+    if not np.all(np.isfinite(values)):
+        raise DataError("counts must be finite")
+    rounded = np.rint(values)
+    if not np.array_equal(values, rounded):
+        raise DataError("counts must be whole numbers")
+    return rounded
+
+
 def _validated_counts(counts) -> np.ndarray:
     """Counts as a K x K int64 matrix, K >= 2: finite, whole, non-negative,
     and a total that fits."""
@@ -147,19 +158,15 @@ def _validated_counts(counts) -> np.ndarray:
         raise DataError("a contingency table needs at least 2 labels")
     if arr.dtype.kind not in "iu":
         _real_cells("counts", arr)
-        # An int cell outside the int64 range, as a 401-digit one, is refused
-        # before the float cast, which it can overflow.
         if arr.dtype == object:
-            wide = [v for v in arr.flat if isinstance(v, int) and not 0 <= v <= _INT64_MAX]
-            if wide:
-                raise DataError(_NEGATIVE if min(wide) < 0 else _TOO_LARGE)
-        as_float = arr.astype(float)
-        if not np.all(np.isfinite(as_float)):
-            raise DataError("counts must be finite")
-        rounded = np.rint(as_float)
-        if not np.array_equal(as_float, rounded):
-            raise DataError("counts must be whole numbers")
-        arr = rounded
+            # Int cells stay exact Python integers for the checks below; a
+            # float cast would round one past 2^53 or overflow on a 401-digit
+            # one.  Float cells pass the whole-number check first.
+            cells = arr.ravel().tolist()
+            _whole_floats(np.array([v for v in cells if not isinstance(v, (int, np.integer))], float))
+            arr = np.array([int(v) for v in cells], dtype=object).reshape(arr.shape)
+        else:
+            arr = _whole_floats(arr.astype(float))
     if np.minimum.reduce(arr, None) < 0:
         raise DataError(_NEGATIVE)
     # An int64 sum wraps silently.  The largest cell times the cell count

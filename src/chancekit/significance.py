@@ -17,11 +17,13 @@ the full-table statistic; for a 2x2 table the full statistic is exactly
 n * B * M.
 
 Exact inference (exact_test) comes from the 2x2 hypergeometric test and, for
-K x K tables, Patefield's fixed-margin sampler, which stops at its 100th hit
-with p = 100 / draws (Besag & Clifford 1991), otherwise gives p =
-(hits + 1) / (draws + 1) (Phipson & Smyth 2010), and with a level alpha
-also stops once its hits settle p < alpha.  The 2x2 p is the
-correctly rounded exact fraction: on supports of _WINDOW_MIN_WIDTH tables
+K x K tables, a fixed-margin sampler, whose chunks of draws come from
+Patefield's algorithm or, where a fixed cost rule over K, n and the chunk
+size finds it cheaper, from random permutations of the column labels.  It
+stops at its 100th hit with p = 100 / draws (Besag & Clifford 1991),
+otherwise gives p = (hits + 1) / (draws + 1) (Phipson & Smyth 2010), and
+with a level alpha also stops once its hits settle p < alpha.  The 2x2 p is
+the correctly rounded exact fraction: on supports of _WINDOW_MIN_WIDTH tables
 or more it comes from tail sums bounded in fixed-point integers around the
 mode, whose cost grows with |a - mode| plus sqrt(n), and the full integer
 sum over the support settles any p whose bounds straddle a rounding
@@ -539,15 +541,63 @@ def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
     yield from left
 
 
+def _permuted_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
+    """Yield m tables with t's margins, drawn from the fixed-margin null, as
+    K^2 cell vectors in row-major order, as _patefield_cells does: each draw
+    deals the n column labels at random to the n items, sorted by row label
+    (the permutation form of the null; Agresti 1992).  One permuted call
+    shuffles every row of an m x n label array and one bincount counts the
+    items of draw i in row r and column c at i K^2 + r K + c."""
+    k = t.k
+    labels = np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1)), t.col_totals)
+    dealt = rng.permuted(np.broadcast_to(labels, (m, labels.size)), axis=1)
+    cells = np.add.outer(np.arange(0, m * k * k, k * k), np.repeat(np.arange(0, k * k, k), t.row_totals))
+    cells += dealt
+    yield from np.bincount(cells.ravel(), minlength=m * k * k).reshape(m, k * k).T
+
+
+# A chunk of m draws costs Patefield (K-1)^2 hypergeometric calls of about
+# _CALL_NS + _CALL_DRAW_NS m each, most of it numpy's checks of the array
+# arguments, and the permutation about _ITEM_NS for each of its n m items;
+# fitted by least squares to the cost of the two sources alone (a chunk's
+# statistic is the same for both) over K 3..8, n 16..128 and m 128..2048,
+# one CPU, numpy 2.4.6 (K = 4: 0.38 against 0.11 ms at n = 16, m = 256, and
+# 0.64 against 1.03 ms at n = 128).  A permuted chunk holds about m (n + K^2)
+# values (its label array, their cell offsets and the bincount), so past
+# _PERMUTE_VALUES of them the chunk is Patefield's, whose O(K) vectors of m
+# stay within the same bound.
+_ITEM_NS = 25
+_CALL_NS = 35_000
+_CALL_DRAW_NS = 55
+_PERMUTE_VALUES = 1 << 18
+
+
+def _permutes(k: int, n: int, m: int) -> bool:
+    """Whether _null_cells draws a chunk of m tables of a K x K table with
+    total n by permutation: by the cost model above, within the working-set
+    bound, from K, n and m alone."""
+    return (m * (n + k * k) <= _PERMUTE_VALUES
+            and _ITEM_NS * n * m < (k - 1) ** 2 * (_CALL_NS + _CALL_DRAW_NS * m))
+
+
+def _null_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
+    """The K^2 cell vectors of the next chunk of m null tables, from
+    _permuted_cells where _permutes(K, n, m) holds, else _patefield_cells."""
+    source = _permuted_cells if _permutes(t.k, t.n, m) else _patefield_cells
+    return source(t, m, rng)
+
+
 # fisher_montecarlo_kxk stops at its _STOP_HITS-th hit, which gives a stopped
 # p a relative standard error of about 1 / sqrt(_STOP_HITS), 10%.  Besides
-# its draws a chunk costs (K-1)^2 hypergeometric calls, whose array arguments
-# numpy checks for about 40 us each (0.4 ms a chunk at K = 4), so chunks are
-# as costly as draws.  A first chunk of _FIRST_CHUNK draws holds the stop of
-# a table with a large p; each later one is _CHUNK_MARGIN times the draws the
-# hits so far predict up to the stop, at least _FIRST_CHUNK, or the cap while
-# there is no hit.  So a table that stops pays for few draws past its stop,
-# and one that never stops for no more chunks than capped ones would take.
+# its draws a Patefield chunk costs (K-1)^2 hypergeometric calls, whose
+# arguments numpy checks for about 35 us each (0.3 ms a chunk at K = 4), and
+# a permuted chunk is taken only where it costs less (_permutes), so chunks
+# are as costly as draws.  A first chunk of _FIRST_CHUNK draws holds
+# the stop of a table with a large p; each later one is _CHUNK_MARGIN times
+# the draws the hits so far predict up to the stop, at least _FIRST_CHUNK,
+# or the cap while there is no hit.  So a table that stops pays for few
+# draws past its stop, and one that never stops for no more chunks than
+# capped ones would take.
 # With a level alpha the run also stops at the end of its i-th chunk once
 # P(Bin(draws, alpha) <= hits) < _DECISION_RISK 2^-i.  These bounds sum to
 # _DECISION_RISK, so a table whose exact p is alpha or more is decided below
@@ -582,12 +632,18 @@ def fisher_montecarlo_kxk(
 ) -> SampledReport:
     """Monte Carlo estimate of the exact fixed-margin test for K x K tables.
 
-    Tables are drawn by Patefield's algorithm, (K-1)^2 hypergeometric draws
-    each whatever n is.  A hit is a draw at most as probable as the observed
-    table (log scale, tie tolerance 1e-9).  Drawing stops at the 100th hit,
-    the l-th draw, with p = 100 / l (Besag & Clifford 1991); a run that
-    reaches `samples` draws first gives p = (hits + 1) / (draws + 1)
-    (Phipson & Smyth 2010).  So samples caps the draws and sets the smallest
+    Each chunk of tables is drawn by one of two sources of the same
+    fixed-margin law: Patefield's algorithm, (K-1)^2 hypergeometric draws a
+    table whatever n is, or a random permutation of the n column labels
+    against the row labels, one shuffle of n items a table whatever K is.  A
+    chunk of m draws is permuted when 25 n m ns < (K-1)^2 (35 us + 55 m ns),
+    the measured costs of the two, and m (n + K^2) <= 2^18, so small tables
+    (K = 4 up to n = 69 at m = 256) permute and large ones do not; the rule
+    reads K, n and m alone, so a seed still fixes every output.  A hit is a
+    draw at most as probable as the observed table (log scale, tie tolerance
+    1e-9).  Drawing stops at the 100th hit, the l-th draw, with p = 100 / l
+    (Besag & Clifford 1991); a run that reaches `samples` draws first gives
+    p = (hits + 1) / (draws + 1) (Phipson & Smyth 2010).  So samples caps the draws and sets the smallest
     p, 1 / (samples + 1); a stopped p is at least 100 / samples.  Both are
     valid p-values, and the report carries the draws and hits behind p and
     the standard error of their hit rate.  Deterministic for a given seed.
@@ -609,11 +665,12 @@ def fisher_montecarlo_kxk(
     100th, but at least 256, and 2^16 // K while there is no hit.  With a
     level the first chunk is at least ceil(log(5 10^-4) / log(1 - alpha))
     draws, enough to settle a run with no hit (149 at alpha = 0.05, 757 at
-    0.01), and no later chunk exceeds the draws so far.  Each chunk costs
-    (K-1)^2 numpy calls besides its draws, so a table pays for few draws
-    past its stop and few chunks.  A chunk holds only O(K) of its cell
-    vectors at once, so the sampler's working set stays a small multiple of
-    2^16 values (512 KiB as int64) at any K."""
+    0.01), and no later chunk exceeds the draws so far.  A Patefield chunk
+    costs (K-1)^2 numpy calls besides its draws, so a table pays for few
+    draws past its stop and few chunks.  A Patefield chunk holds only O(K)
+    of its cell vectors at once, and a permuted one at most 2^18 values, so
+    the sampler's working set stays a small multiple of 2^16 values (512 KiB
+    as int64) at any K."""
     _check_whole("samples", samples, _LEAST_SAMPLES)
     _check_whole("seed", seed)
     if alpha is not None:
@@ -644,7 +701,8 @@ def fisher_montecarlo_kxk(
     rng = np.random.Generator(np.random.SFC64(int(seed) & ((1 << 128) - 1)))
     # _patefield_cells holds O(K) cell vectors of a chunk at once, not K^2,
     # so 2^16 // K draws keep a chunk near 2^16 live values at every K while
-    # each hypergeometric call stays wide at large K.
+    # each hypergeometric call stays wide at large K; a permuted chunk is
+    # bounded by _PERMUTE_VALUES instead.
     cap = (1 << 16) // t.k
     first = _FIRST_CHUNK
     if alpha is not None:
@@ -656,7 +714,7 @@ def fisher_montecarlo_kxk(
     while draws < samples:
         m = min(chunk, samples - draws)
         s = 0.0
-        for c in _patefield_cells(t, m, rng):
+        for c in _null_cells(t, m, rng):
             s += log_factorials(c)
         hit = s >= s_obs - 1e-9
         found = int(np.count_nonzero(hit))
@@ -683,8 +741,8 @@ def fisher_montecarlo_kxk(
             chunk = min(chunk, draws)
     p = hits / draws if hits == _STOP_HITS else (hits + 1) / (draws + 1)
     q = (hits + 1) / (draws + 2)
-    report = _report("fisher_mc", p, 1, n, t.k, p_value=p)
-    return SampledReport(**vars(report), draws=draws, hits=hits, se=math.sqrt(q * (1 - q) / draws),
+    return SampledReport(kind="fisher_mc", value=p, df=1, p_value=p, n=n, df_alpha=(t.k - 1) ** 2,
+                         df_beta=t.k - 1, draws=draws, hits=hits, se=math.sqrt(q * (1 - q) / draws),
                          level=level)
 
 
@@ -693,14 +751,15 @@ def exact_test(
     seed: int = 0, alpha: float | None = _DEFAULT_ALPHA,
 ) -> SignificanceReport:
     """The exact fixed-margin test of t: the hypergeometric sum
-    (fisher_exact_2x2, either side) for a 2x2 table, otherwise Patefield's
-    sampler (fisher_montecarlo_kxk) from seed, which stops at its 100th hit,
-    once its decision at level alpha is settled (its p then read at alpha
-    alone), or after samples draws; alpha=None leaves only the 100th hit and
-    the budget, so p estimates the exact one.  samples, seed and alpha are
-    read only by the sampler; the sampled test is two-sided, so sidedness
-    "one" on a larger table raises UsageError, as any side other than "one"
-    or "two" does."""
+    (fisher_exact_2x2, either side) for a 2x2 table, otherwise the
+    fixed-margin sampler (fisher_montecarlo_kxk: Patefield's draws, or label
+    permutations for chunks of small tables) from seed, which stops at its
+    100th hit, once its decision at level alpha is settled (its p then read
+    at alpha alone), or after samples draws; alpha=None leaves only the
+    100th hit and the budget, so p estimates the exact one.  samples, seed
+    and alpha are read only by the sampler; the sampled test is two-sided,
+    so sidedness "one" on a larger table raises UsageError, as any side
+    other than "one" or "two" does."""
     if t.k == 2:
         return fisher_exact_2x2(t, sidedness)
     _check_choice("sidedness", sidedness, _SIDES)

@@ -35,10 +35,11 @@ def random_valid_tables(seed: int, count: int, k: int = 2, cell_max: int = 60) -
 
 
 def record_chunks(monkeypatch) -> list[int]:
-    """The list to which each later sampler chunk appends its draws."""
+    """The list to which each later sampler chunk appends its draws, from
+    whichever source _null_cells picks for it."""
     chunks = []
-    cells = significance._patefield_cells
-    monkeypatch.setattr(significance, "_patefield_cells",
+    cells = significance._null_cells
+    monkeypatch.setattr(significance, "_null_cells",
                         lambda t, m, rng: chunks.append(m) or cells(t, m, rng))
     return chunks
 

@@ -93,11 +93,29 @@ def test_validated_counts_runs_every_line():
             with pytest.raises(DataError):
                 _validated_counts(counts)
         for counts in ([[3, 1], [2, 4]], [[3.0, 1.0], [2.0, 4.0]], [[2**63 - 3, 1], [1, 0]],
-                       np.array([[3, 1.0], [2**40, 0]], dtype=object)):
+                       np.array([[3, 1.0], [2**40, 0]], dtype=object),
+                       np.array([[2**53 + 1, 1.0], [1, 1]], dtype=object),
+                       np.array([[3, 1.0], [2**63 - 5, 0]], dtype=object)):
             _validated_counts(counts)
 
     assert unreached_lines(_validated_counts, run) == []
     assert unreached_lines(_real_cells, run) == []
+
+
+def test_validated_counts_keeps_object_int_cells_exact():
+    # Int cells of an object matrix are checked as Python integers, not
+    # through a float cast: 2^53 + 1 is kept, not rounded to 2^53, and a
+    # total of 2^63 - 1 fits, however large its cells.
+    t = from_counts(np.array([[2**53 + 1, 1.0], [1, 1]], dtype=object))
+    assert t.counts[0, 0] == 2**53 + 1
+    assert t.n == 2**53 + 4
+    t = from_counts(np.array([[3, 1.0], [2**63 - 5, 0]], dtype=object))
+    assert t.counts.tolist() == [[3, 1], [2**63 - 5, 0]]
+    assert t.n == 2**63 - 1
+    with pytest.raises(DataError, match="64-bit"):
+        from_counts(np.array([[3, 2.0], [2**63 - 5, 0]], dtype=object))
+    with pytest.raises(DataError, match="whole numbers"):
+        from_counts(np.array([[2**53 + 1, 1.5], [1, 1]], dtype=object))
 
 
 def test_counts_are_immutable():

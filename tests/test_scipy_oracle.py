@@ -18,7 +18,7 @@ scipy_stats = pytest.importorskip("scipy.stats")
 from chancekit.confidence import normal_multiplier
 from chancekit.contingency import from_counts
 from chancekit import montecarlo, significance
-from chancekit.significance import _patefield_cells, chi2_sf, fisher_montecarlo_kxk
+from chancekit.significance import _null_cells, chi2_sf, fisher_montecarlo_kxk
 from helpers import random_valid_tables, record_chunks
 
 
@@ -86,14 +86,15 @@ def test_binomial_copula_cells_follow_binom(monkeypatch, n, seed):
 
 def _checkpoints(t, chunks, seed):
     """(draws, hits) at the end of each chunk of a sampler run from seed,
-    replayed through _patefield_cells with the sampler's hit rule."""
+    replayed through the sampler's own source for each chunk, _null_cells,
+    with its hit rule."""
     rng = np.random.Generator(np.random.SFC64(seed))
     log_factorials = np.array([math.lgamma(i + 1.0) for i in range(t.n + 1)])
     s_obs = sum(log_factorials[c] for c in t.counts.ravel())
     draws = hits = 0
     out = []
     for m in chunks:
-        s = sum(log_factorials[c] for c in _patefield_cells(t, m, rng))
+        s = sum(log_factorials[c] for c in _null_cells(t, m, rng))
         draws, hits = draws + m, hits + int((s >= s_obs - 1e-9).sum())
         out.append((draws, hits))
     return out

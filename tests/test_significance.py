@@ -17,7 +17,10 @@ from chancekit.multiclass import mutual_information
 from chancekit import significance
 from chancekit.significance import (
     _fisher_window,
+    _null_cells,
     _patefield_cells,
+    _permuted_cells,
+    _permutes,
     chi2_bookmaker_family,
     chi2_positive,
     chi2_sf,
@@ -462,12 +465,13 @@ def test_exact_test_is_the_2x2_sum_or_the_sampler():
 
 
 def _fixed_draw_hits(t, samples, seed):
-    """Hits among exactly `samples` draws of _patefield_cells, with the
-    sampler's ordering and tolerance but no stopping rule."""
+    """Hits among exactly `samples` draws in one chunk of the sampler's
+    source, _null_cells, with its ordering and tolerance but no stopping
+    rule."""
     rng = np.random.Generator(np.random.SFC64(seed))
     log_factorials = np.array([math.lgamma(i + 1.0) for i in range(t.n + 1)])
     s_obs = sum(log_factorials[c] for c in t.counts.ravel())
-    s = sum(log_factorials[c] for c in _patefield_cells(t, samples, rng))
+    s = sum(log_factorials[c] for c in _null_cells(t, samples, rng))
     return int((s >= s_obs - 1e-9).sum())
 
 
@@ -566,18 +570,21 @@ def test_fisher_montecarlo_decided_at_a_level_keeps_it_under_the_null(alpha):
     assert rejected / total <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / total)
 
 
-# Runs with the level off, each (p_value, draws, hits) and chunk list pinned
-# from the sampler as it was before the boundary: a Besag-Clifford stop, a
-# full-budget run, a schedule sized from the hits, and the lgamma path past
-# _LOG_FACTORIAL_TABLE.
+# Runs with the level off, each (p_value, draws, hits) and chunk list pinned:
+# a Besag-Clifford stop, a full-budget run, a schedule sized from the hits,
+# and the lgamma path past _LOG_FACTORIAL_TABLE.  The second and fifth keep
+# the pins of the sampler as it was before the boundary: the second's
+# permuted first chunk holds no hit, as Patefield's did not, and the fifth
+# is Patefield's throughout.  The first and fourth permute every chunk and
+# the third its first, so theirs are pinned from the permuted draws.
 LEVEL_OFF_RUNS = [
     ([[3, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]], 10_000, 0,
-     (0.08210180623973727, 1218, 100), [256, 960, 256]),
+     (0.1023541453428864, 977, 100), [256, 866]),
     (np.eye(4, dtype=int) * 10, 10_000, 0, (1 / 10_001, 10_000, 0), [256, 9744]),
     ([[6, 1, 2, 0], [1, 5, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]], 5000, 2,
-     (0.0003999200159968006, 5000, 1), [256, 4744]),
+     (1 / 5001, 5000, 0), [256, 4744]),
     ([[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]], 10_000, 0,
-     (0.022482014388489208, 4448, 100), [256, 3236, 1379]),
+     (0.021358393848782572, 4682, 100), [256, 6080]),
     ([[30250, 30000, 29750], [30000, 30000, 30000], [29750, 30000, 30250]], 5000, 5,
      (0.08361204013377926, 1196, 100), [256, 1814]),
 ]
@@ -726,11 +733,14 @@ def test_fisher_montecarlo_runs_every_line():
                 fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=1, alpha=alpha)
 
     assert unreached_lines(fisher_montecarlo_kxk, run) == []
+    assert unreached_lines(_permuted_cells, run) == []
+    assert unreached_lines(_null_cells, run) == []
 
 
 def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
-    # A chunk holds O(K) cell vectors at once, so no chunk is wider than
-    # 2^16 // K draws at any K: at K = 40, 1,638 (not 2^20 // 40^2 = 655); at
+    # A Patefield chunk holds O(K) cell vectors at once, and a permuted one
+    # at most _PERMUTE_VALUES values, so no chunk is wider than 2^16 // K
+    # draws at any K: at K = 40, 1,638 (not 2^20 // 40^2 = 655); at
     # K = 4, 16,384 (not 2^20 // 4^2 = 65,536); at K = 100, 655.  The first
     # chunk is 256 draws, and while no hit has come the rest are capped, so a
     # table that never stops draws exactly `samples` in as many chunks as a
@@ -753,7 +763,9 @@ def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
     assert report.draws == 100
     # After the first chunk each is sized from the hits so far, so a table
     # that stops near draw 4,400 pays for about 4,900 draws, where capped
-    # chunks would have drawn all 10,000.
+    # chunks would have drawn all 10,000.  These are Patefield's draws: the
+    # schedule is the same rule whichever source draws the chunks.
+    monkeypatch.setattr(significance, "_permutes", lambda k, n, m: False)
     chunks.clear()
     counts = [[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]]
     report = fisher_montecarlo_kxk(from_counts(counts), samples=10_000, seed=0, alpha=None)
@@ -762,16 +774,25 @@ def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
     assert sum(chunks) < 1.2 * report.draws
 
 
-# Goodness of fit of the fixed-margin sampler to the exact law, at level
+# Goodness of fit of each fixed-margin source to the exact law, at level
 # 0.001 with a fixed seed: categories expected fewer than 5 times are pooled.
 FIT_LEVEL = 0.001
 FIT_DRAWS = 20_000
 
 
-def _sampled_tables(counts, seed):
+def _for_each_source(*cases):
+    """(counts, source) parameters: each case drawn by _patefield_cells under
+    its id countsI, and by _permuted_cells under countsI-permuted."""
+    return pytest.mark.parametrize("counts, source", [
+        pytest.param(counts, source, id=f"counts{i}{suffix}")
+        for source, suffix in ((_patefield_cells, ""), (_permuted_cells, "-permuted"))
+        for i, counts in enumerate(cases)])
+
+
+def _sampled_tables(counts, seed, source):
     t = from_counts(counts)
     rng = np.random.Generator(np.random.SFC64(seed))
-    cells = np.stack(list(_patefield_cells(t, FIT_DRAWS, rng)), axis=1)
+    cells = np.stack(list(source(t, FIT_DRAWS, rng)), axis=1)
     tables = cells.reshape(FIT_DRAWS, t.k, t.k)
     assert (tables >= 0).all()
     assert (tables.sum(axis=2) == t.row_totals).all()
@@ -789,9 +810,9 @@ def _fit_p_value(observed, probabilities):
     return chi2_sf(float(((o - e) ** 2 / e).sum()), len(e) - 1)
 
 
-@pytest.mark.parametrize("counts", [[[3, 2], [3, 4]], [[30, 12], [15, 23]]])
-def test_patefield_cells_fit_hypergeometric_law_2x2(counts):
-    tables = _sampled_tables(counts, seed=11)
+@_for_each_source([[3, 2], [3, 4]], [[30, 12], [15, 23]])
+def test_patefield_cells_fit_hypergeometric_law_2x2(counts, source):
+    tables = _sampled_tables(counts, 11, source)
     (rp, rn), pp = np.sum(counts, axis=0), sum(counts[0])
     weights = reference_stats.hypergeom_numerators(int(rp), int(rn), int(pp))
     total = math.comb(int(rp + rn), int(pp))
@@ -801,16 +822,49 @@ def test_patefield_cells_fit_hypergeometric_law_2x2(counts):
     assert _fit_p_value(observed, [w / total for w in weights.values()]) > FIT_LEVEL
 
 
-@pytest.mark.parametrize("counts", [[[1, 1, 1], [0, 1, 2], [1, 1, 1]],
-                                    [[0, 1, 0], [2, 0, 0], [2, 3, 1]]])
-def test_patefield_cells_fit_enumerated_law_3x3(counts):
-    tables = _sampled_tables(counts, seed=12)
+def _fits_enumerated_law(counts, seed, source):
+    tables = _sampled_tables(counts, seed, source)
     law = reference_stats.fixed_margin_law(np.sum(counts, axis=1).tolist(),
                                            np.sum(counts, axis=0).tolist())
     drawn, freq = np.unique(tables.reshape(FIT_DRAWS, -1), axis=0, return_counts=True)
     seen = dict(zip(map(tuple, drawn.tolist()), freq.tolist()))
     assert set(seen) <= set(law)
     assert _fit_p_value([seen.get(key, 0) for key in law], list(law.values())) > FIT_LEVEL
+
+
+@_for_each_source([[1, 1, 1], [0, 1, 2], [1, 1, 1]], [[0, 1, 0], [2, 0, 0], [2, 3, 1]])
+def test_patefield_cells_fit_enumerated_law_3x3(counts, source):
+    _fits_enumerated_law(counts, 12, source)
+
+
+@_for_each_source([[2, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]])
+def test_null_cells_fit_enumerated_law_4x4(counts, source):
+    _fits_enumerated_law(counts, 13, source)
+
+
+def test_null_cells_source_is_a_rule_of_k_n_and_m(monkeypatch):
+    # Permute while 25 n m ns < (K-1)^2 (35 us + 55 m ns) and the chunk's
+    # m (n + K^2) values stay within 2^18.  The rule reads no clock: one that
+    # raises changes nothing.
+    monkeypatch.setattr(time, "perf_counter", lambda: 1 / 0)
+    monkeypatch.setattr(time, "perf_counter_ns", lambda: 1 / 0)
+    # At K = 4, m = 256 the cost rule switches between n = 69 and 70
+    # (25 * 69 * 256 = 441,600 < 9 * 49,080 = 441,720 < 25 * 70 * 256).
+    assert [_permutes(4, n, 256) for n in (16, 69, 70, 128)] == [True, True, False, False]
+    # At K = 4, n = 16 permutation is cheaper at every m, so the working-set
+    # bound alone ends it: 8,192 * (16 + 16) = 2^18.
+    assert [_permutes(4, 16, m) for m in (1, 8192, 8193, 16_384)] == [True, True, False, False]
+    # At K = 3, m = 256 the switch lies between n = 30 and 31.
+    assert [_permutes(3, n, 256) for n in (30, 31, 32)] == [True, False, False]
+    # The sampler takes each chunk from the source the rule names.
+    picked = set()
+    for source in (_patefield_cells, _permuted_cells):
+        monkeypatch.setattr(significance, source.__name__, lambda t, m, rng, source=source: (
+            picked.add((source, _permutes(t.k, t.n, m))) or source(t, m, rng)))
+    for counts in (np.eye(4, dtype=int) * 10, np.eye(4, dtype=int) * 32,
+                   [[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]]):
+        fisher_montecarlo_kxk(from_counts(counts), samples=10_000, seed=0, alpha=None)
+    assert picked == {(_permuted_cells, True), (_patefield_cells, False)}
 
 
 def test_williams_independence_even_margin_formula():
