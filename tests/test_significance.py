@@ -1,5 +1,6 @@
 """Test statistics, exact tests, corrections, and the survival function."""
 
+import hashlib
 import math
 import re
 import time
@@ -603,6 +604,23 @@ def test_fisher_montecarlo_level_off_keeps_its_draws(monkeypatch):
     assert max(from_counts(LEVEL_OFF_RUNS[-1][0]).row_totals) > significance._LOG_FACTORIAL_TABLE
 
 
+def test_fisher_montecarlo_scores_chunks_as_the_per_cell_loop(monkeypatch):
+    # Each chunk's statistic is the sum of its cells' log(i!) in row-major
+    # order, so a report is the same whether the sampler scores a permuted
+    # chunk at once or cell vector by cell vector, as it does the iterator
+    # here.  The first run's budget leaves a last permuted chunk of one draw.
+    chunks = record_chunks(monkeypatch)
+    runs = [(np.eye(4, dtype=int) * 4, 256 + 16_384 + 1), (LEVEL_OFF_RUNS[0][0], 10_000)]
+    reports = [fisher_montecarlo_kxk(from_counts(counts), samples, seed=0, alpha=None)
+               for counts, samples in runs]
+    assert chunks[:3] == [256, 16_384, 1] and _permutes(4, 16, 1)
+    assert (reports[0].draws, reports[0].hits) == (16_641, 0) and reports[1].hits == 100
+    cells = significance._null_cells
+    monkeypatch.setattr(significance, "_null_cells", lambda t, m, rng: iter(cells(t, m, rng)))
+    assert [fisher_montecarlo_kxk(from_counts(counts), samples, seed=0, alpha=None)
+            for counts, samples in runs] == reports
+
+
 def test_fisher_montecarlo_standard_error_is_never_zero():
     # se = sqrt(q (1 - q) / draws) with q = (hits + 1) / (draws + 2): positive
     # when every draw is a hit and when none is.
@@ -840,6 +858,26 @@ def test_patefield_cells_fit_enumerated_law_3x3(counts, source):
 @_for_each_source([[2, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]])
 def test_null_cells_fit_enumerated_law_4x4(counts, source):
     _fits_enumerated_law(counts, 13, source)
+
+
+@pytest.mark.parametrize("counts, digests", [
+    ([[4, 2, 3], [3, 5, 2], [1, 3, 4]], ["7e81ef28f75c7c9d", "ab2b467eb104bacf", "c5080cea58b88f97"]),
+    ([[6, 1, 2, 0], [1, 5, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]],
+     ["ed4241578b03befe", "0b9d9cdf0f14891b", "d75f4ebb1403405f"]),
+], ids=["3x3", "4x4"])
+def test_permuted_cells_keep_their_draws(counts, digests):
+    # The first 16 hex digits of the sha256 of the cell vectors of permuted
+    # chunks of 1, 2 and 256 draws, taken in turn from one seeded stream: a
+    # change to how a chunk is dealt or counted keeps every table drawn, and
+    # the stream each chunk leaves for the next.
+    t = from_counts(counts)
+    rng = np.random.Generator(np.random.SFC64(37))
+    drawn = []
+    for m in (1, 2, 256):
+        cells = np.stack(list(_permuted_cells(t, m, rng))).astype("<i8")
+        assert cells.shape == (t.k * t.k, m)
+        drawn.append(hashlib.sha256(cells.tobytes()).hexdigest()[:16])
+    assert drawn == digests
 
 
 def test_null_cells_source_is_a_rule_of_k_n_and_m(monkeypatch):
