@@ -541,19 +541,20 @@ def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
     yield from left
 
 
-def _permuted_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
-    """Yield m tables with t's margins, drawn from the fixed-margin null, as
-    K^2 cell vectors in row-major order, as _patefield_cells does: each draw
-    deals the n column labels at random to the n items, sorted by row label
-    (the permutation form of the null; Agresti 1992).  One permuted call
-    shuffles every row of an m x n label array and one bincount counts the
-    items of draw i in row r and column c at i K^2 + r K + c."""
+def _permuted_cells(t: ContingencyTable, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m tables with t's margins, drawn from the fixed-margin null, as the
+    (K^2, m) array of their cell vectors in row-major order, the order in
+    which _patefield_cells yields them: each draw deals the n column labels
+    at random to the n items, sorted by row label (the permutation form of
+    the null; Agresti 1992).  Item j of draw i starts as i K^2 + its column
+    label in one m x n int64 array, which one permuted call shuffles row by
+    row in place; adding the row label's r K then makes it the index of its
+    cell, and one bincount counts the m K^2 cells."""
     k = t.k
-    labels = np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1)), t.col_totals)
-    dealt = rng.permuted(np.broadcast_to(labels, (m, labels.size)), axis=1)
-    cells = np.add.outer(np.arange(0, m * k * k, k * k), np.repeat(np.arange(0, k * k, k), t.row_totals))
-    cells += dealt
-    yield from np.bincount(cells.ravel(), minlength=m * k * k).reshape(m, k * k).T
+    cells = np.add.outer(np.arange(0, m * k * k, k * k), np.repeat(np.arange(k), t.col_totals))
+    rng.permuted(cells, axis=1, out=cells)
+    cells += np.repeat(np.arange(0, k * k, k), t.row_totals)
+    return np.bincount(cells.ravel(), minlength=m * k * k).reshape(m, k * k).T
 
 
 # A chunk of m draws costs Patefield (K-1)^2 hypergeometric calls of about
@@ -713,9 +714,16 @@ def fisher_montecarlo_kxk(
     risk, level = _DECISION_RISK, None
     while draws < samples:
         m = min(chunk, samples - draws)
-        s = 0.0
-        for c in _null_cells(t, m, rng):
-            s += log_factorials(c)
+        cells = _null_cells(t, m, rng)
+        if isinstance(cells, np.ndarray) and m > 1:
+            # One take, summed over the cell axis row by row in row-major
+            # order, as the loop below adds them; numpy would sum the cells
+            # of a single draw pairwise instead.
+            s = np.add.reduce(log_factorials(cells), 0)
+        else:
+            s = 0.0
+            for c in cells:
+                s += log_factorials(c)
         hit = s >= s_obs - 1e-9
         found = int(np.count_nonzero(hit))
         if hits + found >= _STOP_HITS:
