@@ -627,6 +627,21 @@ def _binomial_cdf(hits: int, draws: int, p: float) -> float:
     return total
 
 
+def _log_factorial_sums(cells, log_factorials):
+    """Each draw's sum of log(cell!) over a chunk's K^2 cell vectors, added
+    in row-major order, so equal tables tie to the bit.  A (K^2, m) array
+    from _permuted_cells is scored with one take and a sum over its cell
+    axis, which numpy adds row by row from m = 2 on; it sums the cells of a
+    single draw pairwise, so those, like Patefield's stream, are added
+    vector by vector."""
+    if isinstance(cells, np.ndarray) and cells.shape[1] > 1:
+        return np.add.reduce(log_factorials(cells), 0)
+    s = 0.0
+    for c in cells:
+        s += log_factorials(c)
+    return s
+
+
 def fisher_montecarlo_kxk(
     t: ContingencyTable, samples: int = _DEFAULT_SAMPLES, seed: int = 0,
     alpha: float | None = _DEFAULT_ALPHA,
@@ -714,16 +729,7 @@ def fisher_montecarlo_kxk(
     risk, level = _DECISION_RISK, None
     while draws < samples:
         m = min(chunk, samples - draws)
-        cells = _null_cells(t, m, rng)
-        if isinstance(cells, np.ndarray) and m > 1:
-            # One take, summed over the cell axis row by row in row-major
-            # order, as the loop below adds them; numpy would sum the cells
-            # of a single draw pairwise instead.
-            s = np.add.reduce(log_factorials(cells), 0)
-        else:
-            s = 0.0
-            for c in cells:
-                s += log_factorials(c)
+        s = _log_factorial_sums(_null_cells(t, m, rng), log_factorials)
         hit = s >= s_obs - 1e-9
         found = int(np.count_nonzero(hit))
         if hits + found >= _STOP_HITS:

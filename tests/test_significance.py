@@ -18,6 +18,7 @@ from chancekit.multiclass import mutual_information
 from chancekit import significance
 from chancekit.significance import (
     _fisher_window,
+    _log_factorial_sums,
     _null_cells,
     _patefield_cells,
     _permuted_cells,
@@ -621,6 +622,23 @@ def test_fisher_montecarlo_scores_chunks_as_the_per_cell_loop(monkeypatch):
             for counts, samples in runs] == reports
 
 
+def test_log_factorial_sums_add_each_draw_in_row_major_order():
+    # One take and a sum over the cell axis give each draw of a permuted
+    # chunk the sum the per-cell loop gives, to the bit, at every chunk
+    # width; numpy sums the cells of a single draw pairwise, so m = 1 is
+    # where an unordered sum differs.
+    log_factorials = np.array([math.lgamma(i + 1.0) for i in range(17)]).take
+    for counts in (np.eye(4, dtype=int) * 4, [[4, 2, 3], [3, 5, 2], [1, 3, 4]]):
+        t = from_counts(counts)
+        rng = np.random.Generator(np.random.SFC64(5))
+        for m in [1] * 500 + [2] * 100 + [256]:
+            cells = _permuted_cells(t, m, rng)
+            s = 0.0
+            for c in cells:
+                s += log_factorials(c)
+            assert _log_factorial_sums(cells, log_factorials).tolist() == s.tolist()
+
+
 def test_fisher_montecarlo_standard_error_is_never_zero():
     # se = sqrt(q (1 - q) / draws) with q = (hits + 1) / (draws + 2): positive
     # when every draw is a hit and when none is.
@@ -753,6 +771,7 @@ def test_fisher_montecarlo_runs_every_line():
     assert unreached_lines(fisher_montecarlo_kxk, run) == []
     assert unreached_lines(_permuted_cells, run) == []
     assert unreached_lines(_null_cells, run) == []
+    assert unreached_lines(_log_factorial_sums, run) == []
 
 
 def test_fisher_montecarlo_chunks_by_live_cell_vectors(monkeypatch):
