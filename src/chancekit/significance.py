@@ -549,7 +549,10 @@ def _permuted_cells(t: ContingencyTable, m: int, rng: np.random.Generator) -> np
     the null; Agresti 1992).  Item j of draw i starts as i K^2 + its column
     label in one m x n int64 array, which one permuted call shuffles row by
     row in place; adding the row label's r K then makes it the index of its
-    cell, and one bincount counts the m K^2 cells."""
+    cell, and one bincount counts the m K^2 cells.  Fisher-Yates picks the
+    same positions whatever the item size, so the tables drawn are those of
+    a shuffle of the bare labels.  The chunk holds the m x n array and the
+    m K^2 counts."""
     k = t.k
     cells = np.add.outer(np.arange(0, m * k * k, k * k), np.repeat(np.arange(k), t.col_totals))
     rng.permuted(cells, axis=1, out=cells)
@@ -560,16 +563,18 @@ def _permuted_cells(t: ContingencyTable, m: int, rng: np.random.Generator) -> np
 # A chunk of m draws costs Patefield (K-1)^2 hypergeometric calls of about
 # _CALL_NS + _CALL_DRAW_NS m each, most of it numpy's checks of the array
 # arguments, and the permutation about _ITEM_NS for each of its n m items;
-# fitted by least squares to the cost of the two sources alone (a chunk's
-# statistic is the same for both) over K 3..8, n 16..128 and m 128..2048,
-# one CPU, numpy 2.4.6 (K = 4: 0.38 against 0.11 ms at n = 16, m = 256, and
-# 0.64 against 1.03 ms at n = 128).  A permuted chunk holds about m (n + K^2)
-# values (its label array, their cell offsets and the bincount), so past
-# _PERMUTE_VALUES of them the chunk is Patefield's, whose O(K) vectors of m
-# stay within the same bound.
-_ITEM_NS = 25
-_CALL_NS = 35_000
-_CALL_DRAW_NS = 55
+# fitted by least squares to the cost of the two sources alone over K 3..8,
+# n 16..128 and m 128..2048, one CPU, numpy 2.4.6 (K = 4, m = 256: 0.33
+# against 0.06 ms at n = 16, 0.42 against 0.38 ms at n = 128).  So at
+# m = 256 K = 4 permutes up to n = 124 and K = 3 up to n = 55.  The statistic
+# of a permuted chunk, one take, costs less than Patefield's K^2, so the rule
+# leans to Patefield near the switch.  A permuted chunk holds one m x n int64
+# array of dealt labels and then m K^2 counts, about m (n + K^2) values, so
+# past _PERMUTE_VALUES of them the chunk is Patefield's, whose O(K) vectors
+# of m stay within the same bound.
+_ITEM_NS = 12
+_CALL_NS = 27_000
+_CALL_DRAW_NS = 60
 _PERMUTE_VALUES = 1 << 18
 
 
@@ -591,7 +596,7 @@ def _null_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
 # fisher_montecarlo_kxk stops at its _STOP_HITS-th hit, which gives a stopped
 # p a relative standard error of about 1 / sqrt(_STOP_HITS), 10%.  Besides
 # its draws a Patefield chunk costs (K-1)^2 hypergeometric calls, whose
-# arguments numpy checks for about 35 us each (0.3 ms a chunk at K = 4), and
+# arguments numpy checks for about 27 us each (0.25 ms a chunk at K = 4), and
 # a permuted chunk is taken only where it costs less (_permutes), so chunks
 # are as costly as draws.  A first chunk of _FIRST_CHUNK draws holds
 # the stop of a table with a large p; each later one is _CHUNK_MARGIN times
@@ -652,15 +657,16 @@ def fisher_montecarlo_kxk(
     fixed-margin law: Patefield's algorithm, (K-1)^2 hypergeometric draws a
     table whatever n is, or a random permutation of the n column labels
     against the row labels, one shuffle of n items a table whatever K is.  A
-    chunk of m draws is permuted when 25 n m ns < (K-1)^2 (35 us + 55 m ns),
+    chunk of m draws is permuted when 12 n m ns < (K-1)^2 (27 us + 60 m ns),
     the measured costs of the two, and m (n + K^2) <= 2^18, so small tables
-    (K = 4 up to n = 69 at m = 256) permute and large ones do not; the rule
-    reads K, n and m alone, so a seed still fixes every output.  A hit is a
-    draw at most as probable as the observed table (log scale, tie tolerance
-    1e-9).  Drawing stops at the 100th hit, the l-th draw, with p = 100 / l
-    (Besag & Clifford 1991); a run that reaches `samples` draws first gives
-    p = (hits + 1) / (draws + 1) (Phipson & Smyth 2010).  So samples caps the draws and sets the smallest
-    p, 1 / (samples + 1); a stopped p is at least 100 / samples.  Both are
+    (K = 4 up to n = 124 at m = 256, K = 3 up to n = 55) permute and large
+    ones do not; the rule reads K, n and m alone, so a seed still fixes
+    every output.  A hit is a draw at most as probable as the observed
+    table (log scale, tie tolerance 1e-9).  Drawing stops at the 100th hit,
+    the l-th draw, with p = 100 / l (Besag & Clifford 1991); a run that
+    reaches `samples` draws first gives p = (hits + 1) / (draws + 1) (Phipson
+    & Smyth 2010).  So samples caps the draws and sets the smallest p,
+    1 / (samples + 1); a stopped p is at least 100 / samples.  Both are
     valid p-values, and the report carries the draws and hits behind p and
     the standard error of their hit rate.  Deterministic for a given seed.
 
@@ -684,9 +690,11 @@ def fisher_montecarlo_kxk(
     0.01), and no later chunk exceeds the draws so far.  A Patefield chunk
     costs (K-1)^2 numpy calls besides its draws, so a table pays for few
     draws past its stop and few chunks.  A Patefield chunk holds only O(K)
-    of its cell vectors at once, and a permuted one at most 2^18 values, so
-    the sampler's working set stays a small multiple of 2^16 values (512 KiB
-    as int64) at any K."""
+    of its cell vectors at once, summed one by one.  A permuted chunk deals
+    its labels in place in one m x n int64 array and counts them into m K^2
+    cells, at most 2^18 values together, then scores the counts with one
+    take into m K^2 doubles.  So the sampler's working set stays a small
+    multiple of 2^16 values (512 KiB as int64) at any K."""
     _check_whole("samples", samples, _LEAST_SAMPLES)
     _check_whole("seed", seed)
     if alpha is not None:

@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -38,6 +39,8 @@ from chancekit.significance import (
 )
 from helpers import random_valid_tables, record_chunks, table_a, table_b, unreached_lines
 import reference_stats
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 INDEP = from_counts([[8, 2], [8, 2]])
 
@@ -900,19 +903,19 @@ def test_permuted_cells_keep_their_draws(counts, digests):
 
 
 def test_null_cells_source_is_a_rule_of_k_n_and_m(monkeypatch):
-    # Permute while 25 n m ns < (K-1)^2 (35 us + 55 m ns) and the chunk's
+    # Permute while 12 n m ns < (K-1)^2 (27 us + 60 m ns) and the chunk's
     # m (n + K^2) values stay within 2^18.  The rule reads no clock: one that
     # raises changes nothing.
     monkeypatch.setattr(time, "perf_counter", lambda: 1 / 0)
     monkeypatch.setattr(time, "perf_counter_ns", lambda: 1 / 0)
-    # At K = 4, m = 256 the cost rule switches between n = 69 and 70
-    # (25 * 69 * 256 = 441,600 < 9 * 49,080 = 441,720 < 25 * 70 * 256).
-    assert [_permutes(4, n, 256) for n in (16, 69, 70, 128)] == [True, True, False, False]
+    # At K = 4, m = 256 the cost rule switches between n = 124 and 125
+    # (12 * 124 * 256 = 380,928 < 9 * 42,360 = 381,240 < 12 * 125 * 256).
+    assert [_permutes(4, n, 256) for n in (16, 124, 125, 128)] == [True, True, False, False]
     # At K = 4, n = 16 permutation is cheaper at every m, so the working-set
     # bound alone ends it: 8,192 * (16 + 16) = 2^18.
     assert [_permutes(4, 16, m) for m in (1, 8192, 8193, 16_384)] == [True, True, False, False]
-    # At K = 3, m = 256 the switch lies between n = 30 and 31.
-    assert [_permutes(3, n, 256) for n in (30, 31, 32)] == [True, False, False]
+    # At K = 3, m = 256 the switch lies between n = 55 and 56.
+    assert [_permutes(3, n, 256) for n in (32, 55, 56)] == [True, True, False]
     # The sampler takes each chunk from the source the rule names.
     picked = set()
     for source in (_patefield_cells, _permuted_cells):
@@ -922,6 +925,25 @@ def test_null_cells_source_is_a_rule_of_k_n_and_m(monkeypatch):
                    [[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]]):
         fisher_montecarlo_kxk(from_counts(counts), samples=10_000, seed=0, alpha=None)
     assert picked == {(_permuted_cells, True), (_patefield_cells, False)}
+
+
+@pytest.mark.parametrize("where", ["README", "docstring"])
+def test_quoted_source_rule_is_the_module_rule(where):
+    # The rule and its break-even examples, as README and the sampler's
+    # docstring quote them, are those of the module's constants.
+    text = (README.read_text(encoding="utf-8") if where == "README"
+            else fisher_montecarlo_kxk.__doc__)
+    text = " ".join(text.split())
+    item, call_us, draw = map(int, re.search(
+        r"(\d+) n m ns < \(K-1\)\^2 \((\d+) (?:µs|us) \+ (\d+) m ns\)", text).groups())
+    assert (item, call_us * 1000, draw) == (
+        significance._ITEM_NS, significance._CALL_NS, significance._CALL_DRAW_NS)
+    bound = re.search(r"m \(n \+ K\^2\)(?: values stay within| <=) 2\^(\d+)", text).group(1)
+    assert 1 << int(bound) == significance._PERMUTE_VALUES
+    examples = re.search(r"\((K = \d+ up to n = \d+ at m = 256(?:, K = \d+ up to n = \d+)*)\)",
+                         text).group(1)
+    for k, n in re.findall(r"K = (\d+) up to n = (\d+)", examples):
+        assert _permutes(int(k), int(n), 256) and not _permutes(int(k), int(n) + 1, 256)
 
 
 def test_williams_independence_even_margin_formula():
