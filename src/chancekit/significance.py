@@ -19,10 +19,11 @@ n * B * M.
 Exact inference (exact_test) comes from the 2x2 hypergeometric test and, for
 K x K tables, a fixed-margin sampler, whose chunks of draws come from
 Patefield's algorithm or, where a fixed cost rule over K, n and the chunk
-size finds it cheaper, from random permutations of the column labels.  It
-stops at its 100th hit with p = 100 / draws (Besag & Clifford 1991),
-otherwise gives p = (hits + 1) / (draws + 1) (Phipson & Smyth 2010), and
-with a level alpha also stops once its hits settle p < alpha.  The 2x2 p is
+size finds it cheaper, from random permutations of the column labels, dealt
+by sorting random keys.  It stops at its 100th hit with p = 100 / draws
+(Besag & Clifford 1991), otherwise gives p = (hits + 1) / (draws + 1)
+(Phipson & Smyth 2010), and with a level alpha also stops once its hits
+settle p < alpha.  The 2x2 p is
 the correctly rounded exact fraction: on supports of _WINDOW_MIN_WIDTH tables
 or more it comes from tail sums bounded in fixed-point integers around the
 mode, whose cost grows with |a - mode| plus sqrt(n), and the full integer
@@ -541,48 +542,97 @@ def _patefield_cells(t: ContingencyTable, m: int, rng: np.random.Generator):
     yield from left
 
 
+# The width of _permuted_cells' sort keys: 32 bits, of which the low
+# ceil(log2 K) carry the label.  Narrowed, it makes ties, and so redeals,
+# common enough to test.  Its bincount takes the keys of _COUNT_KEYS // n
+# draws at a time, or of one where n is larger, so its int64 copy of them
+# stays within 256 KiB up to n = 2^15.
+_KEY_BITS = 32
+_COUNT_KEYS = 1 << 15
+
+
 def _permuted_cells(t: ContingencyTable, m: int, rng: np.random.Generator) -> np.ndarray:
     """m tables with t's margins, drawn from the fixed-margin null, as the
     (K^2, m) array of their cell vectors in row-major order, the order in
     which _patefield_cells yields them: each draw deals the n column labels
     at random to the n items, sorted by row label (the permutation form of
-    the null; Agresti 1992).  Item j of draw i starts as i K^2 + its column
-    label in one m x n int64 array, which one permuted call shuffles row by
-    row in place; adding the row label's r K then makes it the index of its
-    cell, and one bincount counts the m K^2 cells.  Fisher-Yates picks the
-    same positions whatever the item size, so the tables drawn are those of
-    a shuffle of the bare labels.  The chunk holds the m x n array and the
-    m K^2 counts."""
-    k = t.k
-    cells = np.add.outer(np.arange(0, m * k * k, k * k), np.repeat(np.arange(k), t.col_totals))
-    rng.permuted(cells, axis=1, out=cells)
-    cells += np.repeat(np.arange(0, k * k, k), t.row_totals)
-    return np.bincount(cells.ravel(), minlength=m * k * k).reshape(m, k * k).T
+    the null; Agresti 1992).  Each label gets a 32-bit key, half of one of
+    the bit generator's 64-bit words (low half first, so the keys are the
+    same on any platform), whose low ceil(log2 K) bits are replaced by the
+    label, and one sort orders each draw's keys; the item at rank j takes
+    the label of key j.  The random high bits are i.i.d., so whatever
+    values they take, every assignment of the labels to their ranks is as
+    likely, and a tie between keys, which the labels in the low bits break,
+    changes no cell while it stays within one row's block of ranks.  A draw
+    whose keys tie across a row boundary (the same high bits at ranks
+    end - 1 and end) is dealt again from fresh keys, so an accepted draw has
+    exactly the fixed-margin law.  Each key's label plus its row's r K and
+    its draw's i K^2, i counted within a block of draws, is then the index
+    of its cell, in place, and one bincount counts each block's cells, a
+    block being the draws of at most _COUNT_KEYS keys (or one draw).  The
+    chunk holds the m x n uint32 keys, the m K^2 counts and bincount's int64
+    copy of one block's keys."""
+    k, n = t.k, t.n
+    low = (k - 1).bit_length()
+    labels = np.repeat(np.arange(k, dtype=np.uint32), t.col_totals)
+    ends = np.cumsum(t.row_totals[:-1])
+    ends = ends[(0 < ends) & (ends < n)]
+
+    def deal(draws: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted keys of `draws` draws, and the draws tied across a row
+        boundary."""
+        words = rng.bit_generator.random_raw((draws * n + 1) // 2)
+        keys = words.astype("<u8", copy=False).view("<u4")[:draws * n].reshape(draws, n)
+        keys &= ((1 << _KEY_BITS) - 1) >> low << low
+        keys |= labels
+        keys.sort(axis=1)
+        return keys, np.flatnonzero(((keys[:, ends - 1] ^ keys[:, ends]) >> low == 0).any(axis=1))
+
+    keys, tied = deal(m)
+    while tied.size:
+        fresh, again = deal(tied.size)
+        keys[tied] = fresh
+        tied = tied[again]
+    keys &= (1 << low) - 1
+    keys += np.repeat(np.arange(0, k * k, k, dtype=np.uint32), t.row_totals)
+    counts = np.empty((m, k * k), np.intp)
+    step = max(1, _COUNT_KEYS // n)
+    for i in range(0, m, step):
+        block = keys[i:i + step]
+        draws = len(block)
+        block += np.arange(0, draws * k * k, k * k, dtype=np.uint32)[:, None]
+        counts[i:i + draws] = np.bincount(block.ravel(), minlength=draws * k * k).reshape(draws, k * k)
+    return counts.T
 
 
-# A chunk of m draws costs Patefield (K-1)^2 hypergeometric calls of about
-# _CALL_NS + _CALL_DRAW_NS m each, most of it numpy's checks of the array
-# arguments, and the permutation about _ITEM_NS for each of its n m items;
-# fitted by least squares to the cost of the two sources alone over K 3..8,
-# n 16..128 and m 128..2048, one CPU, numpy 2.4.6 (K = 4, m = 256: 0.33
-# against 0.06 ms at n = 16, 0.42 against 0.38 ms at n = 128).  So at
-# m = 256 K = 4 permutes up to n = 124 and K = 3 up to n = 55.  The statistic
-# of a permuted chunk, one take, costs less than Patefield's K^2, so the rule
-# leans to Patefield near the switch.  A permuted chunk holds one m x n int64
-# array of dealt labels and then m K^2 counts, about m (n + K^2) values, so
-# past _PERMUTE_VALUES of them the chunk is Patefield's, whose O(K) vectors
-# of m stay within the same bound.
-_ITEM_NS = 12
-_CALL_NS = 27_000
-_CALL_DRAW_NS = 60
+# A scored chunk of m draws costs Patefield (K-1)^2 hypergeometric calls of
+# about _CALL_NS + _CALL_DRAW_NS m each, most of it numpy's checks of the
+# array arguments, its statistic's K^2 take-and-add pairs folded in, and the
+# sorted deal about _ITEM_NS for each of its n m keys, its sort, bincount and
+# one take included; fitted by least squares to whole-chunk costs over K
+# 3..8, n 16..256 and m 128..2048, one CPU, numpy 2.4.6 (K = 4, m = 256:
+# 0.34 against 0.06 ms at n = 16, 0.43 against 0.18 ms at n = 128).  So at
+# m = 256 K = 4 permutes up to n = 263 and K = 3 up to n = 116.  A permuted
+# chunk holds m x n uint32 keys and m K^2 int64 counts, at most 8 bytes for
+# each of its m (n + K^2) values besides the int64 copy of one block, so past
+# _PERMUTE_VALUES of them the chunk is Patefield's, whose O(K) vectors of m
+# stay within the same bound.  It deals a draw again with chance about
+# (K-1) n 2^(ceil(log2 K) - 32), the expected number of its K - 1 row
+# boundaries that keys tie across; past (K-1) n 2^ceil(log2 K) = _TIE_BOUND,
+# a chance of 2^-6, the chunk is Patefield's too.
+_ITEM_NS = 6
+_CALL_NS = 28_000
+_CALL_DRAW_NS = 66
 _PERMUTE_VALUES = 1 << 18
+_TIE_BOUND = 1 << 26
 
 
 def _permutes(k: int, n: int, m: int) -> bool:
     """Whether _null_cells draws a chunk of m tables of a K x K table with
     total n by permutation: by the cost model above, within the working-set
-    bound, from K, n and m alone."""
+    and redeal bounds, from K, n and m alone."""
     return (m * (n + k * k) <= _PERMUTE_VALUES
+            and (k - 1) * n << (k - 1).bit_length() <= _TIE_BOUND
             and _ITEM_NS * n * m < (k - 1) ** 2 * (_CALL_NS + _CALL_DRAW_NS * m))
 
 
@@ -656,13 +706,15 @@ def fisher_montecarlo_kxk(
     Each chunk of tables is drawn by one of two sources of the same
     fixed-margin law: Patefield's algorithm, (K-1)^2 hypergeometric draws a
     table whatever n is, or a random permutation of the n column labels
-    against the row labels, one shuffle of n items a table whatever K is.  A
-    chunk of m draws is permuted when 12 n m ns < (K-1)^2 (27 us + 60 m ns),
-    the measured costs of the two, and m (n + K^2) <= 2^18, so small tables
-    (K = 4 up to n = 124 at m = 256, K = 3 up to n = 55) permute and large
-    ones do not; the rule reads K, n and m alone, so a seed still fixes
-    every output.  A hit is a draw at most as probable as the observed
-    table (log scale, tie tolerance 1e-9).  Drawing stops at the 100th hit,
+    against the row labels, one sort of n random 32-bit keys a table
+    whatever K is, a draw whose keys tie across a row boundary dealt again.
+    A chunk of m draws is permuted when 6 n m ns < (K-1)^2 (28 us + 66 m ns),
+    the measured costs of the two with their statistic, m (n + K^2) <= 2^18
+    and (K-1) n 2^ceil(log2 K) <= 2^26, so small tables (K = 4 up to n = 263
+    at m = 256, K = 3 up to n = 116) permute and large ones do not; the rule
+    reads K, n and m alone, so a seed still fixes every output.  A hit is a
+    draw at most as probable as the observed table (log scale, tie
+    tolerance 1e-9).  Drawing stops at the 100th hit,
     the l-th draw, with p = 100 / l (Besag & Clifford 1991); a run that
     reaches `samples` draws first gives p = (hits + 1) / (draws + 1) (Phipson
     & Smyth 2010).  So samples caps the draws and sets the smallest p,
@@ -690,11 +742,12 @@ def fisher_montecarlo_kxk(
     0.01), and no later chunk exceeds the draws so far.  A Patefield chunk
     costs (K-1)^2 numpy calls besides its draws, so a table pays for few
     draws past its stop and few chunks.  A Patefield chunk holds only O(K)
-    of its cell vectors at once, summed one by one.  A permuted chunk deals
-    its labels in place in one m x n int64 array and counts them into m K^2
-    cells, at most 2^18 values together, then scores the counts with one
-    take into m K^2 doubles.  So the sampler's working set stays a small
-    multiple of 2^16 values (512 KiB as int64) at any K."""
+    of its cell vectors at once, summed one by one.  A permuted chunk sorts
+    its keys in place in one m x n uint32 array and counts them into m K^2
+    cells, at most 2^18 values together, through bincount's int64 copy of
+    one block of at most 2^15 keys (or one draw) at a time, then scores the
+    counts with one take into m K^2 doubles.  So the sampler's working set
+    stays a small multiple of 2^16 values (512 KiB as int64) at any K."""
     _check_whole("samples", samples, _LEAST_SAMPLES)
     _check_whole("seed", seed)
     if alpha is not None:

@@ -584,12 +584,12 @@ def test_fisher_montecarlo_decided_at_a_level_keeps_it_under_the_null(alpha):
 # the third its first, so theirs are pinned from the permuted draws.
 LEVEL_OFF_RUNS = [
     ([[3, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]], 10_000, 0,
-     (0.1023541453428864, 977, 100), [256, 866]),
+     (0.08928571428571429, 1120, 100), [256, 1458]),
     (np.eye(4, dtype=int) * 10, 10_000, 0, (1 / 10_001, 10_000, 0), [256, 9744]),
     ([[6, 1, 2, 0], [1, 5, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]], 5000, 2,
      (1 / 5001, 5000, 0), [256, 4744]),
     ([[4, 1, 0, 0], [0, 3, 1, 1], [1, 0, 3, 1], [0, 1, 1, 3]], 10_000, 0,
-     (0.021358393848782572, 4682, 100), [256, 6080]),
+     (0.019160758766047135, 5219, 100), [256, 6080]),
     ([[30250, 30000, 29750], [30000, 30000, 30000], [29750, 30000, 30250]], 5000, 5,
      (0.08361204013377926, 1196, 100), [256, 1814]),
 ]
@@ -756,10 +756,11 @@ def test_fisher_montecarlo_log_factorials_bounded_at_large_n(monkeypatch):
     assert 0 < len(calls) <= 9 * (1000 + 1)
 
 
-def test_fisher_montecarlo_runs_every_line():
+def test_fisher_montecarlo_runs_every_line(monkeypatch):
     # The bad-argument raises, both log(i!) paths, runs that stop and that
     # reach `samples`, and a chunk sized from the hits so far, each with the
-    # level on and off.
+    # level on and off, and a run whose sort keys, narrowed to two random
+    # bits, redeal most draws.
     def run():
         for samples, counts in ((10, [[1, 2], [3, 4]]), (1000, np.zeros((3, 3), int)),
                                 (1000, [[10**9, 0, 0], [0, 1, 0], [0, 0, 1]])):
@@ -770,6 +771,9 @@ def test_fisher_montecarlo_runs_every_line():
                        np.eye(3, dtype=int) * 10**5 + 1):
             for alpha in (0.05, None):
                 fisher_montecarlo_kxk(from_counts(counts), samples=1000, seed=1, alpha=alpha)
+        with monkeypatch.context() as patch:
+            patch.setattr(significance, "_KEY_BITS", 4)
+            fisher_montecarlo_kxk(from_counts(np.eye(3, dtype=int) + 2), samples=1000, seed=1)
 
     assert unreached_lines(fisher_montecarlo_kxk, run) == []
     assert unreached_lines(_permuted_cells, run) == []
@@ -882,10 +886,26 @@ def test_null_cells_fit_enumerated_law_4x4(counts, source):
     _fits_enumerated_law(counts, 13, source)
 
 
+@pytest.mark.parametrize("key_bits", [4, 5])
+@pytest.mark.parametrize("counts, seed", [
+    ([[1, 1, 1], [0, 1, 2], [1, 1, 1]], 12), ([[0, 1, 0], [2, 0, 0], [2, 3, 1]], 12),
+    ([[2, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]], 13),
+], ids=["3x3-0", "3x3-1", "4x4"])
+def test_permuted_cells_redeal_keeps_the_law(counts, seed, key_bits, monkeypatch):
+    # Keys narrowed to 2 or 3 random bits above the two label bits tie
+    # across a row boundary in most draws, so a chunk redeals 2-40 times a
+    # draw here.  A draw is kept only once none of its ties spans a row
+    # boundary, so the tables still fit the exact law, which they fail
+    # (p < 0.001) if tied draws are kept; the run reaches every line.
+    monkeypatch.setattr(significance, "_KEY_BITS", key_bits)
+    assert unreached_lines(_permuted_cells,
+                           lambda: _fits_enumerated_law(counts, seed, _permuted_cells)) == []
+
+
 @pytest.mark.parametrize("counts, digests", [
-    ([[4, 2, 3], [3, 5, 2], [1, 3, 4]], ["7e81ef28f75c7c9d", "ab2b467eb104bacf", "c5080cea58b88f97"]),
+    ([[4, 2, 3], [3, 5, 2], [1, 3, 4]], ["ecf4fcd5994c5931", "995a6034533257c6", "b3dfd2571f7e99a5"]),
     ([[6, 1, 2, 0], [1, 5, 2, 3], [2, 1, 7, 1], [0, 2, 1, 9]],
-     ["ed4241578b03befe", "0b9d9cdf0f14891b", "d75f4ebb1403405f"]),
+     ["1ad6295e28e1c9d6", "f931242c8b402a89", "ed542d5282bee80e"]),
 ], ids=["3x3", "4x4"])
 def test_permuted_cells_keep_their_draws(counts, digests):
     # The first 16 hex digits of the sha256 of the cell vectors of permuted
@@ -903,19 +923,27 @@ def test_permuted_cells_keep_their_draws(counts, digests):
 
 
 def test_null_cells_source_is_a_rule_of_k_n_and_m(monkeypatch):
-    # Permute while 12 n m ns < (K-1)^2 (27 us + 60 m ns) and the chunk's
-    # m (n + K^2) values stay within 2^18.  The rule reads no clock: one that
-    # raises changes nothing.
+    # Permute while 6 n m ns < (K-1)^2 (28 us + 66 m ns), the chunk's
+    # m (n + K^2) values stay within 2^18 and (K-1) n 2^ceil(log2 K) within
+    # 2^26.  The rule reads no clock: one that raises changes nothing.
     monkeypatch.setattr(time, "perf_counter", lambda: 1 / 0)
     monkeypatch.setattr(time, "perf_counter_ns", lambda: 1 / 0)
-    # At K = 4, m = 256 the cost rule switches between n = 124 and 125
-    # (12 * 124 * 256 = 380,928 < 9 * 42,360 = 381,240 < 12 * 125 * 256).
-    assert [_permutes(4, n, 256) for n in (16, 124, 125, 128)] == [True, True, False, False]
+    # At K = 4, m = 256 the cost rule switches between n = 263 and 264
+    # (6 * 263 * 256 = 403,968 < 9 * 44,896 = 404,064 < 6 * 264 * 256).
+    assert [_permutes(4, n, 256) for n in (16, 128, 263, 264)] == [True, True, True, False]
     # At K = 4, n = 16 permutation is cheaper at every m, so the working-set
     # bound alone ends it: 8,192 * (16 + 16) = 2^18.
     assert [_permutes(4, 16, m) for m in (1, 8192, 8193, 16_384)] == [True, True, False, False]
-    # At K = 3, m = 256 the switch lies between n = 55 and 56.
-    assert [_permutes(3, n, 256) for n in (32, 55, 56)] == [True, True, False]
+    # At K = 3, m = 256 the switch lies between n = 116 and 117.
+    assert [_permutes(3, n, 256) for n in (32, 116, 117)] == [True, True, False]
+    # A one-draw chunk at K = 300, n = 170,000 passes the cost rule and the
+    # working-set bound, but its keys would tie across a row boundary about
+    # 299 * 170,000 * 2^(9 - 32) = 6 times a draw, so it is Patefield's; the
+    # redeal bound lets K = 300 permute up to n = 438 (299 * 438 * 2^9 <= 2^26).
+    assert 170_000 + 300 ** 2 <= significance._PERMUTE_VALUES
+    assert (significance._ITEM_NS * 170_000
+            < 299 ** 2 * (significance._CALL_NS + significance._CALL_DRAW_NS))
+    assert [_permutes(300, n, 1) for n in (438, 439, 170_000)] == [True, False, False]
     # The sampler takes each chunk from the source the rule names.
     picked = set()
     for source in (_patefield_cells, _permuted_cells):
@@ -940,6 +968,8 @@ def test_quoted_source_rule_is_the_module_rule(where):
         significance._ITEM_NS, significance._CALL_NS, significance._CALL_DRAW_NS)
     bound = re.search(r"m \(n \+ K\^2\)(?: values stay within| <=) 2\^(\d+)", text).group(1)
     assert 1 << int(bound) == significance._PERMUTE_VALUES
+    ties = re.search(r"\(K-1\) n 2\^ceil\(log2 K\) <= 2\^(\d+)", text).group(1)
+    assert 1 << int(ties) == significance._TIE_BOUND
     examples = re.search(r"\((K = \d+ up to n = \d+ at m = 256(?:, K = \d+ up to n = \d+)*)\)",
                          text).group(1)
     for k, n in re.findall(r"K = (\d+) up to n = (\d+)", examples):
