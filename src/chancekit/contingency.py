@@ -111,12 +111,15 @@ def _check_2x2(what: str, t: ContingencyTable) -> None:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells written, so tested first
+        return repr(value)
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # np.float64's repr names its type, and np.float32 is no float.
+        return repr(float(value))
     return str(value)
 
 
@@ -167,6 +170,12 @@ def _validated_counts(counts) -> np.ndarray:
             arr = np.array([int(v) for v in cells], dtype=object).reshape(arr.shape)
         else:
             arr = _whole_floats(arr.astype(float))
+    return _fitting_counts(arr).astype(np.int64)
+
+
+def _fitting_counts(arr: np.ndarray) -> np.ndarray:
+    """Integer counts, refused when a cell is negative or the total passes
+    the int64 range; the simulation checks its int64 arrays here."""
     if np.minimum.reduce(arr, None) < 0:
         raise DataError(_NEGATIVE)
     # An int64 sum wraps silently.  The largest cell times the cell count
@@ -174,7 +183,7 @@ def _validated_counts(counts) -> np.ndarray:
     if (int(np.maximum.reduce(arr, None)) * arr.size > _INT64_MAX
             and sum(int(v) for v in arr.flat) > _INT64_MAX):
         raise DataError(_TOO_LARGE)
-    return arr.astype(np.int64)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -622,18 +631,26 @@ def repair_zero_margins(t: ContingencyTable) -> ContingencyTable:
     (row) that already has a positive margin.  Tables with all margins
     positive come back unchanged (same object).
     """
-    rows = t.row_totals
-    cols = t.col_totals
+    c = _repaired_counts(t.counts)
+    return t if c is t.counts else ContingencyTable(c, t.labels)
+
+
+def _repaired_counts(counts: np.ndarray) -> np.ndarray:
+    """repair_zero_margins on an int64 count matrix: the same array when
+    every margin is positive, else a repaired copy, refused as
+    _fitting_counts refuses it."""
+    rows = np.add.reduce(counts, 1)
+    cols = np.add.reduce(counts, 0)
     if (rows > 0).all() and (cols > 0).all():
-        return t
-    c = t.counts.copy()
+        return counts
+    c = counts.copy()
     paired = np.flatnonzero((rows == 0) & (cols == 0))
     c[paired, paired] = 1
     # Units go only into positive columns, so the lowest one stays the same
     # for every zero row, and after that every row is positive.
     c[c.sum(axis=1) == 0, np.argmax(c.sum(axis=0) > 0)] += 1
     c[0, c.sum(axis=0) == 0] += 1
-    return ContingencyTable(c, t.labels)
+    return _fitting_counts(c)
 
 
 # --- file formats ---------------------------------------------------------

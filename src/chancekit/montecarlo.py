@@ -28,6 +28,7 @@ from .confidence import CI_VARIANTS, ConfidenceInterval, confidence_interval, ev
 from .contingency import (
     _DEFAULT_ALPHA,
     _DEFAULT_X,
+    _INT64_MAX,
     _LEAST_SAMPLES,
     CELL_DISTRIBUTIONS,
     MARGIN_DISTRIBUTIONS,
@@ -37,9 +38,10 @@ from .contingency import (
     _check_positive,
     _check_whole,
     _check_within,
+    _fitting_counts,
     _fmt,
+    _repaired_counts,
     from_counts,
-    repair_zero_margins,
 )
 from .errors import DataError, UsageError
 from .multiclass import MulticlassStats, multiclass_stats
@@ -158,10 +160,14 @@ def gen_perfect(k: int, n: int, rng: np.random.Generator) -> ContingencyTable:
     total is n.  Margins may be zero; the mixing step repairs them."""
     _check_whole("classes", k, 2)
     _check_whole("n", n, 0)
+    return from_counts(_perfect_counts(k, n, rng))
+
+
+def _perfect_counts(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
     diag = np.rint(rng.uniform(0.0, 2.0 * n / k, size=k)).astype(np.int64)
     counts = np.zeros((k, k), dtype=np.int64)
     np.fill_diagonal(counts, diag)
-    return from_counts(counts)
+    return _fitting_counts(counts)
 
 
 def _chance_margins(k: int, n: int, rng: np.random.Generator, distribution: str) -> np.ndarray:
@@ -199,6 +205,12 @@ def gen_chance(
     _check_whole("n", n, 0)
     _check_choice("margin distribution", margin_distribution, MARGIN_DISTRIBUTIONS)
     _check_choice("cell distribution", cell_distribution, CELL_DISTRIBUTIONS)
+    return from_counts(_chance_counts(k, n, rng, margin_distribution, cell_distribution))
+
+
+def _chance_counts(
+    k: int, n: int, rng: np.random.Generator, margin_distribution: str, cell_distribution: str
+) -> np.ndarray:
     bias = _chance_margins(k, n, rng, margin_distribution)
     prevalence = _chance_margins(k, n, rng, margin_distribution)
     expected = n * np.outer(bias, prevalence)
@@ -208,9 +220,10 @@ def gen_chance(
         cells = rng.binomial(n, np.clip(expected / n, 0.0, 1.0))
     else:
         sd = np.sqrt(expected * (1.0 - np.clip(expected / n, 0.0, 1.0)))
-        cells = np.abs(rng.normal(expected + sd, 1.5 * sd))
-    counts = np.maximum(np.rint(cells), 0.0).astype(np.int64)
-    return from_counts(counts)
+        # rng.normal(loc, scale) computes loc + scale * z per cell, z drawn
+        # in C order, so this is its draw without its argument checks.
+        cells = np.abs((expected + sd) + (1.5 * sd) * rng.standard_normal((k, k)))
+    return _fitting_counts(np.maximum(np.rint(cells), 0.0).astype(np.int64))
 
 
 def _decrement_cells(counts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -254,9 +267,20 @@ def mix_and_constrain(
     k = perfect.k
     if enforce_total and n < k:
         raise UsageError(f"n must be at least K to keep every margin positive, got n={n}, K={k}")
+    counts = _mixed_counts(perfect.counts, chance.counts, level, n, rng, enforce_total)
+    return from_counts(counts, perfect.labels)
 
-    def mass_scaled(t: ContingencyTable) -> np.ndarray:
-        cells = t.counts.astype(float)
+
+def _mixed_counts(
+    perfect: np.ndarray, chance: np.ndarray, level: float, n: int,
+    rng: np.random.Generator, enforce_total: bool,
+) -> np.ndarray:
+    """mix_and_constrain on int64 count matrices, each intermediate refused
+    as from_counts would refuse it."""
+    k = perfect.shape[0]
+
+    def mass_scaled(counts: np.ndarray) -> np.ndarray:
+        cells = counts.astype(float)
         total = cells.sum()
         if total <= 0.0:
             return np.full((k, k), n / (k * k))
@@ -265,10 +289,9 @@ def mix_and_constrain(
     mixed = np.rint(
         level * mass_scaled(perfect) + (1.0 - level) * mass_scaled(chance)
     ).astype(np.int64)
-    repaired = repair_zero_margins(from_counts(mixed, perfect.labels))
+    counts = _repaired_counts(_fitting_counts(mixed))
     if not enforce_total:
-        return repaired
-    counts = np.array(repaired.counts)
+        return counts
     excess = int(counts.sum()) - n
     for _ in range(-excess):
         counts.flat[int(rng.integers(k * k))] += 1
@@ -282,7 +305,7 @@ def mix_and_constrain(
             counts[i, j] -= 1
             counts[i2, j2] -= 1
             counts[i, j2] += 1
-    return from_counts(counts, perfect.labels)
+    return counts
 
 
 def run_single(config: SimConfig, step: int, run: int) -> SimRun:
@@ -290,26 +313,30 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
 
     The stream is consumed in a fixed order (perfect table, chance table,
     constraint loop, sampler seed) so results are reproducible regardless of
-    which statistics get computed.  A K x K table's sampled exact test stops
-    once its decision at config.alpha is settled, the level its rejection
-    rates are read at, so a decided p_fisher is read at that level alone
-    (SampledReport.level says which are).  A DataError from any stage, and the
-    RuntimeError chi2_sf raises when its incomplete gamma continued fraction
-    does not converge, come back as the error field rather than raising.
+    which statistics get computed.  The generators and the mix pass int64
+    arrays, each refused as from_counts would refuse it (a negative cell, a
+    total past int64), and only the final counts become a validated table;
+    gen_perfect, gen_chance and mix_and_constrain wrap the same cores.  A
+    K x K table's sampled exact test stops once its decision at config.alpha
+    is settled, the level its rejection rates are read at, so a decided
+    p_fisher is read at that level alone (SampledReport.level says which
+    are).  A DataError from any stage, and the RuntimeError chi2_sf raises
+    when its incomplete gamma continued fraction does not converge, come
+    back as the error field rather than raising.
     """
     rng, stream_id = substream(config.seed, step, run)
     level = config.level(step)
     try:
-        perfect = gen_perfect(config.k, config.n, rng)
-        chance = gen_chance(
+        perfect = _perfect_counts(config.k, config.n, rng)
+        chance = _chance_counts(
             config.k, config.n, rng,
             config.margin_distribution, config.cell_distribution,
         )
-        table = mix_and_constrain(
-            perfect, chance, level, config.n, rng,
-            enforce_total=config.enforce_integer,
-        )
-        sampler_seed = int(rng.integers(np.iinfo(np.int64).max))
+        # The one rule of mix_and_constrain's that SimConfig does not hold.
+        _check_within("level", level, 0.0, 1.0)
+        table = from_counts(_mixed_counts(
+            perfect, chance, level, config.n, rng, config.enforce_integer))
+        sampler_seed = int(rng.integers(_INT64_MAX))
         stats = multiclass_stats(table)
         kb, km, kbm, full_chi2, full_g2, fisher = significance_reports(
             table, ("kb", "km", "kbm", "full", "fisher"),
@@ -379,12 +406,18 @@ _MOMENT_STATS = ("informedness", "markedness", "correlation", "kappa")
 
 
 def _moments(values: list[float]) -> tuple[float, float]:
-    """Mean and population std of the finite values; NaN for none."""
-    arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    if not finite.size:
+    """Mean and population std of the finite values; NaN for none.
+
+    The doubles of np.mean and np.std, from the reductions they make:
+    mean = add.reduce(x) / n, std = sqrt(add.reduce((x - mean)^2) / n)."""
+    finite = [v for v in values if math.isfinite(v)]
+    n = len(finite)
+    if not n:
         return math.nan, math.nan
-    return float(finite.mean()), float(finite.std())
+    arr = np.array(finite, dtype=float)
+    mean = np.add.reduce(arr) / n
+    deviations = arr - mean
+    return float(mean), math.sqrt(np.add.reduce(deviations * deviations) / n)
 
 
 def _rejection(good: list[SimRun], name: str, alpha: float) -> float:
@@ -429,7 +462,9 @@ def coverage_report(
     """Per-step and overall coverage, rejection rates, and moments, with
     each test rejecting below `alpha`, which must lie in (0, 1).  A sampled
     exact test decided at another level (SampledReport.level) raises
-    UsageError: its p says only on which side of that level it lies."""
+    UsageError: its p says only on which side of that level it lies.  The
+    moments are np.mean's and np.std's doubles, taken from the reductions
+    they make rather than through their Python wrappers."""
     if not runs:
         raise UsageError("cannot summarize an empty run sequence")
     _check_alpha(alpha)

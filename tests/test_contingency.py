@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from chancekit.contingency import (
     NormalizedTable,
+    _fitting_counts,
+    _fmt,
     _real_cells,
     _validated_counts,
     dichotomize,
@@ -99,7 +101,18 @@ def test_validated_counts_runs_every_line():
             _validated_counts(counts)
 
     assert unreached_lines(_validated_counts, run) == []
+    assert unreached_lines(_fitting_counts, run) == []
     assert unreached_lines(_real_cells, run) == []
+
+
+def test_fmt_writes_numpy_scalars_as_python_values():
+    # np.float64 subclasses float, and its repr names the type; np.bool_
+    # subclasses neither bool nor int.
+    assert _fmt(np.float64(0.5)) == _fmt(0.5) == "0.5"
+    assert _fmt(np.float32(0.25)) == "0.25"
+    assert _fmt(np.float64("nan")) == "nan"
+    assert [_fmt(np.bool_(True)), _fmt(np.bool_(False))] == [_fmt(True), _fmt(False)] == ["true", "false"]
+    assert [_fmt(None), _fmt(3), _fmt(np.int64(3)), _fmt("x")] == ["", "3", "3", "x"]
 
 
 def test_validated_counts_keeps_object_int_cells_exact():

@@ -2,20 +2,25 @@
 
 import csv
 import dataclasses
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chancekit.contingency import from_counts, repair_zero_margins
-from chancekit.errors import UsageError
+from chancekit.contingency import _repaired_counts, from_counts, repair_zero_margins
+from chancekit.errors import DataError, UsageError
 from chancekit.montecarlo import (
     RUNS_CSV_COLUMNS,
     CoverageReport,
     SimConfig,
     SimRun,
     StepSummary,
+    _chance_counts,
+    _mixed_counts,
+    _moments,
+    _perfect_counts,
     coverage_report,
     gen_chance,
     gen_perfect,
@@ -27,6 +32,9 @@ from chancekit.montecarlo import (
     write_summary_csv,
 )
 from chancekit.multiclass import bookmaker_informedness
+from helpers import unreached_lines
+
+DRAWS = json.loads((Path(__file__).parent / "data" / "generator_draws.json").read_text())
 
 
 def test_config_validation():
@@ -88,6 +96,70 @@ def test_gen_chance_is_centered_on_zero_informedness():
         t = repair_zero_margins(gen_chance(2, 128, rng))
         values.append(bookmaker_informedness(t))
     assert -0.05 < float(np.mean(values)) < 0.05
+
+
+def _replay_recorded_draws():
+    """Each generator call of generator_draws.json on its substream(seed,
+    k, n), with the counts it returns and the stream's next 32-bit draw."""
+    for e in DRAWS["perfect"]:
+        rng, _ = substream(e["seed"], e["k"], e["n"])
+        yield e, gen_perfect(e["k"], e["n"], rng), rng
+    for e in DRAWS["chance"]:
+        rng, _ = substream(e["seed"], e["k"], e["n"])
+        yield e, gen_chance(e["k"], e["n"], rng, e["margin"], e["cell"]), rng
+    for e in DRAWS["mix"]:
+        rng, _ = substream(e["seed"], e["k"], e["n"])
+        perfect, chance = gen_perfect(e["k"], e["n"], rng), gen_chance(e["k"], e["n"], rng)
+        yield e, mix_and_constrain(perfect, chance, e["level"], e["n"], rng, e["enforce_total"]), rng
+    star = from_counts([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    for e in DRAWS["star"]:
+        rng, _ = substream(e["seed"], 4, 4)
+        yield e, mix_and_constrain(star, star, 1.0, 4, rng), rng
+
+
+def test_generators_keep_their_recorded_draws():
+    # Counts recorded when every generator stage built a validated table:
+    # K = 2, 3, 4 on three seeds, gen_chance under each margin and cell
+    # distribution, mix_and_constrain with the total enforced and not (its
+    # increments, decrements and repairs), and the star table's fallback
+    # step.  The next draw pins where each call leaves the stream.
+    replayed = 0
+    for e, t, rng in _replay_recorded_draws():
+        assert (t.counts.tolist(), int(rng.integers(2**32))) == (e["counts"], e["next"]), e
+        replayed += 1
+    assert replayed == sum(map(len, DRAWS.values())) == 3 * (4 + 4 * 6 + 4 * 2 + 1)
+
+
+def test_array_cores_and_moments_reach_every_line():
+    zero = from_counts(np.zeros((3, 3), dtype=np.int64))
+
+    def run():
+        for _ in _replay_recorded_draws():
+            pass
+        mix_and_constrain(zero, gen_chance(3, 40, np.random.default_rng(1)), 0.5, 40,
+                          np.random.default_rng(2))
+        _moments([])
+        _moments([0.5, math.nan, 1.0])
+
+    for core in (_perfect_counts, _chance_counts, _mixed_counts, _repaired_counts, _moments):
+        assert unreached_lines(core, run) == [], core.__name__
+
+
+def test_moments_equal_numpy_mean_and_std():
+    # Seeded lists of 0-40 values with NaN and +-inf mixed in: the moments
+    # of the finite values are np.mean's and np.std's doubles, bit for bit.
+    rng = np.random.default_rng(39)
+    for _ in range(2000):
+        values = (rng.standard_normal(int(rng.integers(41))) * 10.0 ** rng.integers(-8, 9)).tolist()
+        for i in np.flatnonzero(rng.random(len(values)) < 0.15):
+            values[i] = (math.nan, math.inf, -math.inf)[int(rng.integers(3))]
+        finite = np.array([v for v in values if math.isfinite(v)])
+        if finite.size:
+            assert _moments(values) == (float(np.mean(finite)), float(np.std(finite))), values
+        else:
+            assert all(map(math.isnan, _moments(values)))
+    for values in ([], [math.nan], [math.nan] * 3):
+        assert all(map(math.isnan, _moments(values)))
 
 
 def _assert_constrained(t, n):
@@ -276,6 +348,26 @@ def test_failed_runs_become_error_rows(tmp_path):
     overall = coverage_report(runs).overall
     assert overall.errors == overall.runs == 4
     assert math.isnan(overall.coverage)
+
+
+def test_int64_overflow_is_an_error_row():
+    # A perfect table of n = 2^63 - 1 at K = 3 totals past int64.  Refused
+    # there, the run is an error row; unrefused, its wrapped counts would
+    # send the constraint loop through about 2^63 unit steps.
+    config = SimConfig(k=3, n=2**63 - 1, steps=2, runs_per_step=1, seed=3, fisher_samples=1000)
+    assert [(r.step, r.run, r.error) for r in run_grid(config)] == [
+        (step, 0, "counts total exceeds the 64-bit integer range") for step in range(2)]
+    # Each array stage refuses its own overflow, relying on no other's check.
+    rng, _ = substream(3, 0, 0)
+    with pytest.raises(DataError, match="64-bit"):
+        _perfect_counts(3, 2**63 - 1, rng)
+    with pytest.raises(DataError, match="64-bit"):
+        _chance_counts(3, 2**63 - 1, rng, "binomial", "absolute_shifted_normal")
+    eye = np.eye(3, dtype=np.int64)
+    with pytest.raises(DataError, match="64-bit"):
+        _mixed_counts(eye, eye, 0.5, 2**64, rng, False)
+    with pytest.raises(DataError, match="64-bit"):
+        _repaired_counts(np.array([[2**63 - 1, 0], [0, 0]]))
 
 
 def test_csv_layouts_follow_records(tmp_path):
