@@ -111,15 +111,13 @@ def _check_2x2(what: str, t: ContingencyTable) -> None:
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells written, so tested first
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # np.float64's repr names its type, and np.float32 is no float.
+        return repr(float(value))
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        # np.float64's repr names its type, and np.float32 is no float.
-        return repr(float(value))
     return str(value)
 
 

@@ -221,7 +221,9 @@ def _chance_counts(
     else:
         sd = np.sqrt(expected * (1.0 - np.clip(expected / n, 0.0, 1.0)))
         # rng.normal(loc, scale) computes loc + scale * z per cell, z drawn
-        # in C order, so this is its draw without its argument checks.
+        # in C order, so this is its draw without its argument checks.  Bit
+        # equality was checked on x86-64 with numpy 2.4.6; a numpy built to
+        # fuse the multiply-add could round a cell's last bit differently.
         cells = np.abs((expected + sd) + (1.5 * sd) * rng.standard_normal((k, k)))
     return _fitting_counts(np.maximum(np.rint(cells), 0.0).astype(np.int64))
 
@@ -313,10 +315,10 @@ def run_single(config: SimConfig, step: int, run: int) -> SimRun:
 
     The stream is consumed in a fixed order (perfect table, chance table,
     constraint loop, sampler seed) so results are reproducible regardless of
-    which statistics get computed.  The generators and the mix pass int64
-    arrays, each refused as from_counts would refuse it (a negative cell, a
-    total past int64), and only the final counts become a validated table;
-    gen_perfect, gen_chance and mix_and_constrain wrap the same cores.  A
+    which statistics get computed, and the tables and stream positions are
+    those of gen_perfect, gen_chance and mix_and_constrain.  Only the final
+    counts become a validated table; counts a table would refuse on the way
+    (a negative cell, a total past int64) make the run an error.  A
     K x K table's sampled exact test stops once its decision at config.alpha
     is settled, the level its rejection rates are read at, so a decided
     p_fisher is read at that level alone (SampledReport.level says which
@@ -463,8 +465,7 @@ def coverage_report(
     each test rejecting below `alpha`, which must lie in (0, 1).  A sampled
     exact test decided at another level (SampledReport.level) raises
     UsageError: its p says only on which side of that level it lies.  The
-    moments are np.mean's and np.std's doubles, taken from the reductions
-    they make rather than through their Python wrappers."""
+    moments are np.mean's and np.std's of each statistic's finite values."""
     if not runs:
         raise UsageError("cannot summarize an empty run sequence")
     _check_alpha(alpha)
