@@ -105,18 +105,11 @@ def _report_dict(report, alpha: float) -> dict:
     }
 
 
+_INTERVAL_KEYS = ("variant", "sse_rule", "center", "half_width", "lo", "hi", "x", "n", "evenness")
+
+
 def _interval_dict(ci) -> dict:
-    return {
-        "variant": ci.variant,
-        "sse_rule": ci.sse_rule,
-        "center": ci.center,
-        "half_width": ci.half_width,
-        "lo": ci.lo,
-        "hi": ci.hi,
-        "x": ci.x,
-        "n": ci.n,
-        "evenness": ci.evenness,
-    }
+    return {key: getattr(ci, key) for key in _INTERVAL_KEYS}
 
 
 # ---------------------------------------------------------------- renderers

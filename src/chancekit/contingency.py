@@ -110,6 +110,26 @@ def _check_2x2(what: str, t: ContingencyTable) -> None:
         raise UsageError(f"{what} are defined for 2x2 tables, got {t.k}x{t.k}")
 
 
+# The rules on table data, each raised by one function: the three below, the
+# 2-label rule in _validated_counts and the zero-margin rule in require_positive_margins.
+def _check_counted(what: str, t: ContingencyTable) -> None:
+    """Refuse a table with no counts, whose every fraction of n is 0/0."""
+    if t.n == 0:
+        raise DataError(f"cannot {what} an empty table: its counts are all-zero")
+
+
+def _check_square(what: str, arr: np.ndarray) -> None:
+    """Refuse an array that is not a K x K matrix."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DataError(f"{what} must form a square matrix, got shape {arr.shape}")
+
+
+def _check_fillable(n: int, k: int) -> None:
+    """Refuse a total n below the K classes, which leaves some margin zero."""
+    if n < k:
+        raise UsageError(f"need n >= K so margins can be positive, got n={n}, K={k}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         # np.float64's repr names its type, and np.float32 is no float.
@@ -153,10 +173,9 @@ def _validated_counts(counts) -> np.ndarray:
     """Counts as a K x K int64 matrix, K >= 2: finite, whole, non-negative,
     and a total that fits."""
     arr = np.asarray(counts)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DataError(f"counts must form a square matrix, got shape {arr.shape}")
+    _check_square("counts", arr)
     if arr.shape[0] < 2:
-        raise DataError("a contingency table needs at least 2 labels")
+        raise DataError("need at least 2 distinct labels")
     if arr.dtype.kind not in "iu":
         _real_cells("counts", arr)
         if arr.dtype == object:
@@ -390,8 +409,7 @@ class NormalizedTable:
 
     def __post_init__(self) -> None:
         probs = np.asarray(_real_cells("cell probabilities", self.probs), dtype=float)
-        if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
-            raise DataError("probabilities must form a square matrix")
+        _check_square("cell probabilities", probs)
         if not np.isfinite(probs).all():
             raise DataError("cell probabilities must be finite")
         if (probs < 0).any() or (probs > 1).any():
@@ -439,10 +457,8 @@ class CostModel:
     @classmethod
     def from_table(cls, t: ContingencyTable, cv: float = 1.0) -> "CostModel":
         _check_2x2("class skews", t)
-        m = margins(t)
-        rp, rn = float(m.prevalence[0]), float(m.prevalence[1])
-        if rp == 0.0:
-            raise DataError("real-positive margin is zero, class skew undefined")
+        require_positive_margins(t)
+        rp, rn = margins(t).prevalence.tolist()
         return cls(cs=rn / rp, cv=cv)
 
 
@@ -489,8 +505,6 @@ def _table_from_tally(
         missing = [tok for tok in seen if tok not in known]
         if missing:
             raise DataError(f"labels {missing} occur in the data but not in the label override")
-    if len(ordered) < 2:
-        raise DataError("need at least 2 distinct labels")
     index = {lbl: i for i, lbl in enumerate(ordered)}
     k = len(ordered)
     counts = np.zeros((k, k), dtype=np.int64)
@@ -501,19 +515,15 @@ def _table_from_tally(
 
 def normalize(t: ContingencyTable) -> NormalizedTable:
     """Divide counts by the grand total."""
-    n = t.n
-    if n == 0:
-        raise DataError("cannot normalize an all-zero table")
-    return NormalizedTable(t.counts / n, t.labels)
+    _check_counted("normalize", t)
+    return NormalizedTable(t.counts / t.n, t.labels)
 
 
 def margins(t: ContingencyTable) -> Margins:
     """Prevalence (column sums / n) and bias (row sums / n)."""
-    n = t.n
-    if n == 0:
-        raise DataError("cannot take margins of an all-zero table")
-    prevalence = t.col_totals / n
-    bias = t.row_totals / n
+    _check_counted("take margins of", t)
+    prevalence = t.col_totals / t.n
+    bias = t.row_totals / t.n
     prevalence.setflags(write=False)
     bias.setflags(write=False)
     return Margins(prevalence=prevalence, bias=bias, labels=t.labels)
@@ -758,8 +768,7 @@ def _read_table(handle: TextIO, labels: Sequence[str] | None) -> ContingencyTabl
         data = body
         col_labels = header
     matrix = to_matrix(data)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise DataError(f"table is {matrix.shape[0]}x{matrix.shape[1]}, expected square")
+    _check_square("counts", matrix)
     if row_labels:
         if sorted(col_labels) != sorted(row_labels):
             raise DataError("row and column labels name different sets")

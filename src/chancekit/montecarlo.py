@@ -35,6 +35,7 @@ from .contingency import (
     ContingencyTable,
     _check_alpha,
     _check_choice,
+    _check_fillable,
     _check_positive,
     _check_whole,
     _check_within,
@@ -95,8 +96,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         _check_whole("classes", self.k, 2)
         _check_whole("n", self.n)
-        if self.n < self.k:
-            raise UsageError(f"need n >= k so margins can be positive, got n={self.n}, k={self.k}")
+        _check_fillable(self.n, self.k)
         _check_whole("steps", self.steps, 2)
         _check_whole("runs per step", self.runs_per_step, 1)
         _check_choice("margin distribution", self.margin_distribution, MARGIN_DISTRIBUTIONS)
@@ -199,7 +199,7 @@ def gen_chance(
     noise scale restores the dispersion the positivity fold and the shift
     toward uniformity damp out of the folded sampler; without it the null
     spread of the informedness estimate falls below what the evenness-scaled
-    test statistics are calibrated for.
+    test statistics are calibrated for.  At n = 0 every cell is 0.
     """
     _check_whole("classes", k, 2)
     _check_whole("n", n, 0)
@@ -217,9 +217,9 @@ def _chance_counts(
     if cell_distribution == "uniform":
         cells = rng.uniform(0.0, 2.0 * expected)
     elif cell_distribution == "binomial_copula":
-        cells = rng.binomial(n, np.clip(expected / n, 0.0, 1.0))
+        cells = rng.binomial(n, np.clip(expected / max(n, 1), 0.0, 1.0))
     else:
-        sd = np.sqrt(expected * (1.0 - np.clip(expected / n, 0.0, 1.0)))
+        sd = np.sqrt(expected * (1.0 - np.clip(expected / max(n, 1), 0.0, 1.0)))
         # rng.normal(loc, scale) computes loc + scale * z per cell, z drawn
         # in C order, so this is its draw without its argument checks.  Bit
         # equality was checked on x86-64 with numpy 2.4.6; a numpy built to
@@ -266,9 +266,8 @@ def mix_and_constrain(
         raise UsageError(f"tables must have matching class counts, got {perfect.k} and {chance.k}")
     _check_within("level", level, 0.0, 1.0)
     _check_whole("n", n)
-    k = perfect.k
-    if enforce_total and n < k:
-        raise UsageError(f"n must be at least K to keep every margin positive, got n={n}, K={k}")
+    if enforce_total:
+        _check_fillable(n, perfect.k)
     counts = _mixed_counts(perfect.counts, chance.counts, level, n, rng, enforce_total)
     return from_counts(counts, perfect.labels)
 

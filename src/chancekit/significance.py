@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contingency import (_DEFAULT_ALPHA, _DEFAULT_SAMPLES, _DEFAULT_SIDED, _FAMILIES, _LEAST_SAMPLES,
-                          _SIDES, ContingencyTable, _check_2x2, _check_alpha, _check_choice, _check_whole,
-                          _check_within)
+                          _SIDES, ContingencyTable, _check_2x2, _check_alpha, _check_choice, _check_counted,
+                          _check_whole, _check_within)
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -357,8 +357,7 @@ def fisher_exact_2x2(t: ContingencyTable, sidedness: str = _DEFAULT_SIDED) -> Si
     rp, rn = a + c, b + d
     pp = a + b
     n = a + b + c + d
-    if n == 0:
-        raise DataError("cannot test an empty table")
+    _check_counted("test", t)
     kind = "fisher_one" if sidedness == "one" else "fisher_two"
     lo, hi = max(0, pp - rn), min(rp, pp)
     if hi - lo >= _WINDOW_MIN_WIDTH:
@@ -752,9 +751,8 @@ def fisher_montecarlo_kxk(
     _check_whole("seed", seed)
     if alpha is not None:
         _check_alpha(alpha)
+    _check_counted("test", t)
     n = t.n
-    if n == 0:
-        raise DataError("cannot test an empty table")
     if n >= 10**9:
         raise DataError(f"the sampled exact test needs n below 10^9, got {n}")
     # With fixed margins -sum(log(cell!)) orders the tables' probabilities; it

@@ -301,6 +301,24 @@ INPUT_GUARDS = {
                             chancekit.UsageError, "n must be an integer, got 30.5"),
     "gen_perfect_k_one": (lambda: chancekit.gen_perfect(1, 30, _rng()),
                           chancekit.UsageError, "need at least 2 classes, got 1"),
+    # Each of these sites raised its own text for a rule on table data; a
+    # class skew of a table with no real positives was a UsageError on cs.
+    "cost_model_zero_margin": (lambda: chancekit.CostModel.from_table(chancekit.from_counts([[3, 0], [4, 0]])),
+                               chancekit.DataError, "zero real-class margin (column) for label '1'"),
+    "fisher_exact_empty": (lambda: chancekit.fisher_exact_2x2(chancekit.from_counts([[0, 0], [0, 0]])),
+                           chancekit.DataError, "cannot test an empty table: its counts are all-zero"),
+    "normalize_empty": (lambda: chancekit.normalize(chancekit.from_counts([[0, 0], [0, 0]])),
+                        chancekit.DataError, "cannot normalize an empty table: its counts are all-zero"),
+    "counts_one_label": (lambda: chancekit.from_counts([[5]]),
+                         chancekit.DataError, "need at least 2 distinct labels"),
+    "pairs_one_label": (lambda: chancekit.from_pairs([("a", "a")]),
+                        chancekit.DataError, "need at least 2 distinct labels"),
+    "table_file_not_square": (lambda: chancekit.parse_table_csv("x,a\nb\n"),
+                              chancekit.DataError, "counts must form a square matrix, got shape (1, 0)"),
+    "config_n_below_k": (lambda: chancekit.SimConfig(k=4, n=3),
+                         chancekit.UsageError, "need n >= K so margins can be positive, got n=3, K=4"),
+    "mix_n_below_k": (lambda: chancekit.mix_and_constrain(_T3, _T3, 0.5, 2, _rng()),
+                      chancekit.UsageError, "need n >= K so margins can be positive, got n=2, K=3"),
 }
 
 
@@ -339,6 +357,45 @@ def test_each_argument_rule_is_raised_in_one_place():
                 if any(marker in text for marker in _RULE_MARKERS):
                     restated.append(f"{path.name}:{node.lineno}")
     assert not restated, f"argument rules raised outside the shared checks: {restated}"
+
+
+# Each rule on a table's data (some counts, a square matrix, at least 2
+# labels, no zero margin, a simulated n of at least K) is raised by one
+# function in contingency.py; a DataError or UsageError elsewhere whose text
+# carries one of these markers states a rule again.
+_DATA_RULE_CHECKS = ("_check_counted", "_check_square", "_validated_counts", "require_positive_margins",
+                     "_check_fillable")
+_DATA_RULE_MARKERS = ("an empty table", "all-zero", "square", "2 labels", "distinct labels", "margin",
+                      "n >= k", "at least k")
+
+
+def test_each_data_rule_is_raised_in_one_place():
+    # The texts each site raised before the shared checks, and two texts on
+    # other rules that the markers must pass.
+    earlier = ("cannot test an empty table", "cannot normalize an all-zero table",
+               "cannot take margins of an all-zero table", "probabilities must form a square matrix",
+               "table is 1x0, expected square", "a contingency table needs at least 2 labels",
+               "real-positive margin is zero, class skew undefined",
+               "n must be at least K to keep every margin positive, got n=")
+    assert all(any(marker in text.lower() for marker in _DATA_RULE_MARKERS) for text in earlier)
+    assert not any(marker in text for text in ("empty table file", "labels must be distinct")
+                   for marker in _DATA_RULE_MARKERS)
+    restated = []
+    for path in sorted(Path(chancekit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "contingency.py":
+            checks = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name in _DATA_RULE_CHECKS]
+            assert sorted(node.name for node in checks) == sorted(_DATA_RULE_CHECKS)
+            tree.body = [node for node in tree.body if node not in checks]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func) in ("DataError", "UsageError")):
+                text = "".join(part.value for part in ast.walk(node.exc)
+                               if isinstance(part, ast.Constant) and isinstance(part.value, str))
+                if any(marker in text.lower() for marker in _DATA_RULE_MARKERS):
+                    restated.append(f"{path.name}:{node.lineno}")
+    assert not restated, f"data rules raised outside the shared checks: {restated}"
 
 
 def test_rule_markers_flag_a_restated_range_but_not_a_relation():

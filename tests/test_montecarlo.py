@@ -89,6 +89,15 @@ def test_gen_chance_all_distributions():
             assert t.counts.shape == (3, 3)
 
 
+@pytest.mark.parametrize("cell", ["uniform", "binomial_copula", "absolute_shifted_normal"])
+def test_gen_chance_draws_the_zero_table_at_n_zero(cell):
+    # Each expectation's share of n was 0/0 here: a RuntimeWarning, then a
+    # raw ValueError or a DataError on NaN cells.
+    for margin in ("uniform", "binomial"):
+        rng, _ = substream(11, 0, 0)
+        assert gen_chance(3, 0, rng, margin, cell).counts.tolist() == [[0] * 3] * 3
+
+
 def test_gen_chance_is_centered_on_zero_informedness():
     rng = np.random.default_rng(2026)
     values = []
